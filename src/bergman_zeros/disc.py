@@ -14,6 +14,7 @@ magnitude, so direct summation is impossible in double precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +258,10 @@ def normalized_kernel(space: DiscSpace, z: complex, zp: complex) -> float:
     return math.exp(log_n)
 
 
+# log(-log r) of the smallest positive normal double r
+_T_NORMAL_MIN = math.log(-math.log(sys.float_info.min))
+
+
 def sup_kernel(space: DiscSpace, grid_points: int = 256) -> tuple[float, float]:
     """Maximize B_p over the punctured disc.
 
@@ -267,9 +272,14 @@ def sup_kernel(space: DiscSpace, grid_points: int = 256) -> tuple[float, float]:
     """
     if space.p < 3:
         raise ValueError("sup search requires p >= 3")
-    # r from 0.95 down to exp(-e * p): covers plateau through the peak
+    # r from 0.95 down to exp(-e * p): covers plateau through the peak.
+    # From p = 275 on, exp(-e * p) underflows to 0.0; the range then stops
+    # at the smallest normal double instead (the peak, at -log r ~ p/2,
+    # stays well inside it up to p ~ 1400).
     t_lo = math.log(-math.log(0.95))
     t_hi = math.log(space.p) + 1.0
+    if math.exp(-math.exp(t_hi)) == 0.0:
+        t_hi = _T_NORMAL_MIN
     _require_adequate(space, 0.95)
 
     def f(t: float) -> float:

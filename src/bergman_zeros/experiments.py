@@ -303,6 +303,12 @@ def kernel_decay_experiment(
             d = rng.uniform(d_far, 1.5 * d_far)
             z1 = displaced(r0, theta0, d, mode, sign)
             far_vals.append(disc.normalized_kernel(space, z0, z1))
+    if not far_vals:
+        raise ValueError(f"far regime empty: n_pairs = {n_pairs} draws no far pair; need n_pairs >= 2")
+    if len(xs) < 2:
+        raise ValueError(
+            f"near regime empty: {len(xs)} near pairs with N_p > 0, the slope fit needs 2; raise n_pairs"
+        )
     slope = float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
     far_max = float(max(far_vals))
     report.add(

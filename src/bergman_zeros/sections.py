@@ -2,10 +2,18 @@
 
 A random section is  S(z) = sum_ell eta_ell c_ell z^ell  with i.i.d.
 standard complex Gaussian coefficients eta.  Zeros in an annulus are
-extracted two independent ways: companion-matrix roots of the truncated
-polynomial (with Newton polishing), and winding numbers of the boundary
-phase (argument principle).  The two serve as cross-oracles for each
-other.
+extracted two independent ways, which serve as cross-oracles for each
+other: companion-matrix roots of the truncated polynomial (with Newton
+polishing), and winding numbers of the boundary phase (argument
+principle).
+
+The winding numbers of a whole batch come from one vectorized engine.
+A first pass evaluates every section on a shared grid of the circle
+(one GEMM) and sums the small phase increments of all rows at once.
+The few large increments, almost always caused by a zero close to the
+circle, form one flat queue of segments that is bisected for all rows
+together.  Only a row on which the section vanishes on the circle is
+recounted alone, on slightly perturbed radii.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, path), so every sample is reproducible under any thread
@@ -21,7 +29,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .disc import Annulus, DiscSpace, DomainError, KernelValue, TruncationError, adaptive_truncation
+from .disc import (
+    Annulus,
+    DiscSpace,
+    DomainError,
+    KernelValue,
+    TruncationError,
+    adaptive_truncation,
+    zero_counting_function,
+)
 
 __all__ = [
     "ContourError",
@@ -33,7 +49,6 @@ __all__ = [
     "evaluate",
     "find_zeros",
     "linear_statistic",
-    "sample_batch",
     "sample_section",
     "section_stream",
     "truncation_length",
@@ -106,14 +121,6 @@ def sample_section(space: DiscSpace, seed: int, path: Sequence[int] = ()) -> Sec
     return SectionSample(space=space, eta=eta, seed_path=(int(seed), *map(int, path)))
 
 
-def sample_batch(space: DiscSpace, seed: int, count: int, base_path: Sequence[int] = ()) -> np.ndarray:
-    """Matrix of eta rows for samples indexed (seed, *base_path, i)."""
-    out = np.empty((count, space.L), dtype=np.complex128)
-    for i in range(count):
-        out[i] = _draw_eta(section_stream(seed, (*base_path, i)), space.L)
-    return out
-
-
 def evaluate(sample: SectionSample, z: complex) -> KernelValue:
     """Pointwise value of the section in the h_p norm, as log-magnitude and phase.
 
@@ -181,9 +188,9 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
     """Zeros of the section inside the annulus via companion-matrix eigenvalues.
 
     The puncture's forced zero at z = 0 is always excluded.  Roots are
-    Newton-polished, merged within 1e-8 (multiplicity summed; Gaussian
-    sections have simple zeros almost surely, so merges are flagged), and
-    sorted by radius then angle.
+    Newton-polished, merged within MERGE_DISTANCE = 1e-7 (multiplicity
+    summed; Gaussian sections have simple zeros almost surely, so merges
+    are flagged), and sorted by radius then angle.
     """
     space = sample.space
     required = truncation_length(space.p, region.b)
@@ -232,175 +239,135 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
 # ---------------------------------------------------------------------------
 # argument-principle counting
 
-
-def _circle_values(space: DiscSpace, etas: np.ndarray, r: float, thetas: np.ndarray) -> np.ndarray:
-    """Section values (up to a positive scalar) on |z| = r for a batch of etas."""
-    log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
-    amp = np.exp(log_amp - np.max(log_amp))
-    basis = amp[:, None] * np.exp(1j * np.outer(space.ells, thetas))
-    return etas @ basis
-
-
-def _winding_one(
-    space: DiscSpace,
-    eta: np.ndarray,
-    r: float,
-    n_init: int,
-    max_depth: int = 40,
-) -> int:
-    """Winding number of the section along |z| = r by adaptive phase tracking."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
-    vals = _circle_values(space, eta[None, :], r, thetas)[0]
-    for _ in range(max_depth):
-        mags = np.abs(vals)
-        if np.min(mags) < 1e-13 * np.max(mags):
-            raise ContourError(f"section vanishes on the contour |z| = {r}")
-        phases = np.angle(vals)
-        dphi = np.diff(np.concatenate([phases, phases[:1]]))
-        dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
-        bad = np.abs(dphi) >= math.pi / 2.0
-        if not np.any(bad):
-            w = float(np.sum(dphi)) / (2.0 * math.pi)
-            wi = round(w)
-            if abs(w - wi) > 1e-6:
-                raise ContourError(f"non-integer winding {w} on |z| = {r}")
-            return int(wi)
-        idx = np.flatnonzero(bad)
-        nxt = np.concatenate([thetas[1:], thetas[:1] + 2.0 * math.pi])
-        mids = 0.5 * (thetas[idx] + nxt[idx])
-        mid_vals = _circle_values(space, eta[None, :], r, mids)[0]
-        order = np.argsort(np.concatenate([thetas, mids]), kind="stable")
-        thetas = np.concatenate([thetas, mids])[order]
-        vals = np.concatenate([vals, mid_vals])[order]
-    raise ContourError(f"phase tracking did not settle on |z| = {r}")
+# Pass one evaluates at most this many (row, angle) entries at once, which
+# bounds the complex values and the phase temporaries of one row block.
+BLOCK_ENTRIES = 1 << 18
+# Checks of the phase increments per contour (the first on the initial
+# grid, one after each midpoint split); a segment still unresolved after
+# the last almost certainly holds a zero on the contour.
+MAX_ROUNDS = 40
+# A contour value below this fraction of the row's largest is a zero on it.
+MAGNITUDE_FLOOR = 1e-13
 
 
 def _initial_points(space: DiscSpace, r: float) -> int:
-    # winding is at most the dominant index scale; 8x oversampling keeps
-    # nearly all increments below pi/2 on the first pass
-    from .disc import zero_counting_function
-
+    # the winding number is close to n, the expected zero count of the
+    # disc |z| < r; 8x oversampling keeps nearly all increments below
+    # pi/2 on the first pass
     n = zero_counting_function(space, r)
-    return max(256, 1 << int(math.ceil(math.log2(8.0 * (n + 8.0)))))
+    return max(64, 1 << int(math.ceil(math.log2(8.0 * (n + 8.0)))))
 
 
-def _winding_with_perturbation(space: DiscSpace, eta: np.ndarray, r: float, n_init: int) -> tuple[int, tuple[str, ...]]:
-    notes: list[str] = []
-    for attempt in range(4):
-        rr = r + (0.0 if attempt == 0 else (-1) ** attempt * 1e-6 * attempt)
-        try:
-            return _winding_one(space, eta, rr, n_init), tuple(notes)
-        except ContourError as exc:
-            notes.append(f"perturbing contour |z|={r}: {exc}")
-    raise ContourError(f"contour through zero persists near |z| = {r} after 3 perturbations")
+def _winding(space: DiscSpace, etas: np.ndarray, r: float, n_init: int) -> tuple[np.ndarray, np.ndarray]:
+    """Winding numbers of the rows of etas along |z| = r, and the rows that failed.
 
+    Pass one evaluates every row on a shared grid of n_init angles (one
+    GEMM per row block).  The phase increment of a segment is the angle
+    of v1 * conj(v0), already wrapped into (-pi, pi].  Increments below
+    pi/2 in size are final and summed per row at once.  The others go
+    into one flat queue of segments (owner row, theta0, theta1, v0, v1).
+    Each round evaluates every queued midpoint with one einsum and splits
+    each segment in two; halves that are now small are added to their
+    row, the rest stay queued.
 
-def count_zeros_argument_principle(sample: SectionSample, region: Annulus) -> int:
-    """Zero count in the annulus as the winding-number difference of the two circles.
-
-    Phase increments are kept below pi/2 by adaptive midpoint insertion.
-    If the section vanishes on a contour, the radius is perturbed by
-    multiples of 1e-6 (up to 3 attempts) and the perturbation recorded in
-    the raised diagnostics on final failure.
-    """
-    space = sample.space
-    required = truncation_length(space.p, region.b)
-    if space.L < required:
-        raise TruncationError(
-            f"truncation L={space.L} inadequate for zeros up to |z|={region.b}; need {required}",
-            required_length=required,
-        )
-    w_out, _ = _winding_with_perturbation(space, sample.eta, region.b, _initial_points(space, region.b))
-    w_in, _ = _winding_with_perturbation(space, sample.eta, region.a, _initial_points(space, region.a))
-    return int(w_out - w_in)
-
-
-def _wrap(dphi: np.ndarray) -> np.ndarray:
-    return (dphi + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def _winding_batch(space: DiscSpace, etas: np.ndarray, r: float, max_rounds: int = 40) -> np.ndarray:
-    """Winding numbers of many sections along |z| = r, batched.
-
-    One shared-grid pass evaluates every section at once; afterwards only
-    the offending segments (phase increment >= pi/2, almost always caused
-    by a zero close to the contour) get midpoints inserted, with all
-    pending midpoints across all samples evaluated together each round.
+    A row fails if the section (nearly) vanishes at an evaluated point,
+    if its winding is not an integer, or if segments remain after
+    MAX_ROUNDS checks; its winding entry is then meaningless.
     """
     m = etas.shape[0]
-    n_init = _initial_points(space, r)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
-    amp = np.exp(log_amp - np.max(log_amp))
-    coeff = etas * amp[None, :]
+    coeff = etas * np.exp(log_amp - np.max(log_amp))[None, :]
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
+    ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
+    # e^{i ell theta_j} on the equispaced grid is a table of n_init-th roots
+    # of unity: cheaper than L x n_init complex exponentials, and exact in
+    # the argument
+    basis = np.exp(1j * thetas)[np.outer(np.arange(1, space.L + 1), np.arange(n_init)) % n_init]
+    total = np.empty(m)
+    lo_mag = np.empty(m)
+    hi_mag = np.empty(m)
+    queue: list[tuple[np.ndarray, ...]] = []
+    step = max(1, BLOCK_ENTRIES // n_init)
+    for lo in range(0, m, step):
+        vals = coeff[lo : lo + step] @ basis
+        mags = np.abs(vals)
+        lo_mag[lo : lo + step] = mags.min(axis=1)
+        hi_mag[lo : lo + step] = mags.max(axis=1)
+        inc = np.roll(vals, -1, axis=1)
+        inc *= vals.conj()
+        dphi = np.angle(inc)
+        bad = np.abs(dphi) >= math.pi / 2.0
+        total[lo : lo + step] = np.sum(dphi, axis=1, where=~bad)
+        rows, cols = np.nonzero(bad)
+        queue.append((rows + lo, thetas[cols], ends[cols], vals[rows, cols], vals[rows, (cols + 1) % n_init]))
+    own, t0, t1, v0, v1 = (np.concatenate(parts) for parts in zip(*queue))
 
-    thetas0 = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
-    out = np.empty(m, dtype=np.int64)
-    basis = np.exp(1j * np.outer(space.ells, thetas0))
-    gemm_chunk = max(1, 16_777_216 // max(n_init, 1))
-    theta_arrays: list[np.ndarray] = [thetas0] * m
-    val_arrays: list[np.ndarray] = []
-    for lo in range(0, m, gemm_chunk):
-        vals = coeff[lo : lo + gemm_chunk] @ basis
-        val_arrays.extend(vals)
+    for _ in range(MAX_ROUNDS - 1):
+        live = lo_mag[own] >= MAGNITUDE_FLOOR * hi_mag[own]
+        own, t0, t1, v0, v1 = own[live], t0[live], t1[live], v0[live], v1[live]
+        if own.size == 0:
+            break
+        tm = 0.5 * (t0 + t1)
+        vm = np.einsum("ql,ql->q", coeff[own], np.exp(1j * np.outer(tm, space.ells)))
+        np.minimum.at(lo_mag, own, np.abs(vm))
+        np.maximum.at(hi_mag, own, np.abs(vm))
+        own, t0, t1 = np.concatenate([own, own]), np.concatenate([t0, tm]), np.concatenate([tm, t1])
+        v0, v1 = np.concatenate([v0, vm]), np.concatenate([vm, v1])
+        d = np.angle(v1 * v0.conj())
+        bad = np.abs(d) >= math.pi / 2.0
+        np.add.at(total, own[~bad], d[~bad])
+        own, t0, t1, v0, v1 = own[bad], t0[bad], t1[bad], v0[bad], v1[bad]
 
-    pending = list(range(m))
-    for round_no in range(max_rounds):
-        mid_sample: list[int] = []
-        mid_theta: list[np.ndarray] = []
-        next_pending: list[int] = []
-        for i in pending:
-            vals = val_arrays[i]
-            mags = np.abs(vals)
-            if np.min(mags) < 1e-13 * np.max(mags):
-                out[i], _ = _winding_with_perturbation(space, etas[i], r, 2 * n_init)
-                continue
-            phases = np.angle(vals)
-            dphi = _wrap(np.diff(np.concatenate([phases, phases[:1]])))
-            bad = np.flatnonzero(np.abs(dphi) >= math.pi / 2.0)
-            if bad.size == 0:
-                w = float(np.sum(dphi)) / (2.0 * math.pi)
-                wi = round(w)
-                if abs(w - wi) > 1e-6:
-                    out[i], _ = _winding_with_perturbation(space, etas[i], r, 2 * n_init)
-                else:
-                    out[i] = wi
-                continue
-            th = theta_arrays[i]
-            nxt = np.concatenate([th[1:], th[:1] + 2.0 * math.pi])
-            mids = 0.5 * (th[bad] + nxt[bad])
-            mid_sample.append(i)
-            mid_theta.append(mids)
-            next_pending.append(i)
-        if not next_pending:
-            return out
-        flat_theta = np.concatenate(mid_theta)
-        owners = np.repeat(mid_sample, [t.size for t in mid_theta])
-        flat_vals = np.einsum(
-            "pl,pl->p", coeff[owners], np.exp(1j * np.outer(flat_theta, space.ells))
-        )
-        pos = 0
-        for i, mids in zip(mid_sample, mid_theta):
-            vals_new = flat_vals[pos : pos + mids.size]
-            pos += mids.size
-            th = theta_arrays[i]
-            order = np.argsort(np.concatenate([th, mids]), kind="stable")
-            theta_arrays[i] = np.concatenate([th, mids])[order]
-            val_arrays[i] = np.concatenate([val_arrays[i], vals_new])[order]
-        pending = next_pending
-    for i in pending:  # refinement cap: almost certainly a contour zero
-        out[i], _ = _winding_with_perturbation(space, etas[i], r, 2 * n_init)
-    return out
+    w = total / (2.0 * math.pi)
+    wi = np.rint(w)
+    failed = (lo_mag < MAGNITUDE_FLOOR * hi_mag) | (np.abs(w - wi) > 1e-6)
+    failed[own] = True
+    return wi.astype(np.int64), failed
+
+
+def _windings(space: DiscSpace, etas: np.ndarray, r: float) -> np.ndarray:
+    """Winding numbers along |z| = r; failed rows retry on perturbed radii.
+
+    A failed row is recounted alone, on a doubled grid, at r and then at
+    r - 1e-6, r + 2e-6 and r - 3e-6; the first attempt that succeeds
+    gives its winding.
+    """
+    n_init = _initial_points(space, r)
+    w, failed = _winding(space, etas, r, n_init)
+    for i in np.flatnonzero(failed):
+        for attempt in range(4):
+            rr = r + (0.0 if attempt == 0 else (-1) ** attempt * 1e-6 * attempt)
+            wi, again = _winding(space, etas[i : i + 1], rr, 2 * n_init)
+            if not again[0]:
+                w[i] = wi[0]
+                break
+        else:
+            raise ContourError(f"contour through zero persists near |z| = {r} after 3 perturbations")
+    return w
 
 
 def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
-    """Argument-principle zero counts for a batch of coefficient rows."""
+    """Argument-principle zero counts for a batch of coefficient rows.
+
+    Each count is the winding-number difference of the two boundary
+    circles.  If the section vanishes on a contour, the radius is
+    perturbed by multiples of 1e-6 (up to 3 attempts); ContourError is
+    raised if every attempt fails.
+    """
     required = truncation_length(space.p, region.b)
     if space.L < required:
         raise TruncationError(
             f"truncation L={space.L} inadequate for zeros up to |z|={region.b}; need {required}",
             required_length=required,
         )
-    return _winding_batch(space, etas, region.b) - _winding_batch(space, etas, region.a)
+    return _windings(space, etas, region.b) - _windings(space, etas, region.a)
+
+
+def count_zeros_argument_principle(sample: SectionSample, region: Annulus) -> int:
+    """Zero count of one section in the annulus: count_zeros_batch on a single row."""
+    return int(count_zeros_batch(sample.space, sample.eta[None, :], region)[0])
 
 
 def linear_statistic(zset: ZeroSet, phi: Callable[[complex], float]) -> float:

@@ -148,6 +148,15 @@ class TestRunCommand:
         assert len(lines) > 1
         json.loads((out / "summary.json").read_text())
 
+    @pytest.mark.parametrize("n_pairs,regime", [(1, "far regime empty"), (2, "near regime empty")])
+    def test_kernel_decay_empty_regime_exit_code(self, tmp_path, capsys, n_pairs, regime):
+        cfg = write_config(tmp_path / "c.yaml", {
+            "experiment": "kernel-decay", "seed": 3,
+            "params": {"p": 100, "annulus": {"a": 0.3, "b": 0.7}, "n_pairs": n_pairs},
+        })
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert regime in capsys.readouterr().err
+
     def test_model_kernel_via_cli(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {
             "experiment": "model-kernel",

@@ -222,6 +222,18 @@ class TestSupKernel:
         with pytest.raises(ValueError):
             sup_kernel(make_disc_space(2, 32))
 
+    def test_large_p_search_range_stays_positive(self):
+        # exp(-e * p) underflows to 0.0 from p = 275 on; the search must
+        # still find the peak, checked against a dense-grid maximum
+        p = 300
+        space = make_disc_space(p, adaptive_truncation(p, 0.95))
+        r_star, value = sup_kernel(space)
+        ts = np.linspace(math.log(p / 2.0) - 1.0, math.log(p / 2.0) + 1.0, 4001)
+        dense = max(kernel_function(space, math.exp(-math.exp(t))) for t in ts)
+        assert value >= dense * (1.0 - 1e-12)
+        assert value == pytest.approx(dense, rel=1e-6)
+        assert -math.log(r_star) == pytest.approx(p / 2.0, rel=0.05)
+
 
 class TestPlateauDecreasing:
     def test_true_error_strictly_decreasing(self):

@@ -1,0 +1,27 @@
+"""Golden digests: small count-based configs must reproduce stored results.csv bytes.
+
+The SHA-256 digests in tests/golden/digests.json were taken from the
+reference implementation of the winding-number engine.  A change that
+alters any of them changes program output; it must be declared as such
+and re-baselined in the same change, never silently.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from bergman_zeros.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_results_csv_digest(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["run", str(GOLDEN / f"{name}.yaml"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == DIGESTS[name], f"results.csv of golden config '{name}' changed"

@@ -229,7 +229,8 @@ class TestArgumentPrinciple:
         eta[4] = 2.3
         sample = SectionSample(space=space10, eta=eta, seed_path=())
         assert count_zeros_argument_principle(sample, Annulus(0.2, 0.6)) == 0
-        assert sections._winding_one(space10, eta, 0.5, 256) == 5
+        windings, failed = sections._winding(space10, eta[None, :], 0.5, 256)
+        assert windings[0] == 5 and not failed[0]
 
     def test_empty_annulus(self, space10):
         sample = sample_section(space10, 3, (1,))
@@ -262,6 +263,139 @@ class TestArgumentPrinciple:
         sample = SectionSample(space=space10, eta=eta, seed_path=())
         count = count_zeros_argument_principle(sample, Annulus(0.2, w))
         assert count in (0, 1)
+
+
+def _with_zeros(space, zeros):
+    """Coefficient row of a section proportional to z (z - w_1) ... (z - w_k)."""
+    k = len(zeros)
+    eta = np.zeros(space.L, dtype=np.complex128)
+    eta[: k + 1] = np.poly(zeros)[::-1] / np.exp(0.5 * space.log_coeffs[: k + 1])
+    return eta
+
+
+def _reference_winding(space, eta, r, n_init, max_rounds=40):
+    """Per-row phase tracking that re-sorts the whole refined grid each round."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
+    amp = np.exp(0.5 * space.log_coeffs + space.ells * math.log(r))
+
+    def values(th):
+        return np.exp(1j * np.outer(th, space.ells)) @ (eta * amp)
+
+    vals = values(thetas)
+    for _ in range(max_rounds):
+        assert np.min(np.abs(vals)) >= 1e-13 * np.max(np.abs(vals)), "zero on the contour"
+        phases = np.angle(vals)
+        dphi = (np.diff(phases, append=phases[:1]) + math.pi) % (2.0 * math.pi) - math.pi
+        bad = np.abs(dphi) >= math.pi / 2.0
+        if not bad.any():
+            return round(float(np.sum(dphi)) / (2.0 * math.pi))
+        nxt = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
+        mids = 0.5 * (thetas[bad] + nxt[bad])
+        order = np.argsort(np.concatenate([thetas, mids]), kind="stable")
+        thetas = np.concatenate([thetas, mids])[order]
+        vals = np.concatenate([vals, values(mids)])[order]
+    raise AssertionError("refinement did not settle")
+
+
+class TestWindingEngine:
+    R = 0.5
+
+    @pytest.mark.parametrize("p, region", [(8, Annulus(0.25, 0.45)), (20, Annulus(0.2, 0.7))])
+    def test_matches_per_row_reference(self, p, region):
+        space = make_disc_space(p, truncation_length(p, region.b))
+        etas = np.array([sample_section(space, 8, (i,)).eta for i in range(150)])
+        for r in (region.a, region.b):
+            n = sections._initial_points(space, r)
+            windings, failed = sections._winding(space, etas, r, n)
+            assert not failed.any()
+            assert windings.tolist() == [_reference_winding(space, eta, r, n) for eta in etas]
+
+    def test_zero_near_contour_refines_deeply(self, space10):
+        # zeros at relative distance 1e-9 outside and inside the contour:
+        # the phase jumps by ~pi within an angle of ~1e-9, so only deep
+        # midpoint refinement resolves it; no perturbation is needed
+        n = sections._initial_points(space10, self.R)
+        w_out = self.R * (1.0 + 1e-9) * np.exp(0.3j)
+        w_in = self.R * (1.0 - 1e-9) * np.exp(0.3j)
+        etas = np.array([_with_zeros(space10, [w_out]), _with_zeros(space10, [w_in])])
+        windings, failed = sections._winding(space10, etas, self.R, n)
+        assert windings.tolist() == [1, 2]
+        assert not failed.any()
+
+    def test_refinement_cap_fails_rows(self, space10, monkeypatch):
+        # zeros 5e-15 outside the contour: after 19 splits each unresolved
+        # segment's increment is still within ~1e-7 of -pi, so leaving out
+        # the second row's two gives a wrong but integer winding; only the
+        # segments left in the queue mark that row failed
+        n = sections._initial_points(space10, self.R)
+        near = [self.R * (1.0 + 1e-14) * np.exp(1j * t) for t in (0.3, 2.0)]
+        etas = np.array([_with_zeros(space10, near[:1]), _with_zeros(space10, near)])
+        monkeypatch.setattr(sections, "MAX_ROUNDS", 20)
+        _, failed = sections._winding(space10, etas, self.R, n)
+        assert failed.all()
+
+    def test_zero_on_contour_takes_perturbation_path(self, space10):
+        # one zero exactly on a grid angle, one between grid angles
+        n = sections._initial_points(space10, self.R)
+        etas = np.array([_with_zeros(space10, [self.R]), _with_zeros(space10, [self.R * np.exp(0.3j)])])
+        _, failed = sections._winding(space10, etas, self.R, n)
+        assert failed.all()
+        # the first perturbed radius, R - 1e-6, leaves the zero outside
+        assert sections._windings(space10, etas, self.R).tolist() == [1, 1]
+
+    def test_persistent_contour_zero_raises(self, space10):
+        # zeros on the contour and on every perturbed radius
+        eta = _with_zeros(space10, [self.R + dr for dr in (0.0, -1e-6, 2e-6, -3e-6)])
+        with pytest.raises(sections.ContourError, match="persists"):
+            sections._windings(space10, eta[None, :], self.R)
+
+    def test_batch_without_flagged_rows(self, space10, monkeypatch):
+        # no zero near the contour: the first pass settles every row, so
+        # allowing no refinement round at all changes nothing
+        etas = np.zeros((5, space10.L), dtype=np.complex128)
+        for k in range(5):
+            etas[k, k] = 1.0  # z^(k+1)
+        far = np.array([_with_zeros(space10, [0.2j]), _with_zeros(space10, [-0.8])])
+        etas = np.concatenate([etas, far])
+        monkeypatch.setattr(sections, "MAX_ROUNDS", 1)
+        windings, failed = sections._winding(space10, etas, self.R, sections._initial_points(space10, self.R))
+        assert windings.tolist() == [1, 2, 3, 4, 5, 2, 1]
+        assert not failed.any()
+
+    def test_batch_with_every_row_flagged(self, space10, monkeypatch):
+        angles = np.linspace(0.1, 6.0, 8)
+        rel = np.where(np.arange(8) % 2 == 0, 1.0 + 1e-7, 1.0 - 1e-7)
+        etas = np.array([_with_zeros(space10, [self.R * f * np.exp(1j * t)]) for f, t in zip(rel, angles)])
+        n = sections._initial_points(space10, self.R)
+        expected = [1 if f > 1.0 else 2 for f in rel]
+        windings, failed = sections._winding(space10, etas, self.R, n)
+        assert windings.tolist() == expected and not failed.any()
+        monkeypatch.setattr(sections, "MAX_ROUNDS", 1)
+        _, failed = sections._winding(space10, etas, self.R, n)
+        assert failed.all()
+
+    def test_chunk_independence(self, monkeypatch):
+        p, region = 20, Annulus(0.2, 0.7)
+        space = make_disc_space(p, truncation_length(p, region.b))
+        etas = np.array([sample_section(space, 17, (i,)).eta for i in range(300)])
+        # rows with a zero close to each contour exercise the refinement queue
+        near = [_with_zeros(space, [region.b * (1.0 + 1e-8) * np.exp(2.0j)]),
+                _with_zeros(space, [region.a * (1.0 - 1e-8) * np.exp(-1.0j)])]
+        etas = np.concatenate([etas[:150], near, etas[150:]])
+        whole = count_zeros_batch(space, etas, region)
+        halves = np.concatenate([count_zeros_batch(space, etas[:151], region),
+                                 count_zeros_batch(space, etas[151:], region)])
+        assert np.array_equal(whole, halves)
+        monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)  # many row blocks in pass one
+        assert np.array_equal(count_zeros_batch(space, etas, region), whole)
+
+    @pytest.mark.parametrize("p, region", [(8, Annulus(0.25, 0.45)), (100, Annulus(0.2, 0.7))])
+    def test_agrees_with_companion_roots(self, p, region):
+        space = make_disc_space(p, truncation_length(p, region.b))
+        samples = [sample_section(space, 2024, (p, i)) for i in range(200)]
+        counts = count_zeros_batch(space, np.array([s.eta for s in samples]), region)
+        roots = [find_zeros(s, region).total for s in samples]
+        assert counts.tolist() == roots
 
 
 class TestLinearStatistic:
