@@ -7,61 +7,15 @@ threshold was violated under --check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from . import __version__, experiments
-from .config import EXPERIMENT_ANCHORS, EXPERIMENTS, ConfigError, ExperimentConfig, load_config
-from .report import StatsReport, config_digest
-
-
-def _dispatch(cfg: ExperimentConfig) -> StatsReport:
-    p = cfg.params
-    kind = cfg.kind
-    if kind == "plateau":
-        return experiments.plateau_experiment(
-            p["p"], r_min=p["r_min"], r_max=p["r_max"], n_grid=p["n_grid"],
-            seed=cfg.seed, tolerance=p["tolerance"],
-        )
-    if kind == "sup":
-        return experiments.sup_experiment(p["p"], seed=cfg.seed, tolerance=p["tolerance"])
-    if kind == "model-kernel":
-        return experiments.model_kernel_experiment(
-            p["rho_prime"], p["curvature"], max_deg=p["max_deg"], seed=cfg.seed,
-            parity_step=p["parity_step"], parity_tolerance=p["parity_tolerance"],
-        )
-    if kind == "equidistribution":
-        return experiments.equidistribution_experiment(
-            p["p"], p["annulus"], p["samples"], cfg.seed,
-            paired=p["paired_seeds"], threads=cfg.threads, slack=p["slack"],
-        )
-    if kind == "variance":
-        return experiments.variance_experiment(
-            p["p"], p["testfunction"], p["samples"], cfg.seed,
-            threads=cfg.threads, rel_tolerance=p["rel_tolerance"],
-        )
-    if kind == "clt":
-        return experiments.clt_experiment(
-            p["p"], p["testfunction"], p["samples"], cfg.seed,
-            threads=cfg.threads, ks_level=p["ks_level"],
-        )
-    if kind == "holes":
-        return experiments.hole_probability_experiment(
-            p["p"], p["annulus"], p["samples"], cfg.seed, threads=cfg.threads
-        )
-    if kind == "deviation":
-        return experiments.deviation_experiment(
-            p["p"], p["annulus"], p["delta"], p["samples"], cfg.seed, threads=cfg.threads
-        )
-    if kind == "kernel-decay":
-        return experiments.kernel_decay_experiment(
-            p["p"], p["annulus"], n_pairs=p["n_pairs"], k=p["k"], seed=cfg.seed,
-            far_tolerance=p["far_tolerance"],
-        )
-    if kind == "l1log":
-        return experiments.l1log_experiment(p["p"], p["annulus"], seed=cfg.seed)
-    raise ConfigError(f"unknown experiment kind '{kind}'")
+from .config import EXPERIMENTS, REQUIRED, ConfigError, load_config
+from .report import config_digest
 
 
 def _versions() -> dict[str, str]:
@@ -78,13 +32,16 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
-        cfg = ExperimentConfig(cfg.kind, cfg.params, args.seed, cfg.threads, cfg.out, cfg.source)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.threads is not None:
-        cfg = ExperimentConfig(cfg.kind, cfg.params, cfg.seed, args.threads, cfg.out, cfg.source)
+        cfg = dataclasses.replace(cfg, threads=args.threads)
     out_dir = Path(args.out if args.out is not None else cfg.out)
+    # looked up on the module at call time, so that a wrapper put there is what runs
+    driver = getattr(experiments, EXPERIMENTS[cfg.kind].driver)
+    threads = {"threads": cfg.threads} if "threads" in inspect.signature(driver).parameters else {}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = _dispatch(cfg)
+        report = driver(**cfg.params, seed=cfg.seed, **threads)
     except Exception as exc:  # numerical failures surface as exit 1 with context
         print(f"error: {cfg.kind}: {exc}", file=sys.stderr)
         return 1
@@ -108,23 +65,26 @@ def _list(args: argparse.Namespace) -> int:
         payload = {
             kind: {
                 "parameters": {
-                    name: {"type": spec.type, "required": spec.required, "default": spec.default}
-                    for name, spec in schema.items()
+                    name: {
+                        "type": entry.params[name],
+                        "required": default is REQUIRED,
+                        "default": None if default is REQUIRED else default,
+                    }
+                    for name, default in entry.defaults().items()
                 },
-                "anchor": EXPERIMENT_ANCHORS[kind],
+                "anchor": entry.anchor,
             }
-            for kind, schema in EXPERIMENTS.items()
+            for kind, entry in EXPERIMENTS.items()
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     width = max(len(k) for k in EXPERIMENTS)
-    for kind in EXPERIMENTS:
-        schema = EXPERIMENTS[kind]
+    for kind, entry in EXPERIMENTS.items():
         params = ", ".join(
-            f"{name}{'' if spec.required else '?'}" for name, spec in schema.items()
+            f"{name}{'' if default is REQUIRED else '?'}" for name, default in entry.defaults().items()
         )
         print(f"{kind.ljust(width)}  params: {params}")
-        print(f"{''.ljust(width)}  checks: {EXPERIMENT_ANCHORS[kind]}")
+        print(f"{''.ljust(width)}  checks: {entry.anchor}")
     return 0
 
 

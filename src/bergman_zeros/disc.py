@@ -81,9 +81,6 @@ class Annulus:
     def is_empty(self) -> bool:
         return self.a >= self.b
 
-    def contains(self, z: complex, tol: float = 1e-10) -> bool:
-        return self.a - tol <= abs(z) <= self.b + tol
-
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -140,10 +137,6 @@ def make_disc_space(p: int, L: int) -> DiscSpace:
     return DiscSpace(p=int(p), L=int(L), log_coeffs=log_coeffs)
 
 
-def _log_coeff(p: int, ell: float) -> float:
-    return (p - 1) * math.log(ell) - LOG_2PI - float(gammaln(p - 1))
-
-
 def adaptive_truncation(p: int, r: float, rel_tol: float = KERNEL_TAIL_RTOL) -> int:
     """Smallest L whose geometric tail bound at radius r is below rel_tol.
 
@@ -188,9 +181,13 @@ def _require_adequate(space: DiscSpace, r: float, rel_tol: float = KERNEL_TAIL_R
         )
 
 
-def _log_diag_sum(space: DiscSpace, r: float) -> float:
-    """log of sum_ell c_ell^2 r^(2 ell) (the unweighted diagonal series)."""
-    return float(logsumexp(space.log_coeffs + 2.0 * space.ells * math.log(r)))
+def _log_diag(space: DiscSpace, log_r):
+    """log of sum_ell c_ell^2 r^(2 ell), the unweighted diagonal series, from log r (a scalar or an array).
+
+    Callers take the log themselves: math.log and np.log can differ in the
+    last bit, and each caller keeps the one it has always used.
+    """
+    return logsumexp(space.log_coeffs + 2.0 * np.multiply.outer(log_r, space.ells), axis=-1)
 
 
 def log_kernel_function(space: DiscSpace, r: float) -> float:
@@ -198,13 +195,28 @@ def log_kernel_function(space: DiscSpace, r: float) -> float:
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
     _require_adequate(space, r)
-    u = -2.0 * math.log(r)  # |log |z|^2| > 0
-    return space.p * math.log(u) + _log_diag_sum(space, r)
+    log_r = math.log(r)
+    u = -2.0 * log_r  # |log |z|^2| > 0
+    return space.p * math.log(u) + float(_log_diag(space, log_r))
 
 
 def kernel_function(space: DiscSpace, r: float) -> float:
     """Diagonal Bergman kernel function B_p(z) at |z| = r; strictly positive."""
     return math.exp(log_kernel_function(space, r))
+
+
+def _off_diag(space: DiscSpace, z: complex, zp: complex) -> tuple[float, float, float, complex]:
+    """(|z|, |z'|, m, s) with sum_ell c_ell^2 (z zbar')^ell = e^m s, after the domain and truncation checks."""
+    rz, rp = abs(z), abs(zp)
+    for r in (rz, rp):
+        if not 0.0 < r < 1.0:
+            raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
+    _require_adequate(space, max(rz, rp))
+    w = z * np.conj(zp)
+    log_terms = space.log_coeffs + space.ells * math.log(abs(w))
+    m = float(np.max(log_terms))
+    theta = math.atan2(w.imag, w.real)
+    return rz, rp, m, np.sum(np.exp(log_terms - m) * np.exp(1j * space.ells * theta))
 
 
 def kernel(space: DiscSpace, z: complex, zp: complex) -> KernelValue:
@@ -215,17 +227,7 @@ def kernel(space: DiscSpace, z: complex, zp: complex) -> KernelValue:
     Hermitian: swapping arguments keeps the log-magnitude and flips the
     phase.
     """
-    rz, rp = abs(z), abs(zp)
-    for r in (rz, rp):
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
-    _require_adequate(space, max(rz, rp))
-    w = z * np.conj(zp)
-    log_w = math.log(abs(w))
-    theta = math.atan2(w.imag, w.real)
-    log_terms = space.log_coeffs + space.ells * log_w
-    m = float(np.max(log_terms))
-    s = np.sum(np.exp(log_terms - m) * np.exp(1j * space.ells * theta))
+    rz, rp, m, s = _off_diag(space, z, zp)
     weight = 0.5 * space.p * (math.log(-2.0 * math.log(rz)) + math.log(-2.0 * math.log(rp)))
     if s == 0.0:
         return KernelValue(log_modulus=-math.inf, phase=0.0)
@@ -241,20 +243,11 @@ def normalized_kernel(space: DiscSpace, z: complex, zp: complex) -> float:
     Computed entirely in the log domain; the h_p weight factors cancel.
     Underflow of the off-diagonal sum returns exactly 0.0.
     """
-    rz, rp = abs(z), abs(zp)
-    for r in (rz, rp):
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
-    _require_adequate(space, max(rz, rp))
-    w = z * np.conj(zp)
-    log_terms = space.log_coeffs + space.ells * math.log(abs(w))
-    m = float(np.max(log_terms))
-    theta = math.atan2(w.imag, w.real)
-    s = np.sum(np.exp(log_terms - m) * np.exp(1j * space.ells * theta))
+    rz, rp, m, s = _off_diag(space, z, zp)
     if s == 0.0:
         return 0.0
     log_off = m + math.log(abs(s))
-    log_n = log_off - 0.5 * (_log_diag_sum(space, rz) + _log_diag_sum(space, rp))
+    log_n = log_off - 0.5 * (float(_log_diag(space, math.log(rz))) + float(_log_diag(space, math.log(rp))))
     return math.exp(log_n)
 
 

@@ -4,6 +4,11 @@ Each driver is a pure function of its parameters and a seed: rows come
 out in a fixed order, Monte Carlo streams are keyed by (seed, p, sample
 index), and thread count never changes any output byte (work is cut into
 fixed-size chunks; threads only decide who runs a chunk).
+
+Driver parameters carry the names of the config keys (`config.EXPERIMENTS`),
+and their defaults are the config defaults.  In the multi-p drivers `p` is
+the ascending list of tensor powers; the loop over it rebinds `p` to one
+power.
 """
 
 from __future__ import annotations
@@ -60,12 +65,17 @@ def _space_for(p: int, r_max: float, eps: float = sections.ZERO_TAIL_EPS) -> Dis
     return disc.make_disc_space(p, sections.truncation_length(p, r_max, eps))
 
 
-def _eta_batch(space: DiscSpace, seed: int, p: int, m: int, paired: bool) -> np.ndarray:
-    out = np.empty((m, space.L), dtype=np.complex128)
-    for i in range(m):
-        path = (i,) if paired else (p, i)
-        out[i] = sections.sample_section(space, seed, path).eta
-    return out
+def _draw(p: int, r_max: float, samples: int, seed: int, paired: bool = False) -> tuple[DiscSpace, np.ndarray]:
+    """The space at p truncated for radius r_max, and one coefficient row per sample.
+
+    Sample i draws from the stream (seed, p, i), or from (seed, i) when
+    paired, so that every p sees the same leading coefficients.
+    """
+    space = _space_for(p, r_max)
+    etas = np.empty((samples, space.L), dtype=np.complex128)
+    for i in range(samples):
+        etas[i] = sections.sample_section(space, seed, (i,) if paired else (p, i)).eta
+    return space, etas
 
 
 def _counts_for(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int) -> np.ndarray:
@@ -85,7 +95,7 @@ def _counts_for(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: in
 
 
 def plateau_experiment(
-    p_list: Sequence[int],
+    p: Sequence[int],
     r_min: float = 0.3,
     r_max: float = 0.9,
     n_grid: int = 512,
@@ -96,7 +106,7 @@ def plateau_experiment(
     report = StatsReport()
     t = np.linspace(math.log(-math.log(r_max)), math.log(-math.log(r_min)), n_grid)
     radii = np.exp(-np.exp(t))
-    for p in p_list:
+    for p in list(p):
         space = _space_for(p, r_max, eps=1e-7)
         plateau = (p - 1) / (2.0 * math.pi)
         errs = [abs(disc.kernel_function(space, r) / plateau - 1.0) for r in radii]
@@ -117,11 +127,12 @@ def plateau_experiment(
     return report
 
 
-def sup_experiment(p_list: Sequence[int], seed: int = 0, tolerance: float = 0.25) -> StatsReport:
+def sup_experiment(p: Sequence[int], seed: int = 0, tolerance: float = 0.25) -> StatsReport:
     """Global sup of B_p against the (p / 2 pi)^(3/2) law."""
     report = StatsReport()
     ratios: dict[int, float] = {}
-    for p in p_list:
+    ps = list(p)
+    for p in ps:
         space = _space_for(p, 0.95, eps=1e-7)
         r_star, value = disc.sup_kernel(space)
         ratio = value * (2.0 * math.pi / p) ** 1.5
@@ -145,7 +156,6 @@ def sup_experiment(p_list: Sequence[int], seed: int = 0, tolerance: float = 0.25
                 f"|ratio - 1| = {abs(ratio - 1.0):.4f} vs {tolerance}",
             )
         )
-    ps = list(p_list)
     for p_lo, p_hi in zip(ps, ps[1:]):
         ok = abs(ratios[p_hi] - 1.0) < abs(ratios[p_lo] - 1.0)
         report.checks.append(
@@ -207,14 +217,15 @@ def model_kernel_experiment(
     return report
 
 
-def l1log_experiment(p_list: Sequence[int], region: Annulus, seed: int = 0) -> StatsReport:
-    """L1 norm of log B_p over the region, against the plateau substitution."""
+def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> StatsReport:
+    """L1 norm of log B_p over the annulus, against the plateau substitution."""
     report = StatsReport()
     values: dict[int, float] = {}
-    area = disc.hyperbolic_area(region)
-    for p in p_list:
-        space = _space_for(p, region.b, eps=1e-7)
-        val = disc.log_bergman_l1(space, region)
+    area = disc.hyperbolic_area(annulus)
+    ps = list(p)
+    for p in ps:
+        space = _space_for(p, annulus.b, eps=1e-7)
+        val = disc.log_bergman_l1(space, annulus)
         values[p] = val
         pred = abs(math.log((p - 1) / (2.0 * math.pi))) * area
         report.add(
@@ -225,7 +236,7 @@ def l1log_experiment(p_list: Sequence[int], region: Annulus, seed: int = 0) -> S
         )
     # C log p bound with the natural constant: the plateau value is
     # |log((p-1)/2pi)| * area, so area * (1 + slack) dominates value/log p
-    for p in p_list:
+    for p in ps:
         if p <= 2:
             continue
         bound = 1.05 * area * math.log(p)
@@ -236,7 +247,6 @@ def l1log_experiment(p_list: Sequence[int], region: Annulus, seed: int = 0) -> S
                 f"value {values[p]:.4f} vs C log p = {bound:.4f}",
             )
         )
-    ps = list(p_list)
     for p_lo, p_hi in zip(ps, ps[1:]):
         if p_hi == 2 * p_lo and p_lo > 8:
             # doubling p grows the plateau value by the predicted log ratio
@@ -256,7 +266,7 @@ def l1log_experiment(p_list: Sequence[int], region: Annulus, seed: int = 0) -> S
 
 def kernel_decay_experiment(
     p: int,
-    region: Annulus,
+    annulus: Annulus,
     n_pairs: int = 400,
     k: int = 2,
     seed: int = 0,
@@ -269,7 +279,7 @@ def kernel_decay_experiment(
     Far pairs sit beyond sqrt(12 k log p / p), where N_p must be tiny.
     """
     report = StatsReport()
-    space = _space_for(p, region.b * 1.05, eps=1e-7)
+    space = _space_for(p, annulus.b * 1.05, eps=1e-7)
     rng = sections.section_stream(seed, (p, 7001))
     d_near = math.sqrt(12.0) * math.sqrt(math.log(p) / p)
     d_far = math.sqrt(12.0 * k) * math.sqrt(math.log(p) / p)
@@ -286,7 +296,7 @@ def kernel_decay_experiment(
     xs, ys = [], []
     far_vals = []
     for i in range(n_pairs):
-        r0 = rng.uniform(region.a, region.b)
+        r0 = rng.uniform(annulus.a, annulus.b)
         theta0 = rng.uniform(0.0, 2.0 * math.pi)
         mode = int(rng.integers(0, 2))
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
@@ -339,39 +349,43 @@ def kernel_decay_experiment(
 
 
 def equidistribution_experiment(
-    p_list: Sequence[int],
-    region: Annulus,
-    m: int,
+    p: Sequence[int],
+    annulus: Annulus,
+    samples: int,
     seed: int,
-    paired: bool = False,
+    paired_seeds: bool = False,
     threads: int = 1,
     slack: float = 0.05,
 ) -> StatsReport:
-    """Zero-count equidistribution against the curvature measure of the region."""
+    """Zero-count equidistribution against the curvature measure of the annulus.
+
+    Also checks the mean count against the exact expected zero measure of
+    the truncated section, within 3 standard errors.
+    """
     report = StatsReport()
-    area = disc.c1_area(region)
+    area = disc.c1_area(annulus)
     deviations: dict[int, float] = {}
-    for p in p_list:
-        space = _space_for(p, region.b)
-        etas = _eta_batch(space, seed, p, m, paired)
-        counts = _counts_for(space, region, etas, threads)
+    ps = list(p)
+    for p in ps:
+        space, etas = _draw(p, annulus.b, samples, seed, paired_seeds)
+        counts = _counts_for(space, annulus, etas, threads)
         mean = float(np.mean(counts))
-        se = float(np.std(counts, ddof=1) / math.sqrt(m))
-        exact = disc.expected_zero_measure(space, region)
+        se = float(np.std(counts, ddof=1) / math.sqrt(samples))
+        exact = disc.expected_zero_measure(space, annulus)
         dev = abs(mean / p - area)
         deviations[p] = dev
         report.add(
             ReportRow(
                 "equidistribution", p, "mean_count_over_p",
                 estimate=mean / p, stderr=se / p, prediction=area, deviation=dev,
-                n_samples=m, seed=seed,
+                n_samples=samples, seed=seed,
             )
         )
         report.add(
             ReportRow(
                 "equidistribution", p, "mean_count",
                 estimate=mean, stderr=se, prediction=exact, deviation=abs(mean - exact),
-                n_samples=m, seed=seed,
+                n_samples=samples, seed=seed,
             )
         )
         report.checks.append(
@@ -381,7 +395,13 @@ def equidistribution_experiment(
                 f"|mean/p - area| = {dev:.4f} vs 3 SE/p + {slack} = {3.0 * se / p + slack:.4f}",
             )
         )
-    ps = list(p_list)
+        report.checks.append(
+            CheckResult(
+                f"expected_measure_p{p}",
+                abs(mean - exact) <= 3.0 * se,
+                f"|mean - expected| = {abs(mean - exact):.4f} vs 3 SE = {3.0 * se:.4f}",
+            )
+        )
     if len(ps) >= 2:
         ok = deviations[ps[-1]] < deviations[ps[0]]
         report.checks.append(
@@ -391,34 +411,6 @@ def equidistribution_experiment(
                 f"deviation {deviations[ps[0]]:.4f} -> {deviations[ps[-1]]:.4f}",
             )
         )
-    return report
-
-
-def expected_count_mc(
-    p: int, region: Annulus, m: int, seed: int, threads: int = 1
-) -> StatsReport:
-    """Monte Carlo verification of the expected zero measure at a single p."""
-    report = StatsReport()
-    space = _space_for(p, region.b)
-    etas = _eta_batch(space, seed, p, m, paired=False)
-    counts = _counts_for(space, region, etas, threads)
-    mean = float(np.mean(counts))
-    se = float(np.std(counts, ddof=1) / math.sqrt(m))
-    exact = disc.expected_zero_measure(space, region)
-    report.add(
-        ReportRow(
-            "expected-measure", p, "mean_count",
-            estimate=mean, stderr=se, prediction=exact, deviation=abs(mean - exact),
-            n_samples=m, seed=seed,
-        )
-    )
-    report.checks.append(
-        CheckResult(
-            f"expected_measure_p{p}",
-            abs(mean - exact) <= 3.0 * se,
-            f"|mean - expected| = {abs(mean - exact):.4f} vs 3 SE = {3.0 * se:.4f}",
-        )
-    )
     return report
 
 
@@ -450,9 +442,9 @@ def _linear_statistics(
 
 
 def clt_experiment(
-    p_list: Sequence[int],
-    phi: TestFunction,
-    m: int,
+    p: Sequence[int],
+    testfunction: TestFunction,
+    samples: int,
     seed: int,
     threads: int = 1,
     ks_level: float = 0.01,
@@ -466,10 +458,10 @@ def clt_experiment(
     """
     report = StatsReport()
     proxies: dict[int, float] = {}
-    for p in p_list:
-        space = _space_for(p, phi.b)
-        etas = _eta_batch(space, seed, p, m, paired=False)
-        ys = _linear_statistics(space, phi, etas, threads)
+    ps = list(p)
+    for p in ps:
+        space, etas = _draw(p, testfunction.b, samples, seed)
+        ys = _linear_statistics(space, testfunction, etas, threads)
         sd = float(np.std(ys, ddof=1))
         if sd == 0.0:
             raise RuntimeError(
@@ -477,29 +469,28 @@ def clt_experiment(
             )
         standardized = (ys - float(np.mean(ys))) / sd
         ks_stat, ks_p = sps.kstest(standardized, "norm")
-        proxy = sodin_tsirelson_proxy(space, phi.support)
+        proxy = sodin_tsirelson_proxy(space, testfunction.support)
         proxies[p] = proxy
-        mean_pred = expected_linear_statistic(space, phi)
+        mean_pred = expected_linear_statistic(space, testfunction)
         report.add(
             ReportRow(
                 "clt", p, "linstat_mean",
-                estimate=float(np.mean(ys)), stderr=sd / math.sqrt(m),
+                estimate=float(np.mean(ys)), stderr=sd / math.sqrt(samples),
                 prediction=mean_pred, deviation=abs(float(np.mean(ys)) - mean_pred),
-                n_samples=m, seed=seed,
+                n_samples=samples, seed=seed,
             )
         )
-        report.add(ReportRow("clt", p, "ks_statistic", estimate=float(ks_stat), n_samples=m, seed=seed))
+        report.add(ReportRow("clt", p, "ks_statistic", estimate=float(ks_stat), n_samples=samples, seed=seed))
         report.add(
             ReportRow(
                 "clt", p, "ks_pvalue",
-                estimate=float(ks_p), prediction=ks_level, n_samples=m, seed=seed,
+                estimate=float(ks_p), prediction=ks_level, n_samples=samples, seed=seed,
             )
         )
         report.add(ReportRow("clt", p, "correlation_sum_diagnostic", estimate=proxy, seed=seed))
         report.checks.append(
             CheckResult(f"clt_ks_p{p}", bool(ks_p >= ks_level), f"KS p-value {ks_p:.4f} vs level {ks_level}")
         )
-    ps = list(p_list)
     for p_lo, p_hi in zip(ps, ps[1:]):
         report.checks.append(
             CheckResult(
@@ -512,9 +503,9 @@ def clt_experiment(
 
 
 def variance_experiment(
-    p_list: Sequence[int],
-    phi: TestFunction,
-    m: int,
+    p: Sequence[int],
+    testfunction: TestFunction,
+    samples: int,
     seed: int,
     threads: int = 1,
     rel_tolerance: float = 0.15,
@@ -523,23 +514,23 @@ def variance_experiment(
     """Number variance: Monte Carlo vs bipotential vs the zeta(3) leading term."""
     report = StatsReport()
     lead_gaps: dict[int, float] = {}
-    for p in p_list:
-        space = _space_for(p, phi.b)
-        etas = _eta_batch(space, seed, p, m, paired=False)
-        ys = _linear_statistics(space, phi, etas, threads)
+    ps = list(p)
+    for p in ps:
+        space, etas = _draw(p, testfunction.b, samples, seed)
+        ys = _linear_statistics(space, testfunction, etas, threads)
         var_mc = float(np.var(ys, ddof=1))
         boot_rng = sections.section_stream(seed, (p, 1_000_003))
-        idx = boot_rng.integers(0, m, size=(n_bootstrap, m))
+        idx = boot_rng.integers(0, samples, size=(n_bootstrap, samples))
         boot_vars = np.var(ys[idx], axis=1, ddof=1)
         boot_se = float(np.std(boot_vars, ddof=1))
-        bip = variance_bipotential(space, phi)
-        lead = variance_leading_term(phi, p)
+        bip = variance_bipotential(space, testfunction)
+        lead = variance_leading_term(testfunction, p)
         lead_gaps[p] = abs(p * bip - p * lead)
         report.add(
             ReportRow(
                 "variance", p, "linstat_variance_mc",
                 estimate=var_mc, stderr=boot_se, prediction=bip, deviation=abs(var_mc - bip),
-                n_samples=m, seed=seed,
+                n_samples=samples, seed=seed,
             )
         )
         report.add(
@@ -556,7 +547,6 @@ def variance_experiment(
                 f"|MC - bipotential| = {abs(var_mc - bip):.3e} vs {tol:.3e}",
             )
         )
-    ps = list(p_list)
     for p_lo, p_hi in zip(ps, ps[1:]):
         report.checks.append(
             CheckResult(
@@ -579,9 +569,9 @@ def _wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[floa
 
 
 def hole_probability_experiment(
-    p_list: Sequence[int],
-    region: Annulus,
-    m: int,
+    p: Sequence[int],
+    annulus: Annulus,
+    samples: int,
     seed: int,
     threads: int = 1,
 ) -> StatsReport:
@@ -589,13 +579,13 @@ def hole_probability_experiment(
     report = StatsReport()
     estimates: dict[int, float] = {}
     intervals: dict[int, tuple[float, float]] = {}
-    for p in p_list:
-        space = _space_for(p, region.b)
-        etas = _eta_batch(space, seed, p, m, paired=False)
-        counts = _counts_for(space, region, etas, threads)
+    ps = list(p)
+    for p in ps:
+        space, etas = _draw(p, annulus.b, samples, seed)
+        counts = _counts_for(space, annulus, etas, threads)
         k = int(np.sum(counts == 0))
-        phat = k / m
-        lo, hi = _wilson_interval(k, m)
+        phat = k / samples
+        lo, hi = _wilson_interval(k, samples)
         estimates[p] = phat
         intervals[p] = (lo, hi)
         if k == 0:
@@ -603,17 +593,16 @@ def hole_probability_experiment(
             report.add(
                 ReportRow(
                     "holes", p, "hole_probability_upper_bound",
-                    estimate=3.0 / m, n_samples=m, seed=seed,
+                    estimate=3.0 / samples, n_samples=samples, seed=seed,
                 )
             )
         else:
-            se = math.sqrt(phat * (1.0 - phat) / m)
+            se = math.sqrt(phat * (1.0 - phat) / samples)
             report.add(
-                ReportRow("holes", p, "hole_probability", estimate=phat, stderr=se, n_samples=m, seed=seed)
+                ReportRow("holes", p, "hole_probability", estimate=phat, stderr=se, n_samples=samples, seed=seed)
             )
-        report.add(ReportRow("holes", p, "hole_probability_wilson_low", estimate=lo, n_samples=m, seed=seed))
-        report.add(ReportRow("holes", p, "hole_probability_wilson_high", estimate=hi, n_samples=m, seed=seed))
-    ps = list(p_list)
+        report.add(ReportRow("holes", p, "hole_probability_wilson_low", estimate=lo, n_samples=samples, seed=seed))
+        report.add(ReportRow("holes", p, "hole_probability_wilson_high", estimate=hi, n_samples=samples, seed=seed))
     positive = [(p, estimates[p]) for p in ps if estimates[p] > 0.0]
     if len(positive) >= 2:
         xs = np.array([p * p for p, _ in positive], dtype=np.float64)
@@ -716,40 +705,35 @@ def _log_sup_batch(
 
 
 def deviation_experiment(
-    p_list: Sequence[int],
-    region: Annulus,
+    p: Sequence[int],
+    annulus: Annulus,
     delta: float,
-    m: int,
+    samples: int,
     seed: int,
     threads: int = 1,
 ) -> StatsReport:
     """Tail frequencies for the count deviation and the log-sup statistic."""
     report = StatsReport()
-    area = disc.c1_area(region)
+    area = disc.c1_area(annulus)
     freqs: dict[int, float] = {}
-    for p in p_list:
-        space = _space_for(p, region.b)
-        etas = _eta_batch(space, seed, p, m, paired=False)
-        counts = _counts_for(space, region, etas, threads)
+    ps = list(p)
+    for p in ps:
+        space, etas = _draw(p, annulus.b, samples, seed)
+        counts = _counts_for(space, annulus, etas, threads)
         freq_count = float(np.mean(np.abs(counts / p - area) > delta))
-        log_sup = _log_sup_batch(space, region, etas, threads)
+        log_sup = _log_sup_batch(space, annulus, etas, threads)
         freq_sup = float(np.mean(np.abs(log_sup) / p >= delta))
         freqs[p] = freq_count
-        se_c = math.sqrt(max(freq_count * (1 - freq_count), 1.0 / m) / m)
-        report.add(
-            ReportRow(
-                "deviation", p, "count_deviation_frequency",
-                estimate=freq_count, stderr=se_c, n_samples=m, seed=seed,
+        for statistic, freq in (
+            ("count_deviation_frequency", freq_count), ("log_sup_deviation_frequency", freq_sup)
+        ):
+            report.add(
+                ReportRow(
+                    "deviation", p, statistic,
+                    estimate=freq, stderr=math.sqrt(max(freq * (1 - freq), 1.0 / samples) / samples),
+                    n_samples=samples, seed=seed,
+                )
             )
-        )
-        report.add(
-            ReportRow(
-                "deviation", p, "log_sup_deviation_frequency",
-                estimate=freq_sup, stderr=math.sqrt(max(freq_sup * (1 - freq_sup), 1.0 / m) / m),
-                n_samples=m, seed=seed,
-            )
-        )
-    ps = list(p_list)
     for p_lo, p_hi in zip(ps, ps[1:]):
         report.checks.append(
             CheckResult(

@@ -72,10 +72,6 @@ class StatsReport:
     def add(self, row: ReportRow) -> None:
         self.rows.append(row)
 
-    def extend(self, other: "StatsReport") -> None:
-        self.rows.extend(other.rows)
-        self.checks.extend(other.checks)
-
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ from .disc import (
 __all__ = [
     "ContourError",
     "SectionSample",
-    "ZeroMethod",
     "ZeroSet",
     "count_zeros_argument_principle",
     "count_zeros_batch",
@@ -69,11 +67,6 @@ class ContourError(RuntimeError):
     """A zero persists on the counting contour after perturbation attempts."""
 
 
-class ZeroMethod(str, Enum):
-    COMPANION = "companion"
-    ARGUMENT_PRINCIPLE = "argument_principle"
-
-
 @dataclass(frozen=True)
 class SectionSample:
     """One draw of Gaussian coefficients for a fixed truncated space."""
@@ -94,7 +87,6 @@ class ZeroSet:
 
     zeros: tuple[tuple[complex, int], ...]
     region: Annulus
-    method: ZeroMethod
     diagnostics: tuple[str, ...] = ()
 
     @property
@@ -204,13 +196,13 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
     coeffs_low = _balanced_coefficients(space, sample.eta, beta)
     nz = np.flatnonzero(coeffs_low != 0.0)
     if nz.size == 0:
-        return ZeroSet(zeros=(), region=region, method=ZeroMethod.COMPANION)
+        return ZeroSet(zeros=(), region=region)
     # stray zero leading/trailing coefficients shrink the companion matrix
     lead = nz[-1]
     trail = nz[0]
     reduced = coeffs_low[trail : lead + 1]
     if reduced.size <= 1:
-        return ZeroSet(zeros=(), region=region, method=ZeroMethod.COMPANION)
+        return ZeroSet(zeros=(), region=region)
     roots_w = np.roots(reduced[::-1])
     scale = region.b / beta
     keep = (np.abs(roots_w) >= (region.a / beta) * (1.0 - 1e-6)) & (np.abs(roots_w) <= scale * (1.0 + 1e-6))
@@ -233,7 +225,7 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
             diagnostics.append(f"merged near-coincident roots at z={zprev:.12g} (multiplicity {m + 1})")
         else:
             merged.append((complex(z), 1))
-    return ZeroSet(zeros=tuple(merged), region=region, method=ZeroMethod.COMPANION, diagnostics=tuple(diagnostics))
+    return ZeroSet(zeros=tuple(merged), region=region, diagnostics=tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------

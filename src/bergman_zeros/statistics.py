@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import spence
 
-from .disc import Annulus, DiscSpace
+from .disc import Annulus, DiscSpace, _log_diag
 
 __all__ = [
     "APERY",
@@ -54,7 +54,6 @@ class TestFunction:
     a: float
     b: float
     amplitude: float = 1.0
-    smoothness: str = "C-infinity"
 
     __test__ = False  # not a pytest class despite the name
 
@@ -169,13 +168,6 @@ def _gtilde_fast(t: np.ndarray) -> np.ndarray:
 # normalized-kernel grids and the variance integral
 
 
-def _log_diag(space: DiscSpace, r: np.ndarray) -> np.ndarray:
-    """log sum_ell c_ell^2 r^(2 ell) for an array of radii."""
-    log_terms = space.log_coeffs[None, :] + 2.0 * np.outer(np.log(r), space.ells)
-    m = np.max(log_terms, axis=1)
-    return m + np.log(np.sum(np.exp(log_terms - m[:, None]), axis=1))
-
-
 def normalized_kernel_grid(space: DiscSpace, r: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """N_p on the product grid: entry [i, j, k] is N_p(r_i, r_j, theta_k).
 
@@ -184,8 +176,9 @@ def normalized_kernel_grid(space: DiscSpace, r: np.ndarray, thetas: np.ndarray) 
     """
     r = np.asarray(r, dtype=np.float64)
     n = r.size
-    logd = _log_diag(space, r)
-    log_rr = np.add.outer(np.log(r), np.log(r))  # log(r_i r_j)
+    log_r = np.log(r)
+    logd = _log_diag(space, log_r)
+    log_rr = np.add.outer(log_r, log_r)  # log(r_i r_j)
     iu, ju = np.triu_indices(n)
     log_terms = space.log_coeffs[None, :] + log_rr[iu, ju][:, None] * space.ells[None, :]
     m = np.max(log_terms, axis=1)

@@ -130,16 +130,16 @@ def test_criterion_05_zero_finder_cross_oracle():
 
 def test_criterion_06_expected_measure():
     crit = Criterion(6, "expected zero measure vs Monte Carlo", budget_s=120.0)
-    report = experiments.expected_count_mc(100, Annulus(0.2, 0.7), 2000, seed=SEED, threads=2)
-    row = report.rows[0]
-    ok = report.all_passed
+    report = experiments.equidistribution_experiment([100], Annulus(0.2, 0.7), 2000, seed=SEED, threads=2)
+    row = next(r for r in report.rows if r.statistic == "mean_count")
+    ok = next(c for c in report.checks if c.name == "expected_measure_p100").passed
     crit.finish(ok, f"mean {row.estimate:.3f} +- {row.stderr:.3f} vs expected {row.prediction:.3f}")
 
 
 def test_criterion_07_equidistribution():
     crit = Criterion(7, "equidistribution of counts / p", budget_s=180.0)
     report = experiments.equidistribution_experiment(
-        [50, 100, 200], Annulus(0.2, 0.7), 500, seed=SEED, paired=True, threads=2
+        [50, 100, 200], Annulus(0.2, 0.7), 500, seed=SEED, paired_seeds=True, threads=2
     )
     detail = "; ".join(c.detail for c in report.checks if "speed" in c.name)
     crit.finish(report.all_passed, detail)

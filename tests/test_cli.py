@@ -1,5 +1,6 @@
 """CLI contract: config validation, artifacts, exit codes, determinism."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from bergman_zeros import experiments
 from bergman_zeros.cli import main
-from bergman_zeros.config import ConfigError, load_config
+from bergman_zeros.config import EXPERIMENTS, ConfigError, load_config
 from bergman_zeros.report import CSV_HEADER
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
 def write_config(path: Path, payload: dict) -> Path:
@@ -68,6 +72,46 @@ class TestConfigLoading:
         assert cfg.params["p"] == [50]
 
 
+class TestRegistry:
+    # one valid value per parameter type, for configs built from the schema
+    VALUES = {
+        "int": 2, "float": 0.5, "bool": True, "int_list": [20, 40],
+        "annulus": {"a": 0.3, "b": 0.6}, "testfunction": {"a": 0.35, "b": 0.65},
+        "curvature": [[0, 0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+    def test_shipped_configs_load(self, path):
+        cfg = load_config(path)
+        assert cfg.kind in EXPERIMENTS
+        assert set(cfg.params) == set(EXPERIMENTS[cfg.kind].params)
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+    def test_schema_keys_are_driver_parameters(self, kind):
+        entry = EXPERIMENTS[kind]
+        signature = inspect.signature(getattr(experiments, entry.driver)).parameters
+        assert set(entry.params) <= set(signature)
+        assert "seed" in signature
+        assert set(entry.params.values()) <= set(self.VALUES)
+
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+    def test_required_exactly_without_driver_default(self, kind, tmp_path):
+        entry = EXPERIMENTS[kind]
+        signature = inspect.signature(getattr(experiments, entry.driver)).parameters
+        required = [name for name in entry.params if signature[name].default is inspect.Parameter.empty]
+        assert required, f"{kind} has no required key"
+        values = {name: self.VALUES[entry.params[name]] for name in required}
+        cfg = load_config(write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 1, "params": values}))
+        for name in entry.params:
+            if name not in required:
+                assert cfg.params[name] == signature[name].default
+        for name in required:
+            partial = {key: value for key, value in values.items() if key != name}
+            path = write_config(tmp_path / f"{name}.yaml", {"experiment": kind, "seed": 1, "params": partial})
+            with pytest.raises(ConfigError, match=f"missing required parameter '{name}'"):
+                load_config(path)
+
+
 class TestRunCommand:
     def test_run_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)
@@ -113,6 +157,14 @@ class TestRunCommand:
         d1 = json.loads((out1 / "summary.json").read_text())["config_digest"]
         d2 = json.loads((out2 / "summary.json").read_text())["config_digest"]
         assert d1 != d2
+
+    @pytest.mark.parametrize("p", [[8, 6, 4], [20, 20]])
+    def test_unordered_p_exit_code(self, tmp_path, capsys, p):
+        cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": p, "n_grid": 64}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "key 'p' (line " in err
+        assert "strictly ascending" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": [20], "oops": 1}))

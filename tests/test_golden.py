@@ -1,9 +1,13 @@
-"""Golden digests: small count-based configs must reproduce stored results.csv bytes.
+"""Golden digests: one small config per experiment kind must reproduce stored results.csv bytes.
 
-The SHA-256 digests in tests/golden/digests.json were taken from the
-reference implementation of the winding-number engine.  A change that
-alters any of them changes program output; it must be declared as such
-and re-baselined in the same change, never silently.
+The SHA-256 digests in tests/golden/digests.json were taken before the
+refactors they guard: the three count configs from the per-row winding
+engine, the other seven from the code before the experiment registry.
+A change that alters any of them changes program output; it must be
+declared as such and re-baselined in the same change, never silently.
+tests/golden/list.json holds `bergman-zeros list --json` as it printed
+before the registry; the config defaults live in the driver signatures,
+so editing one changes it.
 """
 
 import hashlib
@@ -25,3 +29,8 @@ def test_results_csv_digest(name, tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert digest == DIGESTS[name], f"results.csv of golden config '{name}' changed"
+
+
+def test_listing_bytes(capsys):
+    assert main(["list", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "list.json").read_text(encoding="utf-8")

@@ -11,7 +11,6 @@ from bergman_zeros import disc, sections
 from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.sections import (
     SectionSample,
-    ZeroMethod,
     count_zeros_argument_principle,
     count_zeros_batch,
     evaluate,
@@ -157,7 +156,6 @@ class TestFindZeros:
         eta[0] = 1.0
         zs = find_zeros(SectionSample(space=space10, eta=eta, seed_path=()), Annulus(0.1, 0.6))
         assert zs.total == 0
-        assert zs.method is ZeroMethod.COMPANION
 
     def test_constructed_single_zero(self, space10):
         # section proportional to z (z - w)
