@@ -425,20 +425,34 @@ def expected_linear_statistic(space: DiscSpace, phi: TestFunction, n_quad: int =
 
 def _linear_statistics(
     space: DiscSpace, phi: TestFunction, etas: np.ndarray, threads: int
-) -> np.ndarray:
-    region = phi.support
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Y(phi) of every row, and the counts of what the zero finder had to do.
+
+    The counts are rows solved by the companion fallback, Newton
+    non-convergence notes, and merged roots, summed over the ZeroSet
+    diagnostics of all rows.
+    """
     m = etas.shape[0]
     ys = np.empty(m)
 
     def worker(lo: int, hi: int):
-        for i in range(lo, hi):
-            sample = sections.SectionSample(space=space, eta=etas[i], seed_path=())
-            zset = sections.find_zeros(sample, region)
-            ys[i] = sections.linear_statistic(zset, phi)
-        return None
+        zsets = sections.find_zeros_batch(space, etas[lo:hi], phi.support)
+        for i, zset in enumerate(zsets, start=lo):
+            zeros = np.array([z for z, _ in zset.zeros], dtype=np.complex128)
+            mult = np.array([k for _, k in zset.zeros], dtype=np.float64)
+            ys[i] = float(np.dot(mult, phi.value(np.abs(zeros))))
+        return [note for zset in zsets for note in zset.diagnostics]
 
-    _map_chunks(worker, m, ROOT_CHUNK, threads)
-    return ys
+    notes = [note for chunk in _map_chunks(worker, m, ROOT_CHUNK, threads) for note in chunk]
+    counts = {
+        key: sum(note.startswith(prefix) for note in notes)
+        for key, prefix in (
+            ("fallback_rows", sections.FALLBACK),
+            ("newton_nonconvergence", sections.NEWTON_NOTE),
+            ("merges", sections.MERGE_NOTE),
+        )
+    }
+    return ys, counts
 
 
 def clt_experiment(
@@ -457,11 +471,12 @@ def clt_experiment(
     diagnostic behind the theorem, which must decrease in p.
     """
     report = StatsReport()
+    diagnostics = report.metadata["diagnostics"] = {}
     proxies: dict[int, float] = {}
     ps = list(p)
     for p in ps:
         space, etas = _draw(p, testfunction.b, samples, seed)
-        ys = _linear_statistics(space, testfunction, etas, threads)
+        ys, diagnostics[p] = _linear_statistics(space, testfunction, etas, threads)
         sd = float(np.std(ys, ddof=1))
         if sd == 0.0:
             raise RuntimeError(
@@ -513,11 +528,12 @@ def variance_experiment(
 ) -> StatsReport:
     """Number variance: Monte Carlo vs bipotential vs the zeta(3) leading term."""
     report = StatsReport()
+    diagnostics = report.metadata["diagnostics"] = {}
     lead_gaps: dict[int, float] = {}
     ps = list(p)
     for p in ps:
         space, etas = _draw(p, testfunction.b, samples, seed)
-        ys = _linear_statistics(space, testfunction, etas, threads)
+        ys, diagnostics[p] = _linear_statistics(space, testfunction, etas, threads)
         var_mc = float(np.var(ys, ddof=1))
         boot_rng = sections.section_stream(seed, (p, 1_000_003))
         idx = boot_rng.integers(0, samples, size=(n_bootstrap, samples))

@@ -102,6 +102,7 @@ class StatsReport:
                 for r in self.rows
             ],
             "checks": [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in self.checks],
+            "diagnostics": self.metadata.get("diagnostics", {}),
             "versions": versions,
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -3,9 +3,17 @@
 A random section is  S(z) = sum_ell eta_ell c_ell z^ell  with i.i.d.
 standard complex Gaussian coefficients eta.  Zeros in an annulus are
 extracted two independent ways, which serve as cross-oracles for each
-other: companion-matrix roots of the truncated polynomial (with Newton
-polishing), and winding numbers of the boundary phase (argument
-principle).
+other: companion-matrix roots of the truncated polynomial with Newton
+polishing (`find_zeros`), and winding numbers of the boundary phase
+(argument principle, `count_zeros_batch`).
+
+`find_zeros_batch` finds the zeros of a whole batch without eigensolves.
+Cells of nonzero winding on a polar grid over the annulus seed Newton's
+method for every row at once; a row is certified when its distinct zeros
+number its argument-principle count.  `find_zeros` is the oracle of this
+path and its fallback: it solves every row that is not certified.  All
+Newton iterations, including the polishing of companion roots, go
+through one batched evaluation scaled by each point's radius.
 
 The winding numbers of a whole batch come from one vectorized engine.
 A first pass evaluates every section on a shared grid of the circle
@@ -35,6 +43,7 @@ from .disc import (
     KernelValue,
     TruncationError,
     adaptive_truncation,
+    expected_zero_measure,
     zero_counting_function,
 )
 
@@ -46,6 +55,7 @@ __all__ = [
     "count_zeros_batch",
     "evaluate",
     "find_zeros",
+    "find_zeros_batch",
     "linear_statistic",
     "sample_section",
     "section_stream",
@@ -61,6 +71,18 @@ ZERO_TAIL_EPS = 1e-8
 # Gaussian section repel, making spurious merges negligible.
 MERGE_DISTANCE = 1e-7
 NEWTON_TOL = 1e-12
+# Leading words of the ZeroSet diagnostics: the first diagnostic of a row
+# that find_zeros_batch solved by find_zeros, an unconverged Newton point,
+# and roots merged into one zero of higher multiplicity.
+FALLBACK = "companion fallback"
+NEWTON_NOTE = "newton non-convergence"
+MERGE_NOTE = "merged near-coincident roots"
+# Seed grid of find_zeros_batch: rings per expected zero, and the largest
+# ratio of a cell's step in log r to its angular step.  Cells much thinner
+# than square put every zero next to an arc, whose increment then aliases;
+# much thicker ones have long radial edges, whose increments alias too.
+RINGS_PER_ZERO = 2.0
+MAX_ASPECT = 8.0
 
 
 class ContourError(RuntimeError):
@@ -158,22 +180,47 @@ def _balanced_coefficients(space: DiscSpace, eta: np.ndarray, beta: float) -> np
     return eta * np.exp(log_mag)
 
 
-def _newton_polish(coeffs_low: np.ndarray, roots: np.ndarray, max_iter: int = 50):
-    high = coeffs_low[::-1]
-    dhigh = (coeffs_low[1:] * np.arange(1, coeffs_low.size))[::-1]
-    polished = np.array(roots, dtype=np.complex128)
-    converged = np.zeros(roots.shape, dtype=bool)
-    for _ in range(max_iter):
-        pv = np.polyval(high, polished)
-        dv = np.polyval(dhigh, polished)
-        ok = dv != 0.0
-        step = np.where(ok, pv / np.where(ok, dv, 1.0), 0.0)
-        done = np.abs(step) < NEWTON_TOL * np.maximum(1.0, np.abs(polished))
-        converged |= done
-        if np.all(converged):
-            break
-        polished = polished - np.where(converged, 0.0, step)
-    return polished, converged
+def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, max_iter: int = 50):
+    """Newton's method on the sections etas[own], one starting point z per entry.
+
+    All points are iterated at once.  Evaluation is scaled by each
+    starting point's own radius rho, as in `evaluate`: the terms
+    eta_ell c_ell rho^ell are divided by their largest, and the powers
+    (z / rho)^ell, a cumulative product, stay near 1 in size while z
+    stays near its start, whatever the radius.  A point converges when
+    its step is below NEWTON_TOL * max(1, |z|), the step it would take
+    then is not taken.  A point that leaves the punctured disc, turns
+    non-finite or meets a zero derivative stops there unconverged.
+    """
+    z = np.array(z, dtype=np.complex128)
+    converged = np.zeros(z.shape, dtype=bool)
+    rho = np.abs(z)
+    log_scale = 0.5 * space.log_coeffs[None, :] + np.outer(np.log(rho), space.ells)
+    coeff = etas[own] * np.exp(log_scale - np.max(log_scale, axis=1, keepdims=True))
+    active = np.arange(z.size)
+    # a point that wanders far from its start may overflow the powers; it
+    # is non-finite at the next check and stops there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            za = z[active]
+            rad = np.abs(za)
+            ok = np.isfinite(za) & (rad < 1.0) & (rad > 0.0)
+            if not ok.all():
+                active, za, rad, coeff = active[ok], za[ok], rad[ok], coeff[ok]
+            if active.size == 0:
+                break
+            terms = np.cumprod(np.broadcast_to((za / rho[active])[:, None], coeff.shape), axis=1)
+            terms *= coeff
+            s = terms.sum(axis=1)
+            zds = terms @ space.ells  # z S'(z), on the scale of s
+            ok = zds != 0.0
+            step = za * s / np.where(ok, zds, 1.0)
+            done = ok & (np.abs(step) < NEWTON_TOL * np.maximum(1.0, rad))
+            converged[active[done]] = True
+            go = ok & ~done
+            active, coeff = active[go], coeff[go]
+            z[active] = za[go] - step[go]
+    return z, converged
 
 
 def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
@@ -185,12 +232,7 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
     are flagged), and sorted by radius then angle.
     """
     space = sample.space
-    required = truncation_length(space.p, region.b)
-    if space.L < required:
-        raise TruncationError(
-            f"truncation L={space.L} inadequate for zeros up to |z|={region.b}; need {required}",
-            required_length=required,
-        )
+    _require_truncation(space, region)
     diagnostics: list[str] = []
     beta = math.sqrt(region.a * region.b)
     coeffs_low = _balanced_coefficients(space, sample.eta, beta)
@@ -206,15 +248,14 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
     roots_w = np.roots(reduced[::-1])
     scale = region.b / beta
     keep = (np.abs(roots_w) >= (region.a / beta) * (1.0 - 1e-6)) & (np.abs(roots_w) <= scale * (1.0 + 1e-6))
-    roots_w = roots_w[keep]
-    if roots_w.size:
-        roots_w, converged = _newton_polish(coeffs_low, roots_w)
-        for w, ok in zip(roots_w, converged):
+    roots_z = beta * roots_w[keep]
+    if roots_z.size:
+        roots_z, converged = _newton(space, sample.eta[None, :], np.zeros(roots_z.size, dtype=np.intp), roots_z)
+        for z, ok in zip(roots_z, converged):
             if not ok:
-                diagnostics.append(f"newton non-convergence at z={beta * w:.12g}")
+                diagnostics.append(f"{NEWTON_NOTE} at z={z:.12g}")
     # strict interior membership keeps companion and winding counts aligned:
     # both methods then count the same open annulus
-    roots_z = beta * roots_w
     in_region = [z for z in roots_z if region.a < abs(z) < region.b]
     in_region.sort(key=lambda z: (abs(z), math.atan2(z.imag, z.real)))
     merged: list[tuple[complex, int]] = []
@@ -222,7 +263,7 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
         if merged and abs(z - merged[-1][0]) < MERGE_DISTANCE:
             zprev, m = merged[-1]
             merged[-1] = (zprev, m + 1)
-            diagnostics.append(f"merged near-coincident roots at z={zprev:.12g} (multiplicity {m + 1})")
+            diagnostics.append(f"{MERGE_NOTE} at z={zprev:.12g} (multiplicity {m + 1})")
         else:
             merged.append((complex(z), 1))
     return ZeroSet(zeros=tuple(merged), region=region, diagnostics=tuple(diagnostics))
@@ -319,8 +360,8 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float, n_init: int) -> tuple
     return wi.astype(np.int64), failed
 
 
-def _windings(space: DiscSpace, etas: np.ndarray, r: float) -> np.ndarray:
-    """Winding numbers along |z| = r; failed rows retry on perturbed radii.
+def _perturbed_windings(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Winding numbers along |z| = r, and the rows no attempt resolved.
 
     A failed row is recounted alone, on a doubled grid, at r and then at
     r - 1e-6, r + 2e-6 and r - 3e-6; the first attempt that succeeds
@@ -334,10 +375,26 @@ def _windings(space: DiscSpace, etas: np.ndarray, r: float) -> np.ndarray:
             wi, again = _winding(space, etas[i : i + 1], rr, 2 * n_init)
             if not again[0]:
                 w[i] = wi[0]
+                failed[i] = False
                 break
-        else:
-            raise ContourError(f"contour through zero persists near |z| = {r} after 3 perturbations")
+    return w, failed
+
+
+def _windings(space: DiscSpace, etas: np.ndarray, r: float) -> np.ndarray:
+    """Winding numbers along |z| = r; ContourError if a row stays unresolved."""
+    w, failed = _perturbed_windings(space, etas, r)
+    if failed.any():
+        raise ContourError(f"contour through zero persists near |z| = {r} after 3 perturbations")
     return w
+
+
+def _require_truncation(space: DiscSpace, region: Annulus) -> None:
+    required = truncation_length(space.p, region.b)
+    if space.L < required:
+        raise TruncationError(
+            f"truncation L={space.L} inadequate for zeros up to |z|={region.b}; need {required}",
+            required_length=required,
+        )
 
 
 def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
@@ -348,18 +405,137 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
     perturbed by multiples of 1e-6 (up to 3 attempts); ContourError is
     raised if every attempt fails.
     """
-    required = truncation_length(space.p, region.b)
-    if space.L < required:
-        raise TruncationError(
-            f"truncation L={space.L} inadequate for zeros up to |z|={region.b}; need {required}",
-            required_length=required,
-        )
+    _require_truncation(space, region)
     return _windings(space, etas, region.b) - _windings(space, etas, region.a)
 
 
 def count_zeros_argument_principle(sample: SectionSample, region: Annulus) -> int:
     """Zero count of one section in the annulus: count_zeros_batch on a single row."""
     return int(count_zeros_batch(sample.space, sample.eta[None, :], region)[0])
+
+
+# ---------------------------------------------------------------------------
+# batched zeros: grid argument principle, Newton, certificate by the count
+
+
+def _grid_radii(space: DiscSpace, region: Annulus, dtheta: float) -> np.ndarray:
+    """Circles of the seed grid: one step inside a, then a, then steps up to b or just beyond.
+
+    In u = 1 / |log r| the curvature mass, and so the expected zero count,
+    is uniform; a step holds 1 / RINGS_PER_ZERO of an expected zero, which
+    in log r is log(r)^2 du, kept between 1 and MAX_ASPECT angular steps
+    dtheta.  The grid thus reaches past both boundaries, and no zero of
+    the annulus sits next to the grid's own edge.
+    """
+    u_a, u_b = -1.0 / math.log(region.a), -1.0 / math.log(region.b)
+    du = (u_b - u_a) / (RINGS_PER_ZERO * max(1.0, expected_zero_measure(space, region)))
+
+    def step(r: float) -> float:
+        return min(MAX_ASPECT * dtheta, max(dtheta, math.log(r) ** 2 * du))
+
+    radii = [region.a * math.exp(-step(region.a)), region.a]
+    while radii[-1] < region.b:
+        radii.append(radii[-1] * math.exp(step(radii[-1])))
+    radii[-1] = min(radii[-1], 0.5 * (1.0 + region.b))
+    return np.array(radii)
+
+
+def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray]:
+    """Newton starting points from the cells of a polar grid over the annulus.
+
+    The angles are the n_a = `_initial_points(space, b)` of `_winding`,
+    the circles those of `_grid_radii`.  Each circle is evaluated with
+    one FFT per row, scaled as in `_winding`.  The winding of a cell is
+    the sum of its four phase increments, each wrapped into (-pi, pi]; a
+    cell of winding k >= 1 gives k points, spread along its diagonal.
+    Returns (owner row, point).
+    """
+    m = etas.shape[0]
+    n_a = _initial_points(space, region.b)
+    two_pi = 2.0 * math.pi
+    radii = _grid_radii(space, region, two_pi / n_a)
+    width = -(-(space.L + 1) // n_a) * n_a
+
+    def wrap(x: np.ndarray) -> np.ndarray:
+        return x - two_pi * np.rint(x / two_pi)
+
+    owners, points = [], []
+    for i, r in enumerate(radii):
+        log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
+        folded = np.zeros((m, width), dtype=np.complex128)
+        folded[:, 1 : space.L + 1] = etas * np.exp(log_amp - np.max(log_amp))[None, :]
+        # sum_ell c_ell e^{i ell theta_j}: fold ell mod n_a, then one inverse FFT
+        phase = np.angle(np.fft.ifft(folded.reshape(m, width // n_a, n_a).sum(axis=1), axis=1))
+        arc = wrap(np.roll(phase, -1, axis=1) - phase)
+        if i:
+            radial = wrap(phase - prev_phase)
+            # counterclockwise: outer arc forward, inward at theta_{j+1},
+            # inner arc backward, outward at theta_j
+            k = np.rint((arc - np.roll(radial, -1, axis=1) - prev_arc + radial) / two_pi)
+            rows, cols = np.nonzero(k >= 1.0)
+            reps = k[rows, cols].astype(np.int64)
+            first = np.repeat(np.cumsum(reps) - reps, reps)
+            frac = (np.arange(first.size) - first + 0.5) / np.repeat(reps, reps)
+            owners.append(np.repeat(rows, reps))
+            angle = (np.repeat(cols, reps) + frac) * (two_pi / n_a)
+            points.append(radii[i - 1] * (r / radii[i - 1]) ** frac * np.exp(1j * angle))
+        prev_phase, prev_arc = phase, arc
+    return np.concatenate(owners), np.concatenate(points)
+
+
+def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> list[ZeroSet]:
+    """Zeros in the annulus of every row of etas, without eigensolves.
+
+    Grid cells of nonzero winding seed Newton's method (`_grid_seeds`,
+    `_newton`); converged points with a < |z| < b are the candidate
+    zeros of their row.  A row is certified when its candidates are
+    pairwise at least MERGE_DISTANCE apart and their number equals its
+    argument-principle count: then they are all of its zeros, each
+    simple.  Every other row (a merge, a missed or extra zero, a
+    boundary winding that no perturbation resolves) is solved by
+    `find_zeros`, and its ZeroSet says why in its first diagnostic.
+    Zeros of certified rows carry multiplicity 1, and unconverged seeds
+    are noted in their diagnostics.
+    """
+    _require_truncation(space, region)
+    m = etas.shape[0]
+    wb, fb = _perturbed_windings(space, etas, region.b)
+    wa, fa = _perturbed_windings(space, etas, region.a)
+    counts, unresolved = wb - wa, fb | fa
+    own, z = _grid_seeds(space, etas, region)
+    z, converged = _newton(space, etas, own, z)
+    rad = np.abs(z)
+    keep = converged & (rad > region.a) & (rad < region.b)
+    notes: list[list[str]] = [[] for _ in range(m)]
+    for i, zi in zip(own[~converged], z[~converged]):
+        notes[i].append(f"{NEWTON_NOTE} at z={zi:.12g}")
+    own, z, rad = own[keep], z[keep], rad[keep]
+    order = np.lexsort((np.angle(z), rad, own))
+    own, z = own[order], z[order]
+    # candidates are sorted by radius within a row, so a pair closer than
+    # MERGE_DISTANCE is adjacent unless a third radius falls between
+    # theirs; a pair missed that way is an extra candidate, which the
+    # count comparison rejects
+    close = (own[1:] == own[:-1]) & (np.abs(z[1:] - z[:-1]) < MERGE_DISTANCE)
+    merged = np.zeros(m, dtype=bool)
+    merged[own[1:][close]] = True
+    found = np.bincount(own, minlength=m)
+    bounds = np.concatenate([[0], np.cumsum(found)])
+    out = []
+    for i in range(m):
+        if unresolved[i]:
+            reason = "boundary winding unresolved"
+        elif merged[i]:
+            reason = "seeds converged to coincident points"
+        elif found[i] != counts[i]:
+            reason = f"{found[i]} zeros found, argument principle counts {counts[i]}"
+        else:
+            zeros = tuple((complex(w), 1) for w in z[bounds[i] : bounds[i + 1]])
+            out.append(ZeroSet(zeros=zeros, region=region, diagnostics=tuple(notes[i])))
+            continue
+        zset = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), region)
+        out.append(ZeroSet(zeros=zset.zeros, region=region, diagnostics=(f"{FALLBACK}: {reason}", *zset.diagnostics)))
+    return out
 
 
 def linear_statistic(zset: ZeroSet, phi: Callable[[complex], float]) -> float:

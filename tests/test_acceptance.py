@@ -146,7 +146,7 @@ def test_criterion_07_equidistribution():
 
 
 def test_criterion_08_number_variance():
-    crit = Criterion(8, "number variance: MC vs bipotential vs zeta(3) term", budget_s=600.0)
+    crit = Criterion(8, "number variance: MC vs bipotential vs zeta(3) term", budget_s=40.0)
     phi = TestFunction(0.35, 0.65)
     report = experiments.variance_experiment([40, 80], phi, 2000, seed=SEED, threads=2)
     mc_rows = {r.p: r for r in report.rows if r.statistic == "linstat_variance_mc"}
@@ -158,7 +158,7 @@ def test_criterion_08_number_variance():
 
 
 def test_criterion_09_clt():
-    crit = Criterion(9, "central limit theorem for linear statistics", budget_s=300.0)
+    crit = Criterion(9, "central limit theorem for linear statistics", budget_s=15.0)
     phi = TestFunction(0.35, 0.65)
     report = experiments.clt_experiment([100], phi, 1000, seed=SEED, threads=2)
     pval = [r for r in report.rows if r.statistic == "ks_pvalue"][0].estimate

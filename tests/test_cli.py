@@ -138,16 +138,22 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path / "c.yaml", {
-            "experiment": "holes",
-            "seed": 41,
-            "params": {"p": [4, 6], "annulus": {"a": 0.25, "b": 0.45}, "samples": 3000},
-        })
-        out1, out2 = tmp_path / "t1", tmp_path / "t8"
+    @pytest.mark.parametrize("kind, params, threads", [
+        ("holes", {"p": [4, 6], "annulus": {"a": 0.25, "b": 0.45}, "samples": 3000}, 8),
+        # 150 samples are three chunks of the batched zero finder
+        ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 150}, 2),
+        ("variance", {"p": [30, 40], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 150}, 2),
+    ], ids=["holes", "clt", "variance"])
+    def test_threads_do_not_change_output(self, tmp_path, kind, params, threads):
+        cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 41, "params": params})
+        out1, out2 = tmp_path / "t1", tmp_path / "tn"
         assert main(["run", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["run", str(cfg), "--out", str(out2), "--threads", "8"]) == 0
+        assert main(["run", str(cfg), "--out", str(out2), "--threads", str(threads)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        diagnostics = [json.loads((out / "summary.json").read_text())["diagnostics"] for out in (out1, out2)]
+        assert diagnostics[0] == diagnostics[1]
+        if kind != "holes":
+            assert sorted(diagnostics[0]) == [str(p) for p in params["p"]]
 
     def test_seed_override_changes_digest(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)

@@ -3,6 +3,9 @@
 The SHA-256 digests in tests/golden/digests.json were taken before the
 refactors they guard: the three count configs from the per-row winding
 engine, the other seven from the code before the experiment registry.
+The clt and variance digests were taken again when the linear statistics
+moved from companion roots to the batched zero finder, a declared output
+change (every value within 1.5e-10 relative of the old one).
 A change that alters any of them changes program output; it must be
 declared as such and re-baselined in the same change, never silently.
 tests/golden/list.json holds `bergman-zeros list --json` as it printed

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from bergman_zeros import disc, sections
+from bergman_zeros.statistics import TestFunction
+
+from bergman_zeros import disc, experiments, sections
 from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.sections import (
     SectionSample,
@@ -15,6 +17,7 @@ from bergman_zeros.sections import (
     count_zeros_batch,
     evaluate,
     find_zeros,
+    find_zeros_batch,
     linear_statistic,
     sample_section,
     section_stream,
@@ -394,6 +397,92 @@ class TestWindingEngine:
         counts = count_zeros_batch(space, np.array([s.eta for s in samples]), region)
         roots = [find_zeros(s, region).total for s in samples]
         assert counts.tolist() == roots
+
+
+class TestBatchedZeros:
+    SEED = 20260811
+
+    @pytest.mark.parametrize("p", [40, 80, 100])
+    def test_linear_statistics_match_companion_roots(self, p):
+        # the clt/variance path against find_zeros, sample by sample
+        phi = TestFunction(0.35, 0.65)
+        space, etas = experiments._draw(p, phi.b, 200, self.SEED)
+        ys, counts = experiments._linear_statistics(space, phi, etas, threads=1)
+        for i in range(etas.shape[0]):
+            zs = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), phi.support)
+            assert abs(ys[i] - linear_statistic(zs, phi)) <= 1e-9
+        assert counts == {"fallback_rows": 0, "newton_nonconvergence": 0, "merges": 0}
+
+    def test_wide_annulus_zero_sets(self):
+        # c_ell |z|^ell spans far beyond the double range here; Newton
+        # scales by each point's own radius
+        p, region = 60, Annulus(0.1, 0.8)
+        space, etas = experiments._draw(p, region.b, 16, self.SEED)
+        for row, zs in zip(etas, find_zeros_batch(space, etas, region)):
+            ref = find_zeros(SectionSample(space=space, eta=row, seed_path=()), region)
+            assert not zs.diagnostics and len(zs.zeros) == len(ref.zeros)
+            assert max(abs(a - b) for (a, _), (b, _) in zip(zs.zeros, ref.zeros)) < 1e-9
+
+    def test_double_zero_takes_fallback(self, space10):
+        phi = TestFunction(0.1, 0.6)
+        w = 0.45 * np.exp(-1.2j)
+        double = _with_zeros(space10, [w, w, 0.3j])
+        etas = np.array([sample_section(space10, 8, (0,)).eta, double])
+        zsets = find_zeros_batch(space10, etas, phi.support)
+        assert not zsets[0].diagnostics
+        ref = find_zeros(SectionSample(space=space10, eta=double, seed_path=()), phi.support)
+        assert zsets[1].diagnostics[0].startswith(sections.FALLBACK)
+        assert zsets[1].zeros == ref.zeros and ref.total == 3
+        ys, counts = experiments._linear_statistics(space10, phi, etas, threads=1)
+        assert ys[1] == pytest.approx(linear_statistic(ref, phi), rel=1e-14)
+        # Newton converges only linearly at a double zero, so one of its two
+        # companion roots may be noted as unconverged
+        newton = sum(d.startswith(sections.NEWTON_NOTE) for d in ref.diagnostics)
+        assert counts == {"fallback_rows": 1, "newton_nonconvergence": newton, "merges": 1}
+
+    def test_missed_zero_takes_fallback(self, space10, monkeypatch):
+        # a seed grid that misses a zero: the count, not the grid, decides
+        region = Annulus(0.1, 0.6)
+        etas = np.array([sample_section(space10, 8, (i,)).eta for i in range(3)])
+        full = find_zeros_batch(space10, etas, region)
+        seeds = sections._grid_seeds
+
+        def one_seed_short(*args):
+            own, z = seeds(*args)
+            keep = np.arange(own.size) != np.flatnonzero(own == 0)[0]
+            return own[keep], z[keep]
+
+        monkeypatch.setattr(sections, "_grid_seeds", one_seed_short)
+        zsets = find_zeros_batch(space10, etas, region)
+        assert zsets[0].diagnostics[0].startswith(f"{sections.FALLBACK}: ")
+        assert "argument principle counts" in zsets[0].diagnostics[0]
+        assert zsets[0].zeros == find_zeros(SectionSample(space=space10, eta=etas[0], seed_path=()), region).zeros
+        assert zsets[1:] == full[1:]
+
+    def test_unresolved_contour_takes_fallback(self, space10):
+        # zeros on the outer circle and on every perturbed radius: the count
+        # raises, the batched finder hands the row to find_zeros
+        region = Annulus(0.2, 0.5)
+        stuck = _with_zeros(space10, [region.b + dr for dr in (0.0, -1e-6, 2e-6, -3e-6)])
+        etas = np.array([sample_section(space10, 8, (1,)).eta, stuck])
+        with pytest.raises(sections.ContourError):
+            count_zeros_batch(space10, etas, region)
+        zsets = find_zeros_batch(space10, etas, region)
+        assert zsets[1].diagnostics[0] == f"{sections.FALLBACK}: boundary winding unresolved"
+        ref = find_zeros(SectionSample(space=space10, eta=stuck, seed_path=()), region)
+        assert zsets[1].zeros == ref.zeros
+        assert not zsets[0].diagnostics
+
+    def test_newton_scaled_by_radius(self):
+        # at p = 300, c_1 / max c_ell is below the smallest double; the
+        # terms scaled by the point's own radius are not
+        p, w = 300, 0.3 * np.exp(0.5j)
+        space = make_disc_space(p, truncation_length(p, 0.5))
+        assert np.exp(0.5 * (space.log_coeffs[0] - space.log_coeffs.max())) == 0.0
+        z, converged = sections._newton(
+            space, _with_zeros(space, [w])[None, :], np.zeros(1, dtype=np.intp), np.array([w * 1.001])
+        )
+        assert converged[0] and abs(z[0] - w) < 1e-12
 
 
 class TestLinearStatistic:
