@@ -46,6 +46,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Relative tail mass below which a truncated basis is considered exact
 # for kernel evaluation purposes.
 KERNEL_TAIL_RTOL = 1e-14
+# Coarse grid of sup_kernel in t = log(-log r), and Gauss-Legendre nodes
+# of log_bergman_l1.
+SUP_GRID_POINTS = 256
+L1_QUAD_NODES = 512
 
 
 class DomainError(ValueError):
@@ -181,42 +185,57 @@ def _require_adequate(space: DiscSpace, r: float, rel_tol: float = KERNEL_TAIL_R
         )
 
 
-def _log_diag(space: DiscSpace, log_r):
-    """log of sum_ell c_ell^2 r^(2 ell), the unweighted diagonal series, from log r (a scalar or an array).
+def _checked_radii(space: DiscSpace, r) -> np.ndarray:
+    """r (a scalar or an array) as a float array, after the domain check and a truncation check.
 
-    Callers take the log themselves: math.log and np.log can differ in the
-    last bit, and each caller keeps the one it has always used.
+    The truncation is checked once, at the largest radius: that covers
+    every entry, because the required length is nondecreasing in r.
     """
+    r = np.asarray(r, dtype=np.float64)
+    inside = (r > 0.0) & (r < 1.0)
+    if not inside.all():
+        raise DomainError(f"radius must lie in (0, 1), got {r[~inside].flat[0]}")
+    _require_adequate(space, float(r.max()))
+    return r
+
+
+def _scalar_or_array(x):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _log_diag(space: DiscSpace, log_r):
+    """log of sum_ell c_ell^2 r^(2 ell), the unweighted diagonal series, from log r (a scalar or an array)."""
     return logsumexp(space.log_coeffs + 2.0 * np.multiply.outer(log_r, space.ells), axis=-1)
 
 
-def log_kernel_function(space: DiscSpace, r: float) -> float:
-    """log B_p(z) for |z| = r, in the natural log."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
-    _require_adequate(space, r)
-    log_r = math.log(r)
-    u = -2.0 * log_r  # |log |z|^2| > 0
-    return space.p * math.log(u) + float(_log_diag(space, log_r))
+def log_kernel_function(space: DiscSpace, r):
+    """log B_p(z) for |z| = r, in the natural log; elementwise for an array of radii."""
+    log_r = np.log(_checked_radii(space, r))
+    return _scalar_or_array(space.p * np.log(-2.0 * log_r) + _log_diag(space, log_r))
 
 
-def kernel_function(space: DiscSpace, r: float) -> float:
-    """Diagonal Bergman kernel function B_p(z) at |z| = r; strictly positive."""
-    return math.exp(log_kernel_function(space, r))
+def kernel_function(space: DiscSpace, r):
+    """Diagonal Bergman kernel function B_p(z) at |z| = r; strictly positive; elementwise for an array."""
+    return _scalar_or_array(np.exp(log_kernel_function(space, r)))
 
 
-def _off_diag(space: DiscSpace, z: complex, zp: complex) -> tuple[float, float, float, complex]:
-    """(|z|, |z'|, m, s) with sum_ell c_ell^2 (z zbar')^ell = e^m s, after the domain and truncation checks."""
-    rz, rp = abs(z), abs(zp)
-    for r in (rz, rp):
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
-    _require_adequate(space, max(rz, rp))
-    w = z * np.conj(zp)
-    log_terms = space.log_coeffs + space.ells * math.log(abs(w))
-    m = float(np.max(log_terms))
-    theta = math.atan2(w.imag, w.real)
-    return rz, rp, m, np.sum(np.exp(log_terms - m) * np.exp(1j * space.ells * theta))
+def _off_diag(space: DiscSpace, z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(|z|, |z'|, m, s) with sum_ell c_ell^2 (z zbar')^ell = e^m s, elementwise over the broadcast points.
+
+    One domain and truncation check covers both point sets.
+    """
+    z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
+    rz, rp = np.abs(z), np.abs(zp)
+    _checked_radii(space, np.append(rz, rp))
+    # z zbar' in real arithmetic, unfused: swapping the points then
+    # conjugates it exactly, which numpy's complex product does not promise
+    re = z.real * zp.real + z.imag * zp.imag
+    im = z.imag * zp.real - z.real * zp.imag
+    log_terms = space.log_coeffs + np.multiply.outer(np.log(np.hypot(re, im)), space.ells)
+    m = np.max(log_terms, axis=-1)
+    phases = np.exp(1j * np.multiply.outer(np.arctan2(im, re), space.ells))
+    return rz, rp, m, np.sum(np.exp(log_terms - m[..., None]) * phases, axis=-1)
 
 
 def kernel(space: DiscSpace, z: complex, zp: complex) -> KernelValue:
@@ -232,36 +251,34 @@ def kernel(space: DiscSpace, z: complex, zp: complex) -> KernelValue:
     if s == 0.0:
         return KernelValue(log_modulus=-math.inf, phase=0.0)
     return KernelValue(
-        log_modulus=weight + m + math.log(abs(s)),
+        log_modulus=float(weight + m + math.log(abs(s))),
         phase=math.atan2(s.imag, s.real),
     )
 
 
-def normalized_kernel(space: DiscSpace, z: complex, zp: complex) -> float:
-    """N_p(z, z') = |B_p(z,z')| / sqrt(B_p(z) B_p(z')) in [0, 1].
+def normalized_kernel(space: DiscSpace, z, zp):
+    """N_p(z, z') = |B_p(z,z')| / sqrt(B_p(z) B_p(z')) in [0, 1]; elementwise over broadcast arrays of points.
 
     Computed entirely in the log domain; the h_p weight factors cancel.
     Underflow of the off-diagonal sum returns exactly 0.0.
     """
     rz, rp, m, s = _off_diag(space, z, zp)
-    if s == 0.0:
-        return 0.0
-    log_off = m + math.log(abs(s))
-    log_n = log_off - 0.5 * (float(_log_diag(space, math.log(rz))) + float(_log_diag(space, math.log(rp))))
-    return math.exp(log_n)
+    with np.errstate(divide="ignore"):
+        log_n = m + np.log(np.abs(s)) - 0.5 * (_log_diag(space, np.log(rz)) + _log_diag(space, np.log(rp)))
+    return _scalar_or_array(np.exp(log_n))
 
 
 # log(-log r) of the smallest positive normal double r
 _T_NORMAL_MIN = math.log(-math.log(sys.float_info.min))
 
 
-def sup_kernel(space: DiscSpace, grid_points: int = 256) -> tuple[float, float]:
+def sup_kernel(space: DiscSpace) -> tuple[float, float]:
     """Maximize B_p over the punctured disc.
 
     The maximizer has exponentially small |z| (its -log r grows like p/2),
     so the search runs in the doubly logarithmic coordinate
-    t = log(-log r): a coarse grid bracket followed by golden-section
-    refinement.  Returns (r_star, max value).
+    t = log(-log r): a coarse grid bracket (one array call) followed by
+    golden-section refinement.  Returns (r_star, max value).
     """
     if space.p < 3:
         raise ValueError("sup search requires p >= 3")
@@ -273,16 +290,14 @@ def sup_kernel(space: DiscSpace, grid_points: int = 256) -> tuple[float, float]:
     t_hi = math.log(space.p) + 1.0
     if math.exp(-math.exp(t_hi)) == 0.0:
         t_hi = _T_NORMAL_MIN
-    _require_adequate(space, 0.95)
 
-    def f(t: float) -> float:
-        return log_kernel_function(space, math.exp(-math.exp(t)))
+    def f(t):
+        return log_kernel_function(space, np.exp(-np.exp(t)))
 
-    ts = np.linspace(t_lo, t_hi, grid_points)
-    vals = np.array([f(t) for t in ts])
-    k = int(np.argmax(vals))
+    ts = np.linspace(t_lo, t_hi, SUP_GRID_POINTS)
+    k = int(np.argmax(f(ts)))
     lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, grid_points - 1)]
+    hi = ts[min(k + 1, SUP_GRID_POINTS - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -352,8 +367,8 @@ def hyperbolic_area(region: Annulus) -> float:
     return 2.0 * math.pi * c1_area(region)
 
 
-def zero_counting_function(space: DiscSpace, r: float) -> float:
-    """Expected number of zeros of the Gaussian section in {0 < |z| <= r}.
+def zero_counting_function(space: DiscSpace, r):
+    """Expected number of zeros of the Gaussian section in {0 < |z| <= r}; elementwise for an array of radii.
 
     Radial reduction of the expected-measure identity: with
     K0(r) = sum_ell c_ell^2 r^(2 ell) the count is
@@ -364,22 +379,20 @@ def zero_counting_function(space: DiscSpace, r: float) -> float:
     The h_p weight contributes -p c_1 which cancels the p c_1 term of the
     expected measure, so only the unweighted covariance enters.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
-    _require_adequate(space, r)
-    log_w = space.log_coeffs + 2.0 * space.ells * math.log(r)
-    w = np.exp(log_w - np.max(log_w))
-    return float(np.sum(space.ells * w) / np.sum(w))
+    log_w = space.log_coeffs + 2.0 * np.multiply.outer(np.log(_checked_radii(space, r)), space.ells)
+    w = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True))
+    return _scalar_or_array(np.sum(space.ells * w, axis=-1) / np.sum(w, axis=-1))
 
 
 def expected_zero_measure(space: DiscSpace, region: Annulus) -> float:
     """Expected zero count of the truncated Gaussian section in the annulus."""
     if region.is_empty:
         return 0.0
-    return zero_counting_function(space, region.b) - zero_counting_function(space, region.a)
+    n_a, n_b = zero_counting_function(space, np.array([region.a, region.b]))
+    return float(n_b - n_a)
 
 
-def log_bergman_l1(space: DiscSpace, region: Annulus, n_quad: int = 512) -> float:
+def log_bergman_l1(space: DiscSpace, region: Annulus) -> float:
     """Integral of |log B_p| against the cusp form omega over the annulus.
 
     Radially, omega reduces to pi * dr / (r log^2 r); Gauss-Legendre in
@@ -391,9 +404,7 @@ def log_bergman_l1(space: DiscSpace, region: Annulus, n_quad: int = 512) -> floa
         return 0.0
     t_lo = math.log(-math.log(region.b))
     t_hi = math.log(-math.log(region.a))
-    x, w = leggauss(n_quad)
+    x, w = leggauss(L1_QUAD_NODES)
     t = 0.5 * (t_hi - t_lo) * x + 0.5 * (t_hi + t_lo)
-    vals = np.array(
-        [abs(log_kernel_function(space, math.exp(-math.exp(ti)))) * math.exp(-ti) for ti in t]
-    )
+    vals = np.abs(log_kernel_function(space, np.exp(-np.exp(t)))) * np.exp(-t)
     return math.pi * 0.5 * (t_hi - t_lo) * float(np.dot(w, vals))

@@ -48,6 +48,12 @@ __all__ = [
 # of the thread count.
 COUNT_CHUNK = 4096
 ROOT_CHUNK = 64
+# Gauss-Legendre nodes of expected_linear_statistic.
+LINSTAT_QUAD_NODES = 512
+# _log_sup_batch: coarse polar grid, then zoom rounds on each argmax cell.
+LOG_SUP_RADIAL_POINTS = 24
+LOG_SUP_ANGULAR_POINTS = 72
+LOG_SUP_REFINE_ROUNDS = 2
 
 
 def _map_chunks(
@@ -109,8 +115,7 @@ def plateau_experiment(
     for p in list(p):
         space = _space_for(p, r_max, eps=1e-7)
         plateau = (p - 1) / (2.0 * math.pi)
-        errs = [abs(disc.kernel_function(space, r) / plateau - 1.0) for r in radii]
-        sup_err = float(max(errs))
+        sup_err = float(np.max(np.abs(disc.kernel_function(space, radii) / plateau - 1.0)))
         report.add(
             ReportRow(
                 "plateau", p, "plateau_sup_relative_error",
@@ -293,34 +298,30 @@ def kernel_decay_experiment(
         s2 = s * math.exp(math.sqrt(2.0) * d)
         return math.exp(-s2) * complex(math.cos(theta0), math.sin(theta0))
 
-    xs, ys = [], []
-    far_vals = []
+    if n_pairs < 2:
+        raise ValueError(f"far regime empty: n_pairs = {n_pairs} draws no far pair; need n_pairs >= 2")
+    # pair i is near for even i, far for odd i
+    z0s, z1s = np.empty(n_pairs, dtype=np.complex128), np.empty(n_pairs, dtype=np.complex128)
     for i in range(n_pairs):
         r0 = rng.uniform(annulus.a, annulus.b)
         theta0 = rng.uniform(0.0, 2.0 * math.pi)
         mode = int(rng.integers(0, 2))
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        z0 = r0 * complex(math.cos(theta0), math.sin(theta0))
-        if i % 2 == 0:
-            d = rng.uniform(0.08, d_near)
-            z1 = displaced(r0, theta0, d, mode, sign)
-            dist = disc.poincare_distance(z0, z1)
-            npv = disc.normalized_kernel(space, z0, z1)
-            if npv > 0.0:
-                xs.append(p * dist * dist / 4.0)
-                ys.append(-math.log(npv))
-        else:
-            d = rng.uniform(d_far, 1.5 * d_far)
-            z1 = displaced(r0, theta0, d, mode, sign)
-            far_vals.append(disc.normalized_kernel(space, z0, z1))
-    if not far_vals:
-        raise ValueError(f"far regime empty: n_pairs = {n_pairs} draws no far pair; need n_pairs >= 2")
+        d = rng.uniform(0.08, d_near) if i % 2 == 0 else rng.uniform(d_far, 1.5 * d_far)
+        z0s[i] = r0 * complex(math.cos(theta0), math.sin(theta0))
+        z1s[i] = displaced(r0, theta0, d, mode, sign)
+    npv = disc.normalized_kernel(space, z0s, z1s)
+    near = np.arange(0, n_pairs, 2)
+    near = near[npv[near] > 0.0]
+    dists = np.array([disc.poincare_distance(z0s[i], z1s[i]) for i in near])
+    xs, ys = p * dists * dists / 4.0, -np.log(npv[near])
+    far_vals = npv[1::2]
     if len(xs) < 2:
         raise ValueError(
             f"near regime empty: {len(xs)} near pairs with N_p > 0, the slope fit needs 2; raise n_pairs"
         )
-    slope = float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
-    far_max = float(max(far_vals))
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    far_max = float(np.max(far_vals))
     report.add(
         ReportRow(
             "kernel-decay", p, "near_regime_slope",
@@ -414,13 +415,12 @@ def equidistribution_experiment(
     return report
 
 
-def expected_linear_statistic(space: DiscSpace, phi: TestFunction, n_quad: int = 512) -> float:
+def expected_linear_statistic(space: DiscSpace, phi: TestFunction) -> float:
     """E[Y(phi)] = int phi d n = -int phi'(r) n(r) dr (n = radial zero counting)."""
-    x, w = leggauss(n_quad)
+    x, w = leggauss(LINSTAT_QUAD_NODES)
     r = 0.5 * (phi.b - phi.a) * x + 0.5 * (phi.a + phi.b)
     wr = 0.5 * (phi.b - phi.a) * w
-    n_vals = np.array([disc.zero_counting_function(space, ri) for ri in r])
-    return -float(np.dot(wr, phi.d1(r) * n_vals))
+    return -float(np.dot(wr, phi.d1(r) * disc.zero_counting_function(space, r)))
 
 
 def _linear_statistics(
@@ -649,10 +649,7 @@ def hole_probability_experiment(
     return report
 
 
-def _log_sup_batch(
-    space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int,
-    n_radial: int = 24, n_angular: int = 72, refine_rounds: int = 2,
-) -> np.ndarray:
+def _log_sup_batch(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int) -> np.ndarray:
     """log sup over the annulus of |s|_{h_p} per sample: grid + local refinement.
 
     The coarse grid is matched to the field's correlation length (~
@@ -661,8 +658,8 @@ def _log_sup_batch(
     one flat batch.
     """
     p = space.p
-    radii = np.linspace(region.a, region.b, n_radial)
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
+    radii = np.linspace(region.a, region.b, LOG_SUP_RADIAL_POINTS)
+    thetas = np.linspace(0.0, 2.0 * math.pi, LOG_SUP_ANGULAR_POINTS, endpoint=False)
     m = etas.shape[0]
     best = np.full(m, -np.inf)
     best_r = np.empty(m)
@@ -693,11 +690,11 @@ def _log_sup_batch(
 
     _map_chunks(scan, m, COUNT_CHUNK, threads)
 
-    dr = (region.b - region.a) / (n_radial - 1)
-    dt = 2.0 * math.pi / n_angular
+    dr = (region.b - region.a) / (LOG_SUP_RADIAL_POINTS - 1)
+    dt = 2.0 * math.pi / LOG_SUP_ANGULAR_POINTS
     offsets = np.linspace(-1.0, 1.0, 5)
     amp = np.exp(0.5 * space.log_coeffs)
-    for _ in range(refine_rounds):
+    for _ in range(LOG_SUP_REFINE_ROUNDS):
         for lo in range(0, m, 1024):
             hi = min(lo + 1024, m)
             rr = np.clip(best_r[lo:hi, None] + dr * offsets[None, :], region.a, region.b)

@@ -31,6 +31,7 @@ schedule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,7 +42,7 @@ from .disc import (
     DiscSpace,
     DomainError,
     KernelValue,
-    TruncationError,
+    _require_adequate,
     adaptive_truncation,
     expected_zero_measure,
     zero_counting_function,
@@ -171,8 +172,8 @@ def _balanced_coefficients(space: DiscSpace, eta: np.ndarray, beta: float) -> np
     dropped.  The scaling beta balances the huge dynamic range of c_ell,
     and the result is normalized by its largest magnitude, so entries
     whose true size is below the double-precision floor underflow to
-    exactly zero (harmless: they only control roots far outside the
-    annulus).
+    exactly zero or to a subnormal (harmless: they only control roots far
+    outside the annulus).
     """
     k = np.arange(space.L, dtype=np.float64)  # degree in w for ell = k + 1
     log_mag = 0.5 * space.log_coeffs + k * math.log(beta)
@@ -232,11 +233,13 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
     are flagged), and sorted by radius then angle.
     """
     space = sample.space
-    _require_truncation(space, region)
+    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
     diagnostics: list[str] = []
     beta = math.sqrt(region.a * region.b)
     coeffs_low = _balanced_coefficients(space, sample.eta, beta)
-    nz = np.flatnonzero(coeffs_low != 0.0)
+    # subnormal end coefficients count as zero: np.roots divides by the
+    # leading one, and 1 / 5e-324 overflows
+    nz = np.flatnonzero(np.abs(coeffs_low) >= sys.float_info.min)
     if nz.size == 0:
         return ZeroSet(zeros=(), region=region)
     # stray zero leading/trailing coefficients shrink the companion matrix
@@ -388,15 +391,6 @@ def _windings(space: DiscSpace, etas: np.ndarray, r: float) -> np.ndarray:
     return w
 
 
-def _require_truncation(space: DiscSpace, region: Annulus) -> None:
-    required = truncation_length(space.p, region.b)
-    if space.L < required:
-        raise TruncationError(
-            f"truncation L={space.L} inadequate for zeros up to |z|={region.b}; need {required}",
-            required_length=required,
-        )
-
-
 def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
     """Argument-principle zero counts for a batch of coefficient rows.
 
@@ -405,7 +399,7 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
     perturbed by multiples of 1e-6 (up to 3 attempts); ContourError is
     raised if every attempt fails.
     """
-    _require_truncation(space, region)
+    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
     return _windings(space, etas, region.b) - _windings(space, etas, region.a)
 
 
@@ -497,7 +491,7 @@ def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> lis
     Zeros of certified rows carry multiplicity 1, and unconverged seeds
     are noted in their diagnostics.
     """
-    _require_truncation(space, region)
+    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
     m = etas.shape[0]
     wb, fb = _perturbed_windings(space, etas, region.b)
     wa, fa = _perturbed_windings(space, etas, region.a)

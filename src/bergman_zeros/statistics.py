@@ -34,10 +34,21 @@ __all__ = [
     "sodin_tsirelson_proxy",
     "variance_bipotential",
     "variance_leading_term",
-    "VarianceQuadrature",
 ]
 
 APERY = 1.202056903159594  # zeta(3)
+# The 3-d (r, r', relative-angle) variance integral starts from these node
+# counts and doubles both until successive values agree to VARIANCE_RTOL,
+# at most VARIANCE_MAX_REFINEMENTS times.
+VARIANCE_RADIAL_NODES = 64
+VARIANCE_ANGULAR_NODES = 256
+VARIANCE_RTOL = 5e-4
+VARIANCE_MAX_REFINEMENTS = 3
+# Gauss-Legendre nodes of the leading-term integral; radial and angular
+# nodes of the correlation proxy.
+LEADING_TERM_NODES = 512
+PROXY_RADIAL_NODES = 48
+PROXY_ANGULAR_NODES = 192
 
 
 @dataclass(frozen=True)
@@ -194,16 +205,6 @@ def normalized_kernel_grid(space: DiscSpace, r: np.ndarray, thetas: np.ndarray) 
     return np.minimum(out, 1.0)
 
 
-@dataclass(frozen=True)
-class VarianceQuadrature:
-    """Node counts for the 3-d (r, r', relative-angle) variance integral."""
-
-    n_radial: int = 64
-    n_angular: int = 256
-    rtol: float = 5e-4
-    max_refinements: int = 3
-
-
 def _variance_pass(space: DiscSpace, phi: TestFunction, n_r: int, n_t: int) -> float:
     x, w = leggauss(n_r)
     r = 0.5 * (phi.b - phi.a) * x + 0.5 * (phi.a + phi.b)
@@ -218,30 +219,27 @@ def _variance_pass(space: DiscSpace, phi: TestFunction, n_r: int, n_t: int) -> f
     return float(vec @ gbar @ vec)
 
 
-def variance_bipotential(
-    space: DiscSpace, phi: TestFunction, quad_spec: VarianceQuadrature | None = None
-) -> float:
+def variance_bipotential(space: DiscSpace, phi: TestFunction) -> float:
     """Var[Y(phi)] from the bipotential double integral; nonnegative.
 
     Adaptive: node counts double until successive values agree to
-    quad_spec.rtol (relative); RuntimeError if the refinement cap is hit.
+    VARIANCE_RTOL (relative); RuntimeError if the refinement cap is hit.
     """
-    q = quad_spec or VarianceQuadrature()
-    n_r, n_t = q.n_radial, q.n_angular
+    n_r, n_t = VARIANCE_RADIAL_NODES, VARIANCE_ANGULAR_NODES
     prev = _variance_pass(space, phi, n_r, n_t)
-    for _ in range(q.max_refinements):
+    for _ in range(VARIANCE_MAX_REFINEMENTS):
         n_r *= 2
         n_t *= 2
         cur = _variance_pass(space, phi, n_r, n_t)
-        if abs(cur - prev) <= q.rtol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= VARIANCE_RTOL * max(abs(cur), 1e-300):
             return max(cur, 0.0)
         prev = cur
     raise RuntimeError("variance quadrature did not converge under refinement")
 
 
-def variance_leading_term(phi: TestFunction, p: int, n_quad: int = 512) -> float:
+def variance_leading_term(phi: TestFunction, p: int) -> float:
     """zeta(3)/(4 pi^2 p) * int |L(phi)|^2 c1 by radial quadrature."""
-    x, w = leggauss(n_quad)
+    x, w = leggauss(LEADING_TERM_NODES)
     r = 0.5 * (phi.b - phi.a) * x + 0.5 * (phi.a + phi.b)
     wr = 0.5 * (phi.b - phi.a) * w
     meas = wr / (2.0 * r * np.log(r) ** 2)
@@ -249,19 +247,17 @@ def variance_leading_term(phi: TestFunction, p: int, n_quad: int = 512) -> float
     return APERY / (4.0 * math.pi**2 * p) * float(np.dot(lap * lap, meas))
 
 
-def sodin_tsirelson_proxy(
-    space: DiscSpace, region: Annulus, n_radial: int = 48, n_angular: int = 192
-) -> float:
+def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
     """sup_z int N_p(z, w) c1(w) over the region; a normality diagnostic.
 
     Decays with p (the correlation length shrinks like p^(-1/2)), which is
     the summability hypothesis behind the central limit theorem.
     """
-    x, w = leggauss(n_radial)
+    x, w = leggauss(PROXY_RADIAL_NODES)
     r = 0.5 * (region.b - region.a) * x + 0.5 * (region.a + region.b)
     wr = 0.5 * (region.b - region.a) * w
     meas = wr / (2.0 * r * np.log(r) ** 2)
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, PROXY_ANGULAR_NODES, endpoint=False)
     npk = normalized_kernel_grid(space, r, thetas)
     integral = np.mean(npk, axis=2) @ meas
     return float(np.max(integral))

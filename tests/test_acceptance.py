@@ -31,13 +31,13 @@ class Criterion:
     def finish(self, passed: bool, detail: str = ""):
         elapsed = time.perf_counter() - self.t0
         status = "PASS" if passed and elapsed < self.budget else "FAIL"
-        print(f"[criterion {self.number:02d}] {status} {self.label}: {detail} ({elapsed:.1f}s / budget {self.budget:.0f}s)")
+        print(f"[criterion {self.number:02d}] {status} {self.label}: {detail} ({elapsed:.2f}s / budget {self.budget:g}s)")
         assert passed, f"criterion {self.number}: {detail}"
         assert elapsed < self.budget, f"criterion {self.number} exceeded budget: {elapsed:.1f}s"
 
 
 def test_criterion_01_plateau():
-    crit = Criterion(1, "kernel plateau on [0.3, 0.9]", budget_s=5.0)
+    crit = Criterion(1, "kernel plateau on [0.3, 0.9]", budget_s=4.5)
     space = make_disc_space(60, adaptive_truncation(60, 0.9, 1e-14))
     errs = [abs(2 * math.pi * disc.kernel_function(space, r) / 59 - 1) for r in np.linspace(0.3, 0.9, 121)]
     sup60 = max(errs)
@@ -58,7 +58,7 @@ def test_criterion_01_plateau():
 
 
 def test_criterion_02_sup_law():
-    crit = Criterion(2, "sup B_p ~ (p/2pi)^(3/2)", budget_s=10.0)
+    crit = Criterion(2, "sup B_p ~ (p/2pi)^(3/2)", budget_s=0.5)
     ratios = {}
     for p in (100, 200):
         space = make_disc_space(p, adaptive_truncation(p, 0.95, 1e-14))
@@ -166,7 +166,7 @@ def test_criterion_09_clt():
 
 
 def test_criterion_10_normalized_kernel_decay():
-    crit = Criterion(10, "normalized-kernel Gaussian decay and far bound", budget_s=30.0)
+    crit = Criterion(10, "normalized-kernel Gaussian decay and far bound", budget_s=0.15)
     report = experiments.kernel_decay_experiment(200, Annulus(0.3, 0.7), n_pairs=400, k=2, seed=SEED)
     slope = [r for r in report.rows if r.statistic == "near_regime_slope"][0].estimate
     far = [r for r in report.rows if r.statistic == "far_regime_max_normalized_kernel"][0].estimate
@@ -174,7 +174,7 @@ def test_criterion_10_normalized_kernel_decay():
 
 
 def test_criterion_11_hole_probabilities():
-    crit = Criterion(11, "hole probabilities decreasing with disjoint intervals", budget_s=600.0)
+    crit = Criterion(11, "hole probabilities decreasing with disjoint intervals", budget_s=60.0)
     report = experiments.hole_probability_experiment([4, 6, 8], Annulus(0.25, 0.45), 100_000, seed=SEED, threads=2)
     probs = [r for r in report.rows if r.statistic == "hole_probability"]
     detail = ", ".join(f"p={r.p}: {r.estimate:.4f}" for r in probs)

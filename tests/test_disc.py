@@ -105,12 +105,59 @@ class TestKernelFunction:
         assert kernel_function(space, r) == pytest.approx(direct, rel=1e-10)
 
     def test_domain_and_truncation_errors(self):
+        # L = 8 is adequate at p = 40 up to |z| = 0.001; an array fails on
+        # its one bad entry
         space = make_disc_space(40, 8)
-        with pytest.raises(DomainError):
-            kernel_function(space, 1.5)
-        with pytest.raises(TruncationError) as exc:
-            kernel_function(space, 0.9)
-        assert exc.value.required_length > 8
+
+        def at_points(space, r):
+            return normalized_kernel(space, r, 1j * np.asarray(r))
+
+        for fn in (kernel_function, zero_counting_function, at_points):
+            for r in (1.5, [1e-4, 1.5], [0.0, 1e-4], [1e-4, np.nan]):
+                with pytest.raises(DomainError):
+                    fn(space, r)
+            for r in (0.9, [1e-4, 0.9, 1e-3]):
+                with pytest.raises(TruncationError) as exc:
+                    fn(space, r)
+                assert exc.value.required_length > 8
+            fn(space, [1e-4, 1e-3])
+
+
+class TestArrayCalls:
+    """A scalar call is the 0-d case of the array call, with one truncation check at the largest radius."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=hst.integers(2, 1000),
+        r=hst.floats(1e-3, 0.99),
+        s=hst.floats(1e-3, 0.99),
+        rel_tol=hst.sampled_from([1e-7, 1e-14, 1e-16]),
+    )
+    def test_truncation_nondecreasing_in_radius(self, p, r, s, rel_tol):
+        lo, hi = sorted((r, s))
+        assert adaptive_truncation(p, lo, rel_tol) <= adaptive_truncation(p, hi, rel_tol)
+
+    def test_radial_functions_match_scalar_calls(self, space80):
+        radii = np.linspace(0.02, 0.7, 6 * 7).reshape(6, 7)
+        for fn in (disc.log_kernel_function, kernel_function, zero_counting_function):
+            got = fn(space80, radii)
+            assert isinstance(got, np.ndarray) and got.shape == radii.shape
+            scalar = [fn(space80, float(r)) for r in radii.flat]
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_allclose(got, np.reshape(scalar, radii.shape), rtol=1e-13, atol=0.0)
+
+    def test_normalized_kernel_matches_scalar_calls(self, space80):
+        rng = np.random.default_rng(41)
+        z = rng.uniform(0.1, 0.6, (5, 8)) * np.exp(2j * np.pi * rng.random((5, 8)))
+        w = z * rng.uniform(0.9, 1.1, (5, 8)) * np.exp(0.3j * rng.standard_normal((5, 8)))
+        got = normalized_kernel(space80, z, w)
+        assert got.shape == z.shape
+        scalar = [normalized_kernel(space80, complex(a), complex(b)) for a, b in zip(z.flat, w.flat)]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(got, np.reshape(scalar, z.shape), rtol=1e-13, atol=0.0)
+        # broadcasting: one point against a row of points
+        row = [normalized_kernel(space80, complex(z[0, 0]), complex(b)) for b in w[0]]
+        np.testing.assert_allclose(normalized_kernel(space80, z[0, 0], w[0]), row, rtol=1e-13, atol=0.0)
 
 
 class TestTwoPointKernel:

@@ -1,6 +1,7 @@
 """Gaussian sections: sampling streams, evaluation, zero extraction."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -422,6 +423,21 @@ class TestBatchedZeros:
             ref = find_zeros(SectionSample(space=space, eta=row, seed_path=()), region)
             assert not zs.diagnostics and len(zs.zeros) == len(ref.zeros)
             assert max(abs(a - b) for (a, _), (b, _) in zip(zs.zeros, ref.zeros)) < 1e-9
+
+    def test_subnormal_leading_coefficient(self):
+        # p = 10 on (0.05, 0.95), L = 597: the highest nonzero balanced
+        # coefficient of every row is subnormal, and np.roots divided by it
+        region = Annulus(0.05, 0.95)
+        space, etas = experiments._draw(10, region.b, 64, self.SEED)
+        top = [c[np.flatnonzero(c)[-1]] for c in
+               (sections._balanced_coefficients(space, row, math.sqrt(region.a * region.b)) for row in etas)]
+        assert all(0.0 < abs(c) < sys.float_info.min for c in top)
+        zsets = find_zeros_batch(space, etas, region)
+        fallback = [i for i, zs in enumerate(zsets) if any(d.startswith(sections.FALLBACK) for d in zs.diagnostics)]
+        assert len(zsets) == 64 and fallback
+        for i in fallback + [0, 1]:
+            zs = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), region)
+            assert zs.zeros and all(region.a < abs(z) < region.b for z, _ in zs.zeros)
 
     def test_double_zero_takes_fallback(self, space10):
         phi = TestFunction(0.1, 0.6)
