@@ -44,8 +44,8 @@ __all__ = [
     "sup_experiment",
 ]
 
-# Fixed work-partition sizes: identical GEMM/eigensolver calls regardless
-# of the thread count.
+# Fixed work-partition sizes: identical batched calls of the winding
+# engine and the zero finder regardless of the thread count.
 COUNT_CHUNK = 4096
 ROOT_CHUNK = 64
 # Gauss-Legendre nodes of expected_linear_statistic.
@@ -77,6 +77,8 @@ def _draw(p: int, r_max: float, samples: int, seed: int, paired: bool = False) -
     Sample i draws from the stream (seed, p, i), or from (seed, i) when
     paired, so that every p sees the same leading coefficients.
     """
+    if samples < 2:  # every estimate needs a sample variance
+        raise ValueError(f"samples must be at least 2, got {samples}")
     space = _space_for(p, r_max)
     etas = np.empty((samples, space.L), dtype=np.complex128)
     for i in range(samples):
@@ -428,9 +430,8 @@ def _linear_statistics(
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Y(phi) of every row, and the counts of what the zero finder had to do.
 
-    The counts are rows solved by the companion fallback, Newton
-    non-convergence notes, and merged roots, summed over the ZeroSet
-    diagnostics of all rows.
+    The counts are rows solved by the oracle fallback, unconverged-root
+    notes, and merged roots, summed over the ZeroSet diagnostics of all rows.
     """
     m = etas.shape[0]
     ys = np.empty(m)
@@ -575,8 +576,6 @@ def variance_experiment(
 
 
 def _wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

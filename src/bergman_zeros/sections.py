@@ -3,17 +3,16 @@
 A random section is  S(z) = sum_ell eta_ell c_ell z^ell  with i.i.d.
 standard complex Gaussian coefficients eta.  Zeros in an annulus are
 extracted two independent ways, which serve as cross-oracles for each
-other: companion-matrix roots of the truncated polynomial with Newton
-polishing (`find_zeros`), and winding numbers of the boundary phase
-(argument principle, `count_zeros_batch`).
+other: Aberth iteration on all roots of the truncated polynomial, from
+its Newton polygon (`find_zeros`), and winding numbers of the boundary
+phase (argument principle, `count_zeros_batch`).
 
 `find_zeros_batch` finds the zeros of a whole batch without eigensolves.
 Cells of nonzero winding on a polar grid over the annulus seed Newton's
 method for every row at once; a row is certified when its distinct zeros
 number its argument-principle count.  `find_zeros` is the oracle of this
-path and its fallback: it solves every row that is not certified.  All
-Newton iterations, including the polishing of companion roots, go
-through one batched evaluation scaled by each point's radius.
+path and its fallback: it solves every row that is not certified.  Every
+Newton and Aberth step evaluates the terms scaled by its point's radius.
 
 The winding numbers of a whole batch come from one vectorized engine.
 A first pass evaluates every section on a shared grid of the circle
@@ -31,7 +30,6 @@ schedule.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,17 +65,20 @@ __all__ = [
 # move zeros inside the working annulus.
 ZERO_TAIL_EPS = 1e-8
 
-# Double roots are resolvable only to ~sqrt(machine eps) by eigenvalue or
-# Newton methods, so the merge radius sits above that scale; zeros of a
+# Double roots are resolvable only to ~sqrt(machine eps) by Aberth or
+# Newton iteration, so the merge radius sits above that scale; zeros of a
 # Gaussian section repel, making spurious merges negligible.
 MERGE_DISTANCE = 1e-7
 NEWTON_TOL = 1e-12
 # Leading words of the ZeroSet diagnostics: the first diagnostic of a row
 # that find_zeros_batch solved by find_zeros, an unconverged Newton point,
 # and roots merged into one zero of higher multiplicity.
-FALLBACK = "companion fallback"
+FALLBACK = "oracle fallback"
 NEWTON_NOTE = "newton non-convergence"
 MERGE_NOTE = "merged near-coincident roots"
+# find_zeros: Aberth sweeps before a moving root is noted, and the turn of the starts.
+ABERTH_MAX_ITER = 400
+ABERTH_ANGLE = 0.7
 # Seed grid of find_zeros_batch: rings per expected zero, and the largest
 # ratio of a cell's step in log r to its angular step.  Cells much thinner
 # than square put every zero next to an arc, whose increment then aliases;
@@ -136,6 +137,16 @@ def sample_section(space: DiscSpace, seed: int, path: Sequence[int] = ()) -> Sec
     return SectionSample(space=space, eta=eta, seed_path=(int(seed), *map(int, path)))
 
 
+def _scaled_coefficients(space: DiscSpace, etas: np.ndarray, log_r) -> tuple[np.ndarray, np.ndarray]:
+    """Terms eta_ell c_ell r^ell over the largest c_ell r^ell (finite at any r), and its log.
+
+    log_r is a scalar or one per row, taken by the caller: math.log and np.log may differ.
+    """
+    log_amp = 0.5 * space.log_coeffs + np.multiply.outer(log_r, space.ells)
+    shift = np.max(log_amp, axis=-1)
+    return etas * np.exp(log_amp - shift[..., None]), shift
+
+
 def evaluate(sample: SectionSample, z: complex) -> KernelValue:
     """Pointwise value of the section in the h_p norm, as log-magnitude and phase.
 
@@ -147,13 +158,12 @@ def evaluate(sample: SectionSample, z: complex) -> KernelValue:
     if not 0.0 < r < 1.0:
         raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
     theta = math.atan2(z.imag, z.real)
-    log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
-    m = float(np.max(log_amp))
-    s = np.sum(sample.eta * np.exp(log_amp - m) * np.exp(1j * space.ells * theta))
+    coeff, m = _scaled_coefficients(space, sample.eta, math.log(r))
+    s = np.sum(coeff * np.exp(1j * space.ells * theta))
     weight = 0.5 * space.p * math.log(-2.0 * math.log(r))
     if s == 0.0:
         return KernelValue(log_modulus=-math.inf, phase=0.0)
-    return KernelValue(log_modulus=weight + m + math.log(abs(s)), phase=math.atan2(s.imag, s.real))
+    return KernelValue(log_modulus=weight + float(m) + math.log(abs(s)), phase=math.atan2(s.imag, s.real))
 
 
 def truncation_length(p: int, b: float, eps: float = ZERO_TAIL_EPS) -> int:
@@ -162,31 +172,14 @@ def truncation_length(p: int, b: float, eps: float = ZERO_TAIL_EPS) -> int:
 
 
 # ---------------------------------------------------------------------------
-# companion-matrix root extraction
-
-
-def _balanced_coefficients(space: DiscSpace, eta: np.ndarray, beta: float) -> np.ndarray:
-    """Coefficients of P(w) = S(beta w) / (beta w), low degree first.
-
-    P has degree L - 1; the common factor z (the puncture zero) is
-    dropped.  The scaling beta balances the huge dynamic range of c_ell,
-    and the result is normalized by its largest magnitude, so entries
-    whose true size is below the double-precision floor underflow to
-    exactly zero or to a subnormal (harmless: they only control roots far
-    outside the annulus).
-    """
-    k = np.arange(space.L, dtype=np.float64)  # degree in w for ell = k + 1
-    log_mag = 0.5 * space.log_coeffs + k * math.log(beta)
-    log_mag = log_mag - np.max(log_mag)
-    return eta * np.exp(log_mag)
+# root extraction: Newton, Aberth
 
 
 def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, max_iter: int = 50):
     """Newton's method on the sections etas[own], one starting point z per entry.
 
-    All points are iterated at once.  Evaluation is scaled by each
-    starting point's own radius rho, as in `evaluate`: the terms
-    eta_ell c_ell rho^ell are divided by their largest, and the powers
+    All points are iterated at once.  The terms are scaled at each
+    starting point's radius rho (`_scaled_coefficients`), and the powers
     (z / rho)^ell, a cumulative product, stay near 1 in size while z
     stays near its start, whatever the radius.  A point converges when
     its step is below NEWTON_TOL * max(1, |z|), the step it would take
@@ -196,12 +189,11 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, 
     z = np.array(z, dtype=np.complex128)
     converged = np.zeros(z.shape, dtype=bool)
     rho = np.abs(z)
-    log_scale = 0.5 * space.log_coeffs[None, :] + np.outer(np.log(rho), space.ells)
-    coeff = etas[own] * np.exp(log_scale - np.max(log_scale, axis=1, keepdims=True))
+    coeff, _ = _scaled_coefficients(space, etas[own], np.log(rho))
     active = np.arange(z.size)
-    # a point that wanders far from its start may overflow the powers; it
-    # is non-finite at the next check and stops there
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a point that wanders far from its start may overflow the powers; its
+    # step is then non-finite, and it stops there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             za = z[active]
             rad = np.abs(za)
@@ -210,12 +202,9 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, 
                 active, za, rad, coeff = active[ok], za[ok], rad[ok], coeff[ok]
             if active.size == 0:
                 break
-            terms = np.cumprod(np.broadcast_to((za / rho[active])[:, None], coeff.shape), axis=1)
-            terms *= coeff
-            s = terms.sum(axis=1)
-            zds = terms @ space.ells  # z S'(z), on the scale of s
-            ok = zds != 0.0
-            step = za * s / np.where(ok, zds, 1.0)
+            terms = np.cumprod(np.broadcast_to((za / rho[active])[:, None], coeff.shape), axis=1) * coeff
+            step = za * terms.sum(axis=1) / (terms @ space.ells)  # S / S'
+            ok = np.isfinite(step)
             done = ok & (np.abs(step) < NEWTON_TOL * np.maximum(1.0, rad))
             converged[active[done]] = True
             go = ok & ~done
@@ -224,52 +213,75 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, 
     return z, converged
 
 
-def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
-    """Zeros of the section inside the annulus via companion-matrix eigenvalues.
+def _polygon_starts(y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Aberth starts for P(w) = sum_k a_k w^k from y_k = log|a_k|, and the least k with a_k != 0.
 
-    The puncture's forced zero at z = 0 is always excluded.  Roots are
-    Newton-polished, merged within MERGE_DISTANCE = 1e-7 (multiplicity
-    summed; Gaussian sections have simple zeros almost surely, so merges
-    are flagged), and sorted by radius then angle.
+    An edge of length n and slope s of the Newton polygon, the upper hull
+    of (k, y_k), puts n starts on |w| = e^-s, turned against its neighbours.
+    """
+    hull: list[int] = []
+    for i in np.flatnonzero(np.isfinite(y)):
+        # drop the last vertex while it lies on or below the chord to i
+        while len(hull) > 1 and (y[hull[-1]] - y[hull[-2]]) * (i - hull[-2]) <= (y[i] - y[hull[-2]]) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(i)
+    starts = [np.zeros(0, dtype=np.complex128)]
+    for e, (i, j) in enumerate(zip(hull[:-1], hull[1:])):
+        angles = 2.0 * math.pi * (np.arange(j - i) / (j - i) + e / (hull[-1] - hull[0])) + ABERTH_ANGLE
+        starts.append(np.exp((y[i] - y[j]) / (j - i) + 1j * angles))
+    return np.concatenate(starts), int(hull[0]) if hull else 0
+
+
+def _sorted_candidates(own: np.ndarray, z: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates in the open annulus, as the winding counts see it, sorted by row, radius, angle.
+
+    Each is flagged if within MERGE_DISTANCE of its predecessor in its row.
+    """
+    rad = np.abs(z)
+    keep = (rad > region.a) & (rad < region.b)
+    order = np.lexsort((np.angle(z[keep]), rad[keep], own[keep]))
+    own, z = own[keep][order], z[keep][order]
+    close = (np.diff(own, prepend=-1) == 0) & (np.abs(np.diff(z, prepend=np.nan)) < MERGE_DISTANCE)
+    return own, z, close
+
+
+def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
+    """Zeros of the section inside the annulus, by Aberth iteration on all roots of S(z) / z.
+
+    The roots start on the Newton polygon's circles; each sweep scales a root's terms at its
+    current radius.  A root freezes after a step below NEWTON_TOL * max(1, |z|); one still
+    moving after ABERTH_MAX_ITER sweeps, or stopped by a non-finite step, is noted and kept.
+    Roots with a < |z| < b are merged within MERGE_DISTANCE (flagged), sorted by radius, angle.
     """
     space = sample.space
     _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
-    diagnostics: list[str] = []
-    beta = math.sqrt(region.a * region.b)
-    coeffs_low = _balanced_coefficients(space, sample.eta, beta)
-    # subnormal end coefficients count as zero: np.roots divides by the
-    # leading one, and 1 / 5e-324 overflows
-    nz = np.flatnonzero(np.abs(coeffs_low) >= sys.float_info.min)
-    if nz.size == 0:
-        return ZeroSet(zeros=(), region=region)
-    # stray zero leading/trailing coefficients shrink the companion matrix
-    lead = nz[-1]
-    trail = nz[0]
-    reduced = coeffs_low[trail : lead + 1]
-    if reduced.size <= 1:
-        return ZeroSet(zeros=(), region=region)
-    roots_w = np.roots(reduced[::-1])
-    scale = region.b / beta
-    keep = (np.abs(roots_w) >= (region.a / beta) * (1.0 - 1e-6)) & (np.abs(roots_w) <= scale * (1.0 + 1e-6))
-    roots_z = beta * roots_w[keep]
-    if roots_z.size:
-        roots_z, converged = _newton(space, sample.eta[None, :], np.zeros(roots_z.size, dtype=np.intp), roots_z)
-        for z, ok in zip(roots_z, converged):
-            if not ok:
-                diagnostics.append(f"{NEWTON_NOTE} at z={z:.12g}")
-    # strict interior membership keeps companion and winding counts aligned:
-    # both methods then count the same open annulus
-    in_region = [z for z in roots_z if region.a < abs(z) < region.b]
-    in_region.sort(key=lambda z: (abs(z), math.atan2(z.imag, z.real)))
-    merged: list[tuple[complex, int]] = []
-    for z in in_region:
-        if merged and abs(z - merged[-1][0]) < MERGE_DISTANCE:
-            zprev, m = merged[-1]
-            merged[-1] = (zprev, m + 1)
-            diagnostics.append(f"{MERGE_NOTE} at z={zprev:.12g} (multiplicity {m + 1})")
-        else:
-            merged.append((complex(z), 1))
-    return ZeroSet(zeros=tuple(merged), region=region, diagnostics=tuple(diagnostics))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z, k0 = _polygon_starts(np.log(np.abs(sample.eta)) + 0.5 * space.log_coeffs)
+        degrees = space.ells - (k0 + 1.0)  # of the terms of P / w^k0
+        active, converged = np.arange(z.size), np.zeros(z.size, dtype=bool)
+        for _ in range(ABERTH_MAX_ITER):
+            if active.size == 0:
+                break
+            za, rad = z[active], np.abs(z[active])
+            coeff, _ = _scaled_coefficients(space, sample.eta, np.log(rad))
+            terms = np.cumprod(np.broadcast_to((za / rad)[:, None], coeff.shape), axis=1) * coeff
+            newton = za * terms.sum(axis=1) / (terms @ degrees)
+            diff = za[:, None] - z
+            diff[np.arange(active.size), active] = np.inf
+            step = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
+            ok = np.isfinite(step)
+            done = ok & (np.abs(step) < NEWTON_TOL * np.maximum(1.0, rad))
+            converged[active[done]] = True
+            z[active[ok]] = za[ok] - step[ok]
+            active = active[ok & ~done]
+    diagnostics = [f"{NEWTON_NOTE} at z={w:.12g}" for w in z[~converged]]
+    _, z, close = _sorted_candidates(np.zeros(z.size, dtype=np.intp), z, region)
+    # each run of close candidates is one zero, noted once per merged root
+    first = np.flatnonzero(~close)
+    mult = np.diff(np.append(first, z.size))
+    diagnostics += [f"{MERGE_NOTE} at z={z[i]:.12g} (multiplicity {k})" for i, n in zip(first, mult) for k in range(2, n + 1)]
+    zeros = tuple((complex(z[i]), int(n)) for i, n in zip(first, mult))
+    return ZeroSet(zeros=zeros, region=region, diagnostics=tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +325,7 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float, n_init: int) -> tuple
     m = etas.shape[0]
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
-    coeff = etas * np.exp(log_amp - np.max(log_amp))[None, :]
+    coeff, _ = _scaled_coefficients(space, etas, math.log(r))
     thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
     ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
     # e^{i ell theta_j} on the equispaced grid is a table of n_init-th roots
@@ -455,9 +466,8 @@ def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np
 
     owners, points = [], []
     for i, r in enumerate(radii):
-        log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
         folded = np.zeros((m, width), dtype=np.complex128)
-        folded[:, 1 : space.L + 1] = etas * np.exp(log_amp - np.max(log_amp))[None, :]
+        folded[:, 1 : space.L + 1] = _scaled_coefficients(space, etas, math.log(r))[0]
         # sum_ell c_ell e^{i ell theta_j}: fold ell mod n_a, then one inverse FFT
         phase = np.angle(np.fft.ifft(folded.reshape(m, width // n_a, n_a).sum(axis=1), axis=1))
         arc = wrap(np.roll(phase, -1, axis=1) - phase)
@@ -478,7 +488,7 @@ def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np
 
 
 def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> list[ZeroSet]:
-    """Zeros in the annulus of every row of etas, without eigensolves.
+    """Zeros in the annulus of every row of etas, certified by their winding counts.
 
     Grid cells of nonzero winding seed Newton's method (`_grid_seeds`,
     `_newton`); converged points with a < |z| < b are the candidate
@@ -498,21 +508,12 @@ def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> lis
     counts, unresolved = wb - wa, fb | fa
     own, z = _grid_seeds(space, etas, region)
     z, converged = _newton(space, etas, own, z)
-    rad = np.abs(z)
-    keep = converged & (rad > region.a) & (rad < region.b)
     notes: list[list[str]] = [[] for _ in range(m)]
     for i, zi in zip(own[~converged], z[~converged]):
         notes[i].append(f"{NEWTON_NOTE} at z={zi:.12g}")
-    own, z, rad = own[keep], z[keep], rad[keep]
-    order = np.lexsort((np.angle(z), rad, own))
-    own, z = own[order], z[order]
-    # candidates are sorted by radius within a row, so a pair closer than
-    # MERGE_DISTANCE is adjacent unless a third radius falls between
-    # theirs; a pair missed that way is an extra candidate, which the
-    # count comparison rejects
-    close = (own[1:] == own[:-1]) & (np.abs(z[1:] - z[:-1]) < MERGE_DISTANCE)
-    merged = np.zeros(m, dtype=bool)
-    merged[own[1:][close]] = True
+    # a close pair with a radius between is an extra candidate: the count rejects it
+    own, z, close = _sorted_candidates(own[converged], z[converged], region)
+    merged = np.bincount(own[close], minlength=m) > 0
     found = np.bincount(own, minlength=m)
     bounds = np.concatenate([[0], np.cumsum(found)])
     out = []

@@ -108,7 +108,7 @@ def test_criterion_04_quartic_example():
 
 
 def test_criterion_05_zero_finder_cross_oracle():
-    crit = Criterion(5, "companion vs argument-principle counts", budget_s=60.0)
+    crit = Criterion(5, "Aberth oracle vs argument-principle counts", budget_s=20.0)
     p, region, n = 80, Annulus(0.2, 0.7), 200
     space = make_disc_space(p, sections.truncation_length(p, region.b))
     disagreements = []

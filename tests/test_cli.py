@@ -215,6 +215,19 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert regime in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    @pytest.mark.parametrize("kind, params", [
+        ("equidistribution", {"p": [20], "annulus": {"a": 0.3, "b": 0.6}}),
+        ("holes", {"p": [4], "annulus": {"a": 0.25, "b": 0.45}}),
+        ("deviation", {"p": [15], "annulus": {"a": 0.25, "b": 0.6}, "delta": 0.4}),
+        ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}}),
+        ("variance", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}}),
+    ], ids=["equidistribution", "holes", "deviation", "clt", "variance"])
+    def test_degenerate_samples_exit_code(self, tmp_path, capsys, kind, params, samples):
+        cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 3, "params": dict(params, samples=samples)})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "samples" in capsys.readouterr().err
+
     def test_model_kernel_via_cli(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {
             "experiment": "model-kernel",

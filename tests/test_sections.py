@@ -1,7 +1,6 @@
 """Gaussian sections: sampling streams, evaluation, zero extraction."""
 
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -171,6 +170,16 @@ class TestFindZeros:
         assert zs.total == 1
         assert zs.zeros[0][0] == pytest.approx(w, abs=1e-10)
 
+    def test_vanishing_low_coefficients(self, space10):
+        # section proportional to z^3 (z - w1) (z - w2): the double root of
+        # S(z) / z at 0 is split off, and only the other two are iterated
+        ws = [0.3 * np.exp(1.1j), 0.5 * np.exp(-2.0j)]
+        eta = _with_zeros(space10, [0.0, 0.0, *ws])
+        assert eta[0] == 0.0 and eta[1] == 0.0
+        zs = find_zeros(SectionSample(space=space10, eta=eta, seed_path=()), Annulus(0.1, 0.6))
+        assert not zs.diagnostics
+        assert [z for z, _ in zs.zeros] == pytest.approx(ws, abs=1e-10)
+
     def test_double_root_merged_and_flagged(self, space10):
         # section proportional to z (z - w)^2 = z^3 - 2 w z^2 + w^2 z
         w = 0.45 * np.exp(-1.2j)
@@ -185,8 +194,8 @@ class TestFindZeros:
         assert any("merged" in d for d in zs.diagnostics)
 
     def test_degree_bookkeeping_against_roots_oracle(self):
-        # the truncated section is z * P(z) with deg P = L - 1: companion
-        # roots inside the annulus must match a direct polynomial solve
+        # the truncated section is z * P(z) with deg P = L - 1: the oracle's
+        # roots inside the annulus must match an eigenvalue solve of P
         p = 8
         space = make_disc_space(p, truncation_length(p, 0.6))
         sample = sample_section(space, 77, (0,))
@@ -216,6 +225,20 @@ class TestFindZeros:
         for (x, mx), (y, my) in zip(za, zb):
             assert x == pytest.approx(y, abs=1e-10)
             assert mx == my
+
+    def test_unconverged_roots_noted_and_kept(self, space10, monkeypatch):
+        # three Aberth sweeps leave roots moving: each is noted, and those
+        # in the annulus stay in the zero set
+        sample = sample_section(space10, 5, (0,))
+        region = Annulus(0.15, 0.65)
+        monkeypatch.setattr(sections, "ABERTH_MAX_ITER", 3)
+        zs = find_zeros(sample, region)
+        prefix = f"{sections.NEWTON_NOTE} at z="
+        moving = [complex(d[len(prefix):]) for d in zs.diagnostics if d.startswith(prefix)]
+        inside = [z for z in moving if region.a < abs(z) < region.b]
+        assert inside
+        zeros = [z for z, _ in zs.zeros]
+        assert all(min(abs(z - w) for w in zeros) < 1e-11 * max(1.0, abs(z)) for z in inside)
 
     def test_truncation_guard(self):
         space = make_disc_space(60, 40)
@@ -425,19 +448,20 @@ class TestBatchedZeros:
             assert max(abs(a - b) for (a, _), (b, _) in zip(zs.zeros, ref.zeros)) < 1e-9
 
     def test_subnormal_leading_coefficient(self):
-        # p = 10 on (0.05, 0.95), L = 597: the highest nonzero balanced
-        # coefficient of every row is subnormal, and np.roots divided by it
+        # p = 10 on (0.05, 0.95), L = 597: the terms c_ell |z|^ell span far
+        # beyond the double range across the annulus (balanced at one
+        # radius, the highest coefficient was subnormal), so the oracle
+        # scales every root at its own radius
         region = Annulus(0.05, 0.95)
         space, etas = experiments._draw(10, region.b, 64, self.SEED)
-        top = [c[np.flatnonzero(c)[-1]] for c in
-               (sections._balanced_coefficients(space, row, math.sqrt(region.a * region.b)) for row in etas)]
-        assert all(0.0 < abs(c) < sys.float_info.min for c in top)
-        zsets = find_zeros_batch(space, etas, region)
-        fallback = [i for i, zs in enumerate(zsets) if any(d.startswith(sections.FALLBACK) for d in zs.diagnostics)]
-        assert len(zsets) == 64 and fallback
-        for i in fallback + [0, 1]:
-            zs = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), region)
-            assert zs.zeros and all(region.a < abs(z) < region.b for z, _ in zs.zeros)
+        counts = count_zeros_batch(space, etas, region)
+        zsets = [find_zeros(SectionSample(space=space, eta=row, seed_path=()), region) for row in etas]
+        assert [zs.total for zs in zsets] == counts.tolist()
+        assert not any(d.startswith(sections.NEWTON_NOTE) for zs in zsets for d in zs.diagnostics)
+        batch = find_zeros_batch(space, etas, region)
+        fallback = [i for i, zs in enumerate(batch) if any(d.startswith(sections.FALLBACK) for d in zs.diagnostics)]
+        assert len(batch) == 64 and fallback
+        assert all(batch[i].zeros == zsets[i].zeros for i in fallback)
 
     def test_double_zero_takes_fallback(self, space10):
         phi = TestFunction(0.1, 0.6)
@@ -451,8 +475,8 @@ class TestBatchedZeros:
         assert zsets[1].zeros == ref.zeros and ref.total == 3
         ys, counts = experiments._linear_statistics(space10, phi, etas, threads=1)
         assert ys[1] == pytest.approx(linear_statistic(ref, phi), rel=1e-14)
-        # Newton converges only linearly at a double zero, so one of its two
-        # companion roots may be noted as unconverged
+        # Aberth converges only linearly at a double zero, so one of its two
+        # roots may be noted as unconverged
         newton = sum(d.startswith(sections.NEWTON_NOTE) for d in ref.diagnostics)
         assert counts == {"fallback_rows": 1, "newton_nonconvergence": newton, "merges": 1}
 
