@@ -40,8 +40,8 @@ def _run(args: argparse.Namespace) -> int:
     driver = getattr(experiments, EXPERIMENTS[cfg.kind].driver)
     threads = {"threads": cfg.threads} if "threads" in inspect.signature(driver).parameters else {}
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         report = driver(**cfg.params, seed=cfg.seed, **threads)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except Exception as exc:  # numerical failures surface as exit 1 with context
         print(f"error: {cfg.kind}: {exc}", file=sys.stderr)
         return 1

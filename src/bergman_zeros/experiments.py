@@ -540,7 +540,7 @@ def variance_experiment(
         idx = boot_rng.integers(0, samples, size=(n_bootstrap, samples))
         boot_vars = np.var(ys[idx], axis=1, ddof=1)
         boot_se = float(np.std(boot_vars, ddof=1))
-        bip = variance_bipotential(space, testfunction)
+        bip = variance_bipotential(space, testfunction, diagnostics[p])
         lead = variance_leading_term(testfunction, p)
         lead_gaps[p] = abs(p * bip - p * lead)
         report.add(

@@ -10,7 +10,9 @@ where N_p is the normalized kernel, L(phi) is the density of
 i d dbar phi against c1, and Gt(t) = (1/4 pi^2) sum_j t^(2j) / j^2 is a
 rescaled dilogarithm.  For radial phi, rotation invariance of N_p
 collapses the double surface integral to three dimensions (r, r',
-relative angle); only radial test functions are supported here.
+relative angle); only radial test functions are supported here.  The
+angle integral of each radius pair takes the t^2 part of Gt exactly
+(Parseval) and the rest from one folded FFT, near the diagonal only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "Gtilde",
     "TestFunction",
     "laplacian_ratio",
-    "normalized_kernel_grid",
     "sodin_tsirelson_proxy",
     "variance_bipotential",
     "variance_leading_term",
@@ -44,6 +45,11 @@ VARIANCE_RADIAL_NODES = 64
 VARIANCE_ANGULAR_NODES = 256
 VARIANCE_RTOL = 5e-4
 VARIANCE_MAX_REFINEMENTS = 3
+# Gt(t) = t^2 / 4 pi^2 + R(t), 0 <= R(t) <= t^4 (pi^2/6 - 1) / 4 pi^2: R is summed only
+# where N_p^2 > VARIANCE_TAU, which drops at most 0.65 VARIANCE_TAU of the N_p^2 term.
+# The arrays of the radius-pair loop hold at most PAIR_BLOCK_ENTRIES entries.
+VARIANCE_TAU = 1e-4
+PAIR_BLOCK_ENTRIES = 2**21
 # Gauss-Legendre nodes of the leading-term integral; radial and angular
 # nodes of the correlation proxy.
 LEADING_TERM_NODES = 512
@@ -175,63 +181,83 @@ def _gtilde_fast(t: np.ndarray) -> np.ndarray:
     return spence(1.0 - np.square(t)) / (4.0 * math.pi**2)
 
 
-# ---------------------------------------------------------------------------
-# normalized-kernel grids and the variance integral
+def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre radii on (a, b) and their weights against c1 (radial density 1 / (2 r log^2 r))."""
+    x, w = leggauss(n)
+    r = 0.5 * (b - a) * x + 0.5 * (a + b)
+    return r, 0.5 * (b - a) * w / (2.0 * r * np.log(r) ** 2)
 
 
-def normalized_kernel_grid(space: DiscSpace, r: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """N_p on the product grid: entry [i, j, k] is N_p(r_i, r_j, theta_k).
+def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
+    """Yield (slice, d, shift) over the radius pairs (r[i], r[j]), in blocks of at most PAIR_BLOCK_ENTRIES.
 
-    Uses rotation invariance: both points are taken at radius (r_i, r_j)
-    with relative angle theta_k.  The h_p weights cancel in N_p.
+    N_p(r_i, r_j e^(i theta)) = e^shift |sum_ell d_ell e^(i ell theta)|, d_ell = c_ell^2 (r_i r_j)^ell / max >= 0.
     """
-    r = np.asarray(r, dtype=np.float64)
-    n = r.size
-    log_r = np.log(r)
     logd = _log_diag(space, log_r)
-    log_rr = np.add.outer(log_r, log_r)  # log(r_i r_j)
-    iu, ju = np.triu_indices(n)
-    log_terms = space.log_coeffs[None, :] + log_rr[iu, ju][:, None] * space.ells[None, :]
-    m = np.max(log_terms, axis=1)
-    d = np.exp(log_terms - m[:, None])
-    phases = np.exp(1j * np.outer(space.ells, thetas))
-    off = np.abs(d @ phases)
-    with np.errstate(divide="ignore"):
-        log_n = np.log(off) + (m - 0.5 * (logd[iu] + logd[ju]))[:, None]
-    block = np.exp(log_n)
-    out = np.empty((n, n, thetas.size))
-    out[iu, ju, :] = block
-    out[ju, iu, :] = block
-    return np.minimum(out, 1.0)
+    step = max(1, PAIR_BLOCK_ENTRIES // (-(-space.L // n_t) * n_t))
+    for lo in range(0, i.size, step):
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        log_terms = space.log_coeffs + np.multiply.outer(log_r[bi] + log_r[bj], space.ells)
+        m = np.max(log_terms, axis=1)
+        yield slice(lo, lo + step), np.exp(log_terms - m[:, None]), m - 0.5 * (logd[bi] + logd[bj])
+
+
+def _angular_values(d: np.ndarray, shift: np.ndarray, n_t: int) -> np.ndarray:
+    """N_p at the angles 2 pi k / n_t, k = 0 .. n_t/2 (N_p is even in theta), for a `_pair_blocks` block.
+
+    On that grid e^(i ell theta) depends on ell mod n_t only: fold, then one real FFT.
+    """
+    k = -(-d.shape[1] // n_t)
+    folded = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
+    return np.minimum(np.abs(np.fft.rfft(folded, axis=1)) * np.exp(shift)[:, None], 1.0)
+
+
+def _theta_mean(values: np.ndarray, n_t: int) -> np.ndarray:
+    """Mean over all n_t angles (n_t even) from the half grid of `_angular_values`."""
+    return (2.0 * np.sum(values, axis=1) - values[:, 0] - values[:, -1]) / n_t
+
+
+def _bipotential_means(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int) -> np.ndarray:
+    """Mean of Gt(N_p) over n_t angles for each radius pair (r[i], r[j]).
+
+    The N_p^2 / 4 pi^2 part is Parseval's sum, exact.  R = Gt(t) - t^2 / 4 pi^2 comes from the angle grid,
+    for the pairs with N_p(theta = 0)^2 > VARIANCE_TAU (the peak, as d_ell >= 0), where N_p^2 > VARIANCE_TAU.
+    """
+    out = np.empty(i.size)
+    for sl, d, shift in _pair_blocks(space, log_r, i, j, n_t):
+        scale = np.exp(shift)
+        out[sl] = np.sum(d * d, axis=1) * scale**2 / (4.0 * math.pi**2)
+        near = np.flatnonzero(np.square(np.sum(d, axis=1) * scale) > VARIANCE_TAU)
+        t = _angular_values(d[near], shift[near], n_t)
+        hot = t * t > VARIANCE_TAU
+        rem = np.zeros(t.shape)
+        rem[hot] = _gtilde_fast(t[hot]) - np.square(t[hot]) / (4.0 * math.pi**2)
+        out[sl.start + near] += _theta_mean(rem, n_t)
+    return out
 
 
 def _variance_pass(space: DiscSpace, phi: TestFunction, n_r: int, n_t: int) -> float:
-    x, w = leggauss(n_r)
-    r = 0.5 * (phi.b - phi.a) * x + 0.5 * (phi.a + phi.b)
-    wr = 0.5 * (phi.b - phi.a) * w
-    # radial density of c1: int f c1 = int f(r) dr / (2 r log^2 r)
-    meas = wr / (2.0 * r * np.log(r) ** 2)
-    lap = laplacian_ratio(phi, r)
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_t, endpoint=False)
-    npk = normalized_kernel_grid(space, r, thetas)
-    gbar = np.mean(_gtilde_fast(npk), axis=2)
-    vec = lap * meas
-    return float(vec @ gbar @ vec)
+    r, meas = _c1_rule(phi.a, phi.b, n_r)
+    vec = laplacian_ratio(phi, r) * meas
+    i, j = np.triu_indices(n_r)
+    return float((np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]) @ _bipotential_means(space, np.log(r), i, j, n_t))
 
 
-def variance_bipotential(space: DiscSpace, phi: TestFunction) -> float:
+def variance_bipotential(space: DiscSpace, phi: TestFunction, diagnostics: dict | None = None) -> float:
     """Var[Y(phi)] from the bipotential double integral; nonnegative.
 
     Adaptive: node counts double until successive values agree to
     VARIANCE_RTOL (relative); RuntimeError if the refinement cap is hit.
+    Sets diagnostics["bipotential_radial_nodes"], if given, to the final radial node count.
     """
     n_r, n_t = VARIANCE_RADIAL_NODES, VARIANCE_ANGULAR_NODES
     prev = _variance_pass(space, phi, n_r, n_t)
     for _ in range(VARIANCE_MAX_REFINEMENTS):
-        n_r *= 2
-        n_t *= 2
+        n_r, n_t = 2 * n_r, 2 * n_t
         cur = _variance_pass(space, phi, n_r, n_t)
         if abs(cur - prev) <= VARIANCE_RTOL * max(abs(cur), 1e-300):
+            if diagnostics is not None:
+                diagnostics["bipotential_radial_nodes"] = n_r
             return max(cur, 0.0)
         prev = cur
     raise RuntimeError("variance quadrature did not converge under refinement")
@@ -239,10 +265,7 @@ def variance_bipotential(space: DiscSpace, phi: TestFunction) -> float:
 
 def variance_leading_term(phi: TestFunction, p: int) -> float:
     """zeta(3)/(4 pi^2 p) * int |L(phi)|^2 c1 by radial quadrature."""
-    x, w = leggauss(LEADING_TERM_NODES)
-    r = 0.5 * (phi.b - phi.a) * x + 0.5 * (phi.a + phi.b)
-    wr = 0.5 * (phi.b - phi.a) * w
-    meas = wr / (2.0 * r * np.log(r) ** 2)
+    r, meas = _c1_rule(phi.a, phi.b, LEADING_TERM_NODES)
     lap = laplacian_ratio(phi, r)
     return APERY / (4.0 * math.pi**2 * p) * float(np.dot(lap * lap, meas))
 
@@ -253,11 +276,8 @@ def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
     Decays with p (the correlation length shrinks like p^(-1/2)), which is
     the summability hypothesis behind the central limit theorem.
     """
-    x, w = leggauss(PROXY_RADIAL_NODES)
-    r = 0.5 * (region.b - region.a) * x + 0.5 * (region.a + region.b)
-    wr = 0.5 * (region.b - region.a) * w
-    meas = wr / (2.0 * r * np.log(r) ** 2)
-    thetas = np.linspace(0.0, 2.0 * math.pi, PROXY_ANGULAR_NODES, endpoint=False)
-    npk = normalized_kernel_grid(space, r, thetas)
-    integral = np.mean(npk, axis=2) @ meas
-    return float(np.max(integral))
+    r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
+    i, j = np.indices((r.size, r.size)).reshape(2, -1)
+    blocks = _pair_blocks(space, np.log(r), i, j, PROXY_ANGULAR_NODES)
+    mean_n = [_theta_mean(_angular_values(d, s, PROXY_ANGULAR_NODES), PROXY_ANGULAR_NODES) for _, d, s in blocks]
+    return float(np.max(np.concatenate(mean_n).reshape(r.size, r.size) @ meas))

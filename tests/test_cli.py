@@ -227,6 +227,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 3, "params": dict(params, samples=samples)})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_model_kernel_via_cli(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {

@@ -9,7 +9,11 @@ change (every value within 1.5e-10 relative of the old one).  The sup
 digest was taken again when the kernel functions began to take arrays:
 its logs and exponentials went from `math` to numpy, whose results differ
 in the last bit for a few arguments, and the maximizer of p = 50, the
-location of a flat maximum, moved by 7e-11 relative.
+location of a flat maximum, moved by 7e-11 relative.  The variance
+digest was taken again when the bipotential stopped building the dense
+(r, r', angle) grid of N_p (exact Parseval far field, R only where
+N_p^2 > 1e-4): the bipotential values moved by at most 4.5e-11 relative,
+and the |MC - bipotential| deviations, being differences, by 2.2e-9.
 A change that alters any of them changes program output; it must be
 declared as such and re-baselined in the same change, never silently.
 tests/golden/list.json holds `bergman-zeros list --json` as it printed

@@ -1,6 +1,7 @@
 """Smooth statistics: test functions, bipotential profile, variance, experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from bergman_zeros.statistics import (
     APERY,
     Gtilde,
     TestFunction,
+    _angular_values,
+    _bipotential_means,
+    _c1_rule,
     _gtilde_fast,
     _gtilde_integral,
     _gtilde_series,
+    _pair_blocks,
+    _theta_mean,
     laplacian_ratio,
-    normalized_kernel_grid,
     sodin_tsirelson_proxy,
     variance_bipotential,
     variance_leading_term,
@@ -135,13 +140,68 @@ class TestVariance:
 
     def test_grid_matches_scalar_kernel(self, space80):
         r = np.array([0.4, 0.5, 0.6])
-        th = np.array([0.1, 0.7])
-        grid = normalized_kernel_grid(space80, r, th)
-        for i in range(3):
-            for j in range(3):
-                for k in range(2):
-                    direct = disc.normalized_kernel(space80, r[i], r[j] * np.exp(1j * th[k]))
-                    assert grid[i, j, k] == pytest.approx(direct, abs=1e-12)
+        i, j = np.indices((3, 3)).reshape(2, -1)
+        for n_t in (16, 64, 512):  # folded (n_t < L) and zero-padded (n_t > L)
+            [(_, d, shift)] = _pair_blocks(space80, np.log(r), i, j, n_t)
+            grid = _angular_values(d, shift, n_t)
+            thetas = 2.0 * np.pi * np.arange(n_t // 2 + 1) / n_t
+            direct = disc.normalized_kernel(space80, r[i, None], r[j, None] * np.exp(1j * thetas))
+            assert np.max(np.abs(grid - direct)) < 1e-12
+
+    @pytest.mark.parametrize("p", [40, 200])
+    def test_parseval_term_is_the_theta_mean(self, p):
+        # the grid mean of N_p^2 over n_t >= 4L angles has no aliasing: it is sum_l d_l^2
+        space = make_disc_space(p, sections.truncation_length(p, 0.9))
+        r = np.array([0.2, 0.45, 0.5, 0.9])
+        i, j = np.triu_indices(r.size)
+        n_t = 1 << (4 * space.L - 1).bit_length()
+        [(_, d, shift)] = _pair_blocks(space, np.log(r), i, j, n_t)
+        grid_mean = _theta_mean(_angular_values(d, shift, n_t) ** 2, n_t)
+        parseval = np.sum(d * d, axis=1) * np.exp(2.0 * shift)
+        assert np.max(np.abs(grid_mean / parseval - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "p, a, b, dense_grid_value",
+        [
+            (40, 0.35, 0.65, 1.7687215252358381),
+            (80, 0.35, 0.65, 1.5005194680720781),
+            (200, 0.35, 0.65, 1.0584760746745427),
+        ],
+    )
+    def test_matches_dense_grid_values(self, p, a, b, dense_grid_value):
+        # pinned from the dense (r, r', theta) evaluation of the same quadrature rule
+        phi = TestFunction(a, b)
+        space = make_disc_space(p, sections.truncation_length(p, b))
+        assert variance_bipotential(space, phi) == pytest.approx(dense_grid_value, rel=1e-9)
+
+    def test_wide_support_in_bounded_memory(self):
+        # the dense (r, r', theta) grid took 2.5 GB traced for this case; the value is pinned from it
+        phi = TestFunction(0.1, 0.9)
+        space = make_disc_space(160, sections.truncation_length(160, phi.b))
+        diagnostics = {}
+        tracemalloc.start()
+        try:
+            value = variance_bipotential(space, phi, diagnostics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2**20
+        assert value == pytest.approx(0.07822989228457813, rel=1e-9)
+        assert diagnostics == {"bipotential_radial_nodes": 256}
+
+    @pytest.mark.parametrize("p", [50, 200, 800])
+    @pytest.mark.parametrize("r0", [0.4, 0.5, 0.6])
+    def test_local_bipotential_constant_is_zeta3(self, p, r0):
+        # K(z) = int Gt(N_p(z, w)) c1(w) ~ zeta(3) / (4 pi^2 p) (Shiffman-Zelditch), measured
+        # p K / target - 1 = 0.9 / p.  N_p decays like sech((s - s0) / 2)^p in s = log(-log r),
+        # so the radii within 14 / sqrt(p) of |z| in s carry all of K.
+        s0, half = math.log(-math.log(r0)), 14.0 / math.sqrt(p)
+        r, meas = _c1_rule(math.exp(-math.exp(s0 + half)), math.exp(-math.exp(s0 - half)), 256)
+        space = make_disc_space(p, sections.truncation_length(p, r.max()))
+        n_t = 1 << (4 * space.L - 1).bit_length()
+        log_r = np.log(np.concatenate([[r0], r]))
+        means = _bipotential_means(space, log_r, np.zeros(r.size, dtype=int), np.arange(1, r.size + 1), n_t)
+        assert abs(p * float(meas @ means) / (APERY / (4.0 * math.pi**2)) - 1.0) <= 2.0 / p
 
 
 class TestProxyAndExperiments:
