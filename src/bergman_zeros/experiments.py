@@ -1,9 +1,12 @@
 """Experiment drivers verifying the asymptotic laws at desk scale.
 
 Each driver is a pure function of its parameters and a seed: rows come
-out in a fixed order, Monte Carlo streams are keyed by (seed, p, sample
-index), and thread count never changes any output byte (work is cut into
-fixed-size chunks; threads only decide who runs a chunk).
+out in a fixed order, the coefficient rows of a Monte Carlo run at p are
+drawn in sample order from the one stream (seed, p), or from (seed,) for
+all p at once when paired, and thread count never changes any output
+byte (the draw comes before the work is cut into fixed-size chunks;
+threads only decide who runs a chunk).  Every Monte Carlo driver records
+the truncation length of each p in `diagnostics`.
 
 Driver parameters carry the names of the config keys (`config.EXPERIMENTS`),
 and their defaults are the config defaults.  In the multi-p drivers `p` is
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -71,19 +74,26 @@ def _space_for(p: int, r_max: float, eps: float = sections.ZERO_TAIL_EPS) -> Dis
     return disc.make_disc_space(p, sections.truncation_length(p, r_max, eps))
 
 
-def _draw(p: int, r_max: float, samples: int, seed: int, paired: bool = False) -> tuple[DiscSpace, np.ndarray]:
-    """The space at p truncated for radius r_max, and one coefficient row per sample.
+def _draw(
+    ps: Sequence[int], r_max: float, samples: int, seed: int, diagnostics: dict, paired: bool = False
+) -> Iterator[tuple[int, DiscSpace, np.ndarray]]:
+    """For each p in turn: p, its space truncated for radius r_max, and one coefficient row per sample.
 
-    Sample i draws from the stream (seed, p, i), or from (seed, i) when
-    paired, so that every p sees the same leading coefficients.
+    The rows at p are one `sections.sample_etas` draw from the stream
+    (seed, p).  When paired, one draw from the stream (seed,) at the
+    largest truncation length serves every p: the rows at p are its first
+    L columns, so every p sees the same leading coefficients.  Sets
+    diagnostics[p] to {"truncation_length": L}.
     """
     if samples < 2:  # every estimate needs a sample variance
         raise ValueError(f"samples must be at least 2, got {samples}")
-    space = _space_for(p, r_max)
-    etas = np.empty((samples, space.L), dtype=np.complex128)
-    for i in range(samples):
-        etas[i] = sections.sample_section(space, seed, (i,) if paired else (p, i)).eta
-    return space, etas
+    spaces = [_space_for(p, r_max) for p in ps]
+    if paired:
+        shared = sections.sample_etas(max(spaces, key=lambda space: space.L), seed, (), samples)
+    for p, space in zip(ps, spaces):
+        diagnostics[p] = {"truncation_length": space.L}
+        etas = shared[:, : space.L] if paired else sections.sample_etas(space, seed, (p,), samples)
+        yield p, space, etas
 
 
 def _counts_for(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int) -> np.ndarray:
@@ -366,11 +376,11 @@ def equidistribution_experiment(
     the truncated section, within 3 standard errors.
     """
     report = StatsReport()
+    diagnostics = report.metadata["diagnostics"] = {}
     area = disc.c1_area(annulus)
     deviations: dict[int, float] = {}
     ps = list(p)
-    for p in ps:
-        space, etas = _draw(p, annulus.b, samples, seed, paired_seeds)
+    for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics, paired_seeds):
         counts = _counts_for(space, annulus, etas, threads)
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(samples))
@@ -475,9 +485,9 @@ def clt_experiment(
     diagnostics = report.metadata["diagnostics"] = {}
     proxies: dict[int, float] = {}
     ps = list(p)
-    for p in ps:
-        space, etas = _draw(p, testfunction.b, samples, seed)
-        ys, diagnostics[p] = _linear_statistics(space, testfunction, etas, threads)
+    for p, space, etas in _draw(ps, testfunction.b, samples, seed, diagnostics):
+        ys, counts = _linear_statistics(space, testfunction, etas, threads)
+        diagnostics[p].update(counts)
         sd = float(np.std(ys, ddof=1))
         if sd == 0.0:
             raise RuntimeError(
@@ -532,9 +542,9 @@ def variance_experiment(
     diagnostics = report.metadata["diagnostics"] = {}
     lead_gaps: dict[int, float] = {}
     ps = list(p)
-    for p in ps:
-        space, etas = _draw(p, testfunction.b, samples, seed)
-        ys, diagnostics[p] = _linear_statistics(space, testfunction, etas, threads)
+    for p, space, etas in _draw(ps, testfunction.b, samples, seed, diagnostics):
+        ys, counts = _linear_statistics(space, testfunction, etas, threads)
+        diagnostics[p].update(counts)
         var_mc = float(np.var(ys, ddof=1))
         boot_rng = sections.section_stream(seed, (p, 1_000_003))
         idx = boot_rng.integers(0, samples, size=(n_bootstrap, samples))
@@ -592,11 +602,11 @@ def hole_probability_experiment(
 ) -> StatsReport:
     """Empirical hole probabilities with Wilson intervals and the p^2 trend."""
     report = StatsReport()
+    diagnostics = report.metadata["diagnostics"] = {}
     estimates: dict[int, float] = {}
     intervals: dict[int, tuple[float, float]] = {}
     ps = list(p)
-    for p in ps:
-        space, etas = _draw(p, annulus.b, samples, seed)
+    for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics):
         counts = _counts_for(space, annulus, etas, threads)
         k = int(np.sum(counts == 0))
         phat = k / samples
@@ -726,11 +736,11 @@ def deviation_experiment(
 ) -> StatsReport:
     """Tail frequencies for the count deviation and the log-sup statistic."""
     report = StatsReport()
+    diagnostics = report.metadata["diagnostics"] = {}
     area = disc.c1_area(annulus)
     freqs: dict[int, float] = {}
     ps = list(p)
-    for p in ps:
-        space, etas = _draw(p, annulus.b, samples, seed)
+    for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics):
         counts = _counts_for(space, annulus, etas, threads)
         freq_count = float(np.mean(np.abs(counts / p - area) > delta))
         log_sup = _log_sup_batch(space, annulus, etas, threads)

@@ -23,8 +23,11 @@ together.  Only a row on which the section vanishes on the circle is
 recounted alone, on slightly perturbed radii.
 
 Randomness is drawn from counter-based Philox streams keyed by
-(master seed, path), so every sample is reproducible under any thread
-schedule.
+(master seed, path).  `sample_etas` draws a whole batch of coefficient
+rows, in sample order, from one stream before any work is split among
+threads, so every sample is reproducible under any thread schedule.
+Paired comparisons across p take column prefixes of one draw at the
+largest truncation length, so every p sees the same leading coefficients.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "find_zeros",
     "find_zeros_batch",
     "linear_statistic",
+    "sample_etas",
     "sample_section",
     "section_stream",
     "truncation_length",
@@ -124,16 +128,26 @@ def section_stream(seed: int, path: Sequence[int] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_eta(rng: np.random.Generator, L: int) -> np.ndarray:
-    # interleaved re/im so that streams shared across different L agree
-    # on their common prefix
-    flat = rng.standard_normal(2 * L)
-    return (flat[0::2] + 1j * flat[1::2]) / math.sqrt(2.0)
+def sample_etas(space: DiscSpace, seed: int, path: Sequence[int], samples: int) -> np.ndarray:
+    """`samples` rows of eta ~ CN(0, 1)^L, in sample order, from the one stream (seed, *path).
+
+    Row i is the stream's next 2L standard normals, interleaved re/im (the
+    memory layout of complex128): a k-sample draw is the first k rows of
+    any longer one, and one row drawn at a larger L starts with the row
+    drawn at a smaller one.  Many rows shared across p are column prefixes
+    of one draw at the largest L instead (`experiments._draw`).  The
+    normals are written into the returned array and scaled in place, so
+    nothing else of its size is held.
+    """
+    etas = np.empty((samples, space.L), dtype=np.complex128)
+    section_stream(seed, path).standard_normal(out=etas.view(np.float64))
+    etas /= math.sqrt(2.0)
+    return etas
 
 
 def sample_section(space: DiscSpace, seed: int, path: Sequence[int] = ()) -> SectionSample:
-    """Draw eta ~ CN(0, 1)^L from the stream keyed by (seed, *path)."""
-    eta = _draw_eta(section_stream(seed, path), space.L)
+    """Draw eta ~ CN(0, 1)^L from the stream keyed by (seed, *path): row 0 of `sample_etas`."""
+    eta = sample_etas(space, seed, path, 1)[0]
     return SectionSample(space=space, eta=eta, seed_path=(int(seed), *map(int, path)))
 
 

@@ -174,7 +174,7 @@ def test_criterion_10_normalized_kernel_decay():
 
 
 def test_criterion_11_hole_probabilities():
-    crit = Criterion(11, "hole probabilities decreasing with disjoint intervals", budget_s=60.0)
+    crit = Criterion(11, "hole probabilities decreasing with disjoint intervals", budget_s=14.0)
     report = experiments.hole_probability_experiment([4, 6, 8], Annulus(0.25, 0.45), 100_000, seed=SEED, threads=2)
     probs = [r for r in report.rows if r.statistic == "hole_probability"]
     detail = ", ".join(f"p={r.p}: {r.estimate:.4f}" for r in probs)

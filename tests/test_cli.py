@@ -139,7 +139,8 @@ class TestRunCommand:
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
     @pytest.mark.parametrize("kind, params, threads", [
-        ("holes", {"p": [4, 6], "annulus": {"a": 0.25, "b": 0.45}, "samples": 3000}, 8),
+        # 9000 samples are three chunks of the winding count
+        ("holes", {"p": [4, 6], "annulus": {"a": 0.25, "b": 0.45}, "samples": 9000}, 8),
         # 150 samples are three chunks of the batched zero finder
         ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 150}, 2),
         ("variance", {"p": [30, 40], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 150}, 2),
@@ -152,8 +153,8 @@ class TestRunCommand:
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         diagnostics = [json.loads((out / "summary.json").read_text())["diagnostics"] for out in (out1, out2)]
         assert diagnostics[0] == diagnostics[1]
-        if kind != "holes":
-            assert sorted(diagnostics[0]) == [str(p) for p in params["p"]]
+        assert sorted(diagnostics[0]) == [str(p) for p in params["p"]]
+        assert all(d["truncation_length"] > 0 for d in diagnostics[0].values())
 
     def test_seed_override_changes_digest(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)

@@ -14,6 +14,12 @@ digest was taken again when the bipotential stopped building the dense
 (r, r', angle) grid of N_p (exact Parseval far field, R only where
 N_p^2 > 1e-4): the bipotential values moved by at most 4.5e-11 relative,
 and the |MC - bipotential| deviations, being differences, by 2.2e-9.
+The five Monte Carlo digests (holes, equidistribution, deviation, clt,
+variance) were taken again when the coefficient rows at p came to be one
+block draw from the stream (seed, p), or one draw from (seed,) at the
+largest L shared by column prefixes when paired, in place of one stream
+per sample: every Monte Carlo row is a new sample, a declared output
+change.  The kernel digests and the listing did not move.
 A change that alters any of them changes program output; it must be
 declared as such and re-baselined in the same change, never silently.
 tests/golden/list.json holds `bergman-zeros list --json` as it printed

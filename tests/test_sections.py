@@ -63,6 +63,58 @@ class TestSampling:
         stat = sps.kstest(np.abs(eta) ** 2, "expon")
         assert stat.pvalue >= 0.01
 
+    def test_draw_row_zero_is_sample_section(self):
+        [(p, space, etas)] = experiments._draw([6], 0.45, 5, 11, {})
+        assert etas[0].tobytes() == sample_section(space, 11, (p,)).eta.tobytes()
+        # and sample_section still builds eta from interleaved normals
+        flat = section_stream(11, (p,)).standard_normal(2 * space.L)
+        assert etas[0].tobytes() == ((flat[0::2] + 1j * flat[1::2]) / math.sqrt(2.0)).tobytes()
+
+    def test_draw_extends_by_rows(self):
+        [(_, _, short)] = experiments._draw([6], 0.45, 7, 11, {})
+        [(_, _, long)] = experiments._draw([6], 0.45, 14, 11, {})
+        assert short.tobytes() == long[:7].tobytes()
+
+    def test_draw_across_chunk_boundary_is_one_call(self):
+        # more rows than one count chunk: still one pass of the one stream
+        space = make_disc_space(4, 6)
+        samples = experiments.COUNT_CHUNK + 5
+        etas = sections.sample_etas(space, 3, (4,), samples)
+        flat = section_stream(3, (4,)).standard_normal((samples, 2 * space.L))
+        assert etas.tobytes() == (flat.view(np.complex128) / math.sqrt(2.0)).tobytes()
+
+    def test_paired_draw_is_column_prefix(self):
+        diagnostics = {}
+        draws = list(experiments._draw([4, 6, 8], 0.45, 9, 5, diagnostics, paired=True))
+        lengths = [space.L for _, space, _ in draws]
+        assert lengths == sorted(set(lengths))
+        widest = draws[-1][2]
+        for _, space, etas in draws:
+            assert etas.shape == (9, space.L)
+            assert etas.tobytes() == np.ascontiguousarray(widest[:, : space.L]).tobytes()
+        assert diagnostics == {p: {"truncation_length": L} for p, L in zip([4, 6, 8], lengths)}
+
+    def test_drawn_moments(self):
+        # 200 000 entries; each mean within 6 standard errors of 0
+        etas = sections.sample_etas(make_disc_space(10, 50), 17, (10,), 4000).ravel()
+        for values in (etas.real, etas.imag, np.abs(etas) ** 2 - 1.0, (etas**2).real, (etas**2).imag):
+            assert abs(np.mean(values)) <= 6.0 * np.std(values) / math.sqrt(values.size)
+
+    def test_one_stream_per_p(self, monkeypatch):
+        calls = []
+        stream = sections.section_stream
+
+        def counted(seed, path=()):
+            calls.append(tuple(path))
+            return stream(seed, path)
+
+        monkeypatch.setattr(sections, "section_stream", counted)
+        experiments.hole_probability_experiment([4, 6, 8], Annulus(0.25, 0.45), 50, seed=3)
+        assert calls == [(4,), (6,), (8,)]
+        calls.clear()
+        experiments.equidistribution_experiment([10, 20], Annulus(0.25, 0.6), 20, seed=3, paired_seeds=True)
+        assert calls == [()]
+
 
 class TestEvaluate:
     def test_single_basis_vector(self, space10):
@@ -430,7 +482,7 @@ class TestBatchedZeros:
     def test_linear_statistics_match_companion_roots(self, p):
         # the clt/variance path against find_zeros, sample by sample
         phi = TestFunction(0.35, 0.65)
-        space, etas = experiments._draw(p, phi.b, 200, self.SEED)
+        [(_, space, etas)] = experiments._draw([p], phi.b, 200, self.SEED, {})
         ys, counts = experiments._linear_statistics(space, phi, etas, threads=1)
         for i in range(etas.shape[0]):
             zs = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), phi.support)
@@ -441,7 +493,7 @@ class TestBatchedZeros:
         # c_ell |z|^ell spans far beyond the double range here; Newton
         # scales by each point's own radius
         p, region = 60, Annulus(0.1, 0.8)
-        space, etas = experiments._draw(p, region.b, 16, self.SEED)
+        [(_, space, etas)] = experiments._draw([p], region.b, 16, self.SEED, {})
         for row, zs in zip(etas, find_zeros_batch(space, etas, region)):
             ref = find_zeros(SectionSample(space=space, eta=row, seed_path=()), region)
             assert not zs.diagnostics and len(zs.zeros) == len(ref.zeros)
@@ -453,7 +505,7 @@ class TestBatchedZeros:
         # radius, the highest coefficient was subnormal), so the oracle
         # scales every root at its own radius
         region = Annulus(0.05, 0.95)
-        space, etas = experiments._draw(10, region.b, 64, self.SEED)
+        [(_, space, etas)] = experiments._draw([10], region.b, 64, self.SEED, {})
         counts = count_zeros_batch(space, etas, region)
         zsets = [find_zeros(SectionSample(space=space, eta=row, seed_path=()), region) for row in etas]
         assert [zs.total for zs in zsets] == counts.tolist()
