@@ -21,7 +21,6 @@ from .disc import (
 )
 from .model import (
     GramBasis,
-    GramQuadrature,
     HomogeneousCurvature,
     PotentialPair,
     QuadratureError,

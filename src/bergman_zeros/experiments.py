@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import stats as sps
 
 from . import disc, sections
@@ -29,6 +28,7 @@ from .disc import Annulus, DiscSpace
 from .report import CheckResult, ReportRow, StatsReport
 from .statistics import (
     TestFunction,
+    expected_linear_statistic,
     sodin_tsirelson_proxy,
     variance_bipotential,
     variance_leading_term,
@@ -38,7 +38,6 @@ __all__ = [
     "clt_experiment",
     "deviation_experiment",
     "equidistribution_experiment",
-    "expected_linear_statistic",
     "hole_probability_experiment",
     "kernel_decay_experiment",
     "l1log_experiment",
@@ -48,15 +47,9 @@ __all__ = [
 ]
 
 # Fixed work-partition sizes: identical batched calls of the winding
-# engine and the zero finder regardless of the thread count.
+# engine, the log sup and the zero finder regardless of the thread count.
 COUNT_CHUNK = 4096
 ROOT_CHUNK = 64
-# Gauss-Legendre nodes of expected_linear_statistic.
-LINSTAT_QUAD_NODES = 512
-# _log_sup_batch: coarse polar grid, then zoom rounds on each argmax cell.
-LOG_SUP_RADIAL_POINTS = 24
-LOG_SUP_ANGULAR_POINTS = 72
-LOG_SUP_REFINE_ROUNDS = 2
 
 
 def _map_chunks(
@@ -96,16 +89,13 @@ def _draw(
         yield p, space, etas
 
 
-def _counts_for(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int) -> np.ndarray:
-    m = etas.shape[0]
-    counts = np.empty(m, dtype=np.int64)
+def _chunked(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int, *batch_fns) -> list[np.ndarray]:
+    """fn(space, rows, region) for each batch function, over COUNT_CHUNK chunks of rows in one pass, in row order."""
 
     def worker(lo: int, hi: int):
-        counts[lo:hi] = sections.count_zeros_batch(space, etas[lo:hi], region)
-        return None
+        return [fn(space, etas[lo:hi], region) for fn in batch_fns]
 
-    _map_chunks(worker, m, COUNT_CHUNK, threads)
-    return counts
+    return [np.concatenate(parts) for parts in zip(*_map_chunks(worker, etas.shape[0], COUNT_CHUNK, threads))]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +371,7 @@ def equidistribution_experiment(
     deviations: dict[int, float] = {}
     ps = list(p)
     for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics, paired_seeds):
-        counts = _counts_for(space, annulus, etas, threads)
+        (counts,) = _chunked(space, annulus, etas, threads, sections.count_zeros_batch)
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(samples))
         exact = disc.expected_zero_measure(space, annulus)
@@ -425,14 +415,6 @@ def equidistribution_experiment(
             )
         )
     return report
-
-
-def expected_linear_statistic(space: DiscSpace, phi: TestFunction) -> float:
-    """E[Y(phi)] = int phi d n = -int phi'(r) n(r) dr (n = radial zero counting)."""
-    x, w = leggauss(LINSTAT_QUAD_NODES)
-    r = 0.5 * (phi.b - phi.a) * x + 0.5 * (phi.a + phi.b)
-    wr = 0.5 * (phi.b - phi.a) * w
-    return -float(np.dot(wr, phi.d1(r) * disc.zero_counting_function(space, r)))
 
 
 def _linear_statistics(
@@ -607,7 +589,7 @@ def hole_probability_experiment(
     intervals: dict[int, tuple[float, float]] = {}
     ps = list(p)
     for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics):
-        counts = _counts_for(space, annulus, etas, threads)
+        (counts,) = _chunked(space, annulus, etas, threads, sections.count_zeros_batch)
         k = int(np.sum(counts == 0))
         phat = k / samples
         lo, hi = _wilson_interval(k, samples)
@@ -658,74 +640,6 @@ def hole_probability_experiment(
     return report
 
 
-def _log_sup_batch(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int) -> np.ndarray:
-    """log sup over the annulus of |s|_{h_p} per sample: grid + local refinement.
-
-    The coarse grid is matched to the field's correlation length (~
-    p^(-1/2) in the cusp metric); each refinement round zooms every
-    sample's own argmax cell, with all samples' local grids evaluated in
-    one flat batch.
-    """
-    p = space.p
-    radii = np.linspace(region.a, region.b, LOG_SUP_RADIAL_POINTS)
-    thetas = np.linspace(0.0, 2.0 * math.pi, LOG_SUP_ANGULAR_POINTS, endpoint=False)
-    m = etas.shape[0]
-    best = np.full(m, -np.inf)
-    best_r = np.empty(m)
-    best_t = np.empty(m)
-
-    def scan(lo: int, hi: int):
-        sub = etas[lo:hi]
-        loc_best = np.full(hi - lo, -np.inf)
-        loc_r = np.empty(hi - lo)
-        loc_t = np.empty(hi - lo)
-        for r in radii:
-            log_amp = 0.5 * space.log_coeffs + space.ells * math.log(r)
-            shift = float(np.max(log_amp))
-            basis = np.exp(log_amp - shift)[:, None] * np.exp(1j * np.outer(space.ells, thetas))
-            vals = np.abs(sub @ basis)
-            weight = shift + 0.5 * p * math.log(-2.0 * math.log(r))
-            logs = np.log(np.maximum(vals, 1e-300)) + weight
-            j = np.argmax(logs, axis=1)
-            cand = logs[np.arange(hi - lo), j]
-            better = cand > loc_best
-            loc_best = np.where(better, cand, loc_best)
-            loc_r = np.where(better, r, loc_r)
-            loc_t = np.where(better, thetas[j], loc_t)
-        best[lo:hi] = loc_best
-        best_r[lo:hi] = loc_r
-        best_t[lo:hi] = loc_t
-        return None
-
-    _map_chunks(scan, m, COUNT_CHUNK, threads)
-
-    dr = (region.b - region.a) / (LOG_SUP_RADIAL_POINTS - 1)
-    dt = 2.0 * math.pi / LOG_SUP_ANGULAR_POINTS
-    offsets = np.linspace(-1.0, 1.0, 5)
-    amp = np.exp(0.5 * space.log_coeffs)
-    for _ in range(LOG_SUP_REFINE_ROUNDS):
-        for lo in range(0, m, 1024):
-            hi = min(lo + 1024, m)
-            rr = np.clip(best_r[lo:hi, None] + dr * offsets[None, :], region.a, region.b)
-            tt = best_t[lo:hi, None] + dt * offsets[None, :]
-            rg = np.repeat(rr[:, :, None], 5, axis=2).reshape(hi - lo, 25)
-            tg = np.repeat(tt[:, None, :], 5, axis=1).reshape(hi - lo, 25)
-            log_z = np.log(rg) + 1j * tg
-            powers = np.exp(np.einsum("mk,l->mkl", log_z, space.ells))  # z^ell
-            vals = np.abs(np.einsum("ml,mkl->mk", etas[lo:hi] * amp[None, :], powers))
-            logs = np.log(np.maximum(vals, 1e-300)) + 0.5 * p * np.log(-2.0 * np.log(rg))
-            j = np.argmax(logs, axis=1)
-            idx = np.arange(hi - lo)
-            cand = logs[idx, j]
-            better = cand > best[lo:hi]
-            best[lo:hi] = np.where(better, cand, best[lo:hi])
-            best_r[lo:hi] = np.where(better, rg[idx, j], best_r[lo:hi])
-            best_t[lo:hi] = np.where(better, tg[idx, j], best_t[lo:hi])
-        dr /= 4.0
-        dt /= 4.0
-    return best
-
-
 def deviation_experiment(
     p: Sequence[int],
     annulus: Annulus,
@@ -741,9 +655,8 @@ def deviation_experiment(
     freqs: dict[int, float] = {}
     ps = list(p)
     for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics):
-        counts = _counts_for(space, annulus, etas, threads)
+        counts, log_sup = _chunked(space, annulus, etas, threads, sections.count_zeros_batch, sections.log_sup_batch)
         freq_count = float(np.mean(np.abs(counts / p - area) > delta))
-        log_sup = _log_sup_batch(space, annulus, etas, threads)
         freq_sup = float(np.mean(np.abs(log_sup) / p >= delta))
         freqs[p] = freq_count
         for statistic, freq in (

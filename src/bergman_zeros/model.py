@@ -30,7 +30,6 @@ from scipy.special import gammaln
 
 __all__ = [
     "GramBasis",
-    "GramQuadrature",
     "HomogeneousCurvature",
     "PotentialPair",
     "QuadratureError",
@@ -42,6 +41,14 @@ __all__ = [
     "solve_potential",
     "weight_lower_bound_check",
 ]
+
+
+# Angular nodes of the monomial Gram matrix, and the largest step-halving
+# disagreement accepted.  The radial integral is exact (a Gamma function
+# after substitution), so only the angle is discretized; the periodic
+# trapezoid rule converges spectrally.
+GRAM_ANGULAR_NODES = 4096
+GRAM_RTOL = 1e-6
 
 
 class QuadratureError(RuntimeError):
@@ -236,19 +243,6 @@ def weight_lower_bound_check(
 
 
 @dataclass(frozen=True)
-class GramQuadrature:
-    """Angular resolution for the monomial Gram matrix.
-
-    The radial integral is exact (a Gamma function after substitution),
-    so only the angular direction is discretized; the periodic trapezoid
-    rule converges spectrally.
-    """
-
-    n_theta: int = 4096
-    rtol: float = 1e-6
-
-
-@dataclass(frozen=True)
 class GramBasis:
     """Monomial Gram matrix under e^(-phi) with its Cholesky factorization."""
 
@@ -276,29 +270,26 @@ def _gram_at(pp: PotentialPair, max_deg: int, n_theta: int) -> np.ndarray:
     phases = np.exp(1j * np.outer(np.arange(-max_deg, max_deg + 1), alpha))
     # F[d, s] = (2 pi / n_theta) sum_k e^(i d alpha_k) radial[s, k]
     F = phases @ radial.T * (2.0 * np.pi / n_theta)
-    G = np.empty((n, n), dtype=np.complex128)
-    for m in range(n):
-        for nn in range(n):
-            G[m, nn] = F[(m - nn) + max_deg, m + nn]
+    m, nn = np.indices((n, n))
+    G = F[(m - nn) + max_deg, m + nn]
     return 0.5 * (G + G.conj().T)
 
 
-def gram_matrix(pp: PotentialPair, max_deg: int = 12, quad: GramQuadrature | None = None) -> GramBasis:
+def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
     """Gram matrix G_mn = int z^m zbar^n e^(-phi) dA for m, n = 0..max_deg.
 
-    Entry accuracy is certified by halving the angular node count and
-    comparing (step-halving estimate); disagreement beyond quad.rtol
-    raises QuadratureError.
+    Entry accuracy is certified by halving the GRAM_ANGULAR_NODES angular
+    nodes and comparing (step-halving estimate); disagreement beyond
+    GRAM_RTOL raises QuadratureError.
     """
-    quad = quad or GramQuadrature()
-    G = _gram_at(pp, max_deg, quad.n_theta)
-    G_half = _gram_at(pp, max_deg, quad.n_theta // 2)
+    G = _gram_at(pp, max_deg, GRAM_ANGULAR_NODES)
+    G_half = _gram_at(pp, max_deg, GRAM_ANGULAR_NODES // 2)
     scale = np.abs(np.diagonal(G))
     denom = np.sqrt(np.outer(scale, scale))
     err = float(np.max(np.abs(G - G_half) / denom))
-    if err > quad.rtol:
+    if err > GRAM_RTOL:
         raise QuadratureError(
-            f"Gram quadrature not converged: step-halving disagreement {err:.3e} > {quad.rtol:.1e}"
+            f"Gram quadrature not converged: step-halving disagreement {err:.3e} > {GRAM_RTOL:.1e}"
         )
     try:
         chol = cho_factor(G, lower=True)

@@ -22,6 +22,11 @@ circle, form one flat queue of segments that is bisected for all rows
 together.  Only a row on which the section vanishes on the circle is
 recounted alone, on slightly perturbed radii.
 
+`log_sup_batch` gives the log sup of |s|_{h_p} over an annulus for a
+whole batch: a coarse polar grid on the circle table of the winding
+engine, then zoom rounds on the power table of the Newton and Aberth
+steps, all on scaled terms, so that nothing overflows at large p.
+
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, path).  `sample_etas` draws a whole batch of coefficient
 rows, in sample order, from one stream before any work is split among
@@ -59,6 +64,7 @@ __all__ = [
     "find_zeros",
     "find_zeros_batch",
     "linear_statistic",
+    "log_sup_batch",
     "sample_etas",
     "sample_section",
     "section_stream",
@@ -161,6 +167,21 @@ def _scaled_coefficients(space: DiscSpace, etas: np.ndarray, log_r) -> tuple[np.
     return etas * np.exp(log_amp - shift[..., None]), shift
 
 
+def _powers(w: np.ndarray, L: int) -> np.ndarray:
+    """w^1 .. w^L along a new last axis, by cumulative product: near 1 in size while |w| is."""
+    return np.cumprod(np.broadcast_to(w[..., None], (*w.shape, L)), axis=-1)
+
+
+def _circle_table(space: DiscSpace, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n angles 2 pi j / n and the L x n table of e^{i ell theta_j}.
+
+    On the equispaced grid the table holds n-th roots of unity: cheaper
+    than L x n complex exponentials, and exact in the argument.
+    """
+    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return thetas, np.exp(1j * thetas)[np.outer(np.arange(1, space.L + 1), np.arange(n)) % n]
+
+
 def evaluate(sample: SectionSample, z: complex) -> KernelValue:
     """Pointwise value of the section in the h_p norm, as log-magnitude and phase.
 
@@ -216,7 +237,7 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, 
                 active, za, rad, coeff = active[ok], za[ok], rad[ok], coeff[ok]
             if active.size == 0:
                 break
-            terms = np.cumprod(np.broadcast_to((za / rho[active])[:, None], coeff.shape), axis=1) * coeff
+            terms = _powers(za / rho[active], space.L) * coeff
             step = za * terms.sum(axis=1) / (terms @ space.ells)  # S / S'
             ok = np.isfinite(step)
             done = ok & (np.abs(step) < NEWTON_TOL * np.maximum(1.0, rad))
@@ -278,7 +299,7 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
                 break
             za, rad = z[active], np.abs(z[active])
             coeff, _ = _scaled_coefficients(space, sample.eta, np.log(rad))
-            terms = np.cumprod(np.broadcast_to((za / rad)[:, None], coeff.shape), axis=1) * coeff
+            terms = _powers(za / rad, space.L) * coeff
             newton = za * terms.sum(axis=1) / (terms @ degrees)
             diff = za[:, None] - z
             diff[np.arange(active.size), active] = np.inf
@@ -340,12 +361,8 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float, n_init: int) -> tuple
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     coeff, _ = _scaled_coefficients(space, etas, math.log(r))
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
+    thetas, basis = _circle_table(space, n_init)
     ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
-    # e^{i ell theta_j} on the equispaced grid is a table of n_init-th roots
-    # of unity: cheaper than L x n_init complex exponentials, and exact in
-    # the argument
-    basis = np.exp(1j * thetas)[np.outer(np.arange(1, space.L + 1), np.arange(n_init)) % n_init]
     total = np.empty(m)
     lo_mag = np.empty(m)
     hi_mag = np.empty(m)
@@ -431,6 +448,69 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
 def count_zeros_argument_principle(sample: SectionSample, region: Annulus) -> int:
     """Zero count of one section in the annulus: count_zeros_batch on a single row."""
     return int(count_zeros_batch(sample.space, sample.eta[None, :], region)[0])
+
+
+# ---------------------------------------------------------------------------
+# log sup of |s|_{h_p} over an annulus: polar grid, then zoom rounds
+
+# The coarse grid is matched to the field's correlation length (about
+# p^(-1/2) in the cusp metric); each zoom round evaluates 5 x 5 points
+# around every row's best point, at a quarter of the previous spacing.
+LOG_SUP_RADIAL_POINTS = 24
+LOG_SUP_ANGULAR_POINTS = 72
+LOG_SUP_REFINE_ROUNDS = 2
+
+
+def _keep_best(best: np.ndarray, best_r: np.ndarray, best_t: np.ndarray, logs: np.ndarray, r, t) -> None:
+    """Raise each row of best, in place, to its largest candidate in logs, and move its point there.
+
+    r and t are the radii and angles of the candidates, broadcast against logs.
+    """
+    rows, j = np.arange(logs.shape[0]), np.argmax(logs, axis=1)
+    cand = logs[rows, j]
+    better = cand > best
+    best[better] = cand[better]
+    best_r[better] = np.broadcast_to(r, logs.shape)[rows, j][better]
+    best_t[better] = np.broadcast_to(t, logs.shape)[rows, j][better]
+
+
+def log_sup_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
+    """log sup over a <= |z| <= b of |s|_{h_p}, one value per row of etas.
+
+    The coarse pass takes every row on LOG_SUP_RADIAL_POINTS circles of
+    LOG_SUP_ANGULAR_POINTS angles: the terms scaled at each radius
+    (`_scaled_coefficients`) times the circle table of `_winding`.  Each
+    of LOG_SUP_REFINE_ROUNDS zoom rounds scales a row's terms at its best
+    radius rho and evaluates the 5 x 5 points around its best point, radii
+    clipped to [a, b], from the powers of z / rho; rows go in blocks of at
+    most BLOCK_ENTRIES (row, point, ell) entries.  A zoom round never lowers a value.
+    """
+    m = etas.shape[0]
+    thetas, basis = _circle_table(space, LOG_SUP_ANGULAR_POINTS)
+    best, best_r, best_t = np.full(m, -np.inf), np.empty(m), np.empty(m)
+    for r in np.linspace(region.a, region.b, LOG_SUP_RADIAL_POINTS):
+        coeff, shift = _scaled_coefficients(space, etas, math.log(r))
+        weight = 0.5 * space.p * math.log(-2.0 * math.log(r))
+        _keep_best(best, best_r, best_t, np.log(np.abs(coeff @ basis)) + (shift + weight), r, thetas)
+
+    dr = (region.b - region.a) / (LOG_SUP_RADIAL_POINTS - 1)
+    dt = 2.0 * math.pi / LOG_SUP_ANGULAR_POINTS
+    offsets = np.linspace(-1.0, 1.0, 5)
+    step = max(1, BLOCK_ENTRIES // (offsets.size**2 * space.L))
+    for _ in range(LOG_SUP_REFINE_ROUNDS):
+        for lo in range(0, m, step):
+            # views: _keep_best updates the rows of this block in place
+            b, rho, t = best[lo : lo + step], best_r[lo : lo + step], best_t[lo : lo + step]
+            # point 5 i + k of a row: radius offset i, angle offset k
+            rg = np.repeat(np.clip(rho[:, None] + dr * offsets, region.a, region.b), 5, axis=1)
+            tg = np.tile(t[:, None] + dt * offsets, 5)
+            coeff, shift = _scaled_coefficients(space, etas[lo : lo + step], np.log(rho))
+            vals = np.einsum("rkl,rl->rk", _powers(rg / rho[:, None] * np.exp(1j * tg), space.L), coeff)
+            weight = 0.5 * space.p * np.log(-2.0 * np.log(rg))
+            _keep_best(b, rho, t, np.log(np.abs(vals)) + (shift[:, None] + weight), rg, tg)
+        dr /= 4.0
+        dt /= 4.0
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import spence
 
-from .disc import Annulus, DiscSpace, _log_diag
+from .disc import Annulus, DiscSpace, _log_diag, zero_counting_function
 
 __all__ = [
     "APERY",
     "Gtilde",
     "TestFunction",
+    "expected_linear_statistic",
     "laplacian_ratio",
     "sodin_tsirelson_proxy",
     "variance_bipotential",
@@ -50,9 +51,10 @@ VARIANCE_MAX_REFINEMENTS = 3
 # The arrays of the radius-pair loop hold at most PAIR_BLOCK_ENTRIES entries.
 VARIANCE_TAU = 1e-4
 PAIR_BLOCK_ENTRIES = 2**21
-# Gauss-Legendre nodes of the leading-term integral; radial and angular
-# nodes of the correlation proxy.
+# Gauss-Legendre nodes of the leading-term integral and of the expected
+# linear statistic; radial and angular nodes of the correlation proxy.
 LEADING_TERM_NODES = 512
+LINSTAT_QUAD_NODES = 512
 PROXY_RADIAL_NODES = 48
 PROXY_ANGULAR_NODES = 192
 
@@ -181,11 +183,16 @@ def _gtilde_fast(t: np.ndarray) -> np.ndarray:
     return spence(1.0 - np.square(t)) / (4.0 * math.pi**2)
 
 
+def _legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre radii on (a, b) and their weights against dr."""
+    x, w = leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
 def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre radii on (a, b) and their weights against c1 (radial density 1 / (2 r log^2 r))."""
-    x, w = leggauss(n)
-    r = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return r, 0.5 * (b - a) * w / (2.0 * r * np.log(r) ** 2)
+    r, w = _legendre_rule(a, b, n)
+    return r, w / (2.0 * r * np.log(r) ** 2)
 
 
 def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
@@ -268,6 +275,12 @@ def variance_leading_term(phi: TestFunction, p: int) -> float:
     r, meas = _c1_rule(phi.a, phi.b, LEADING_TERM_NODES)
     lap = laplacian_ratio(phi, r)
     return APERY / (4.0 * math.pi**2 * p) * float(np.dot(lap * lap, meas))
+
+
+def expected_linear_statistic(space: DiscSpace, phi: TestFunction) -> float:
+    """E[Y(phi)] = int phi d n = -int phi'(r) n(r) dr (n = radial zero counting)."""
+    r, w = _legendre_rule(phi.a, phi.b, LINSTAT_QUAD_NODES)
+    return -float(np.dot(w, phi.d1(r) * zero_counting_function(space, r)))
 
 
 def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:

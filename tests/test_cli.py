@@ -144,7 +144,10 @@ class TestRunCommand:
         # 150 samples are three chunks of the batched zero finder
         ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 150}, 2),
         ("variance", {"p": [30, 40], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 150}, 2),
-    ], ids=["holes", "clt", "variance"])
+        # counts and log-sup share one pass over three count chunks; delta
+        # leaves both tail frequencies inside (0, 1)
+        ("deviation", {"p": [4, 6], "annulus": {"a": 0.25, "b": 0.45}, "delta": 0.1, "samples": 9000}, 2),
+    ], ids=["holes", "clt", "variance", "deviation"])
     def test_threads_do_not_change_output(self, tmp_path, kind, params, threads):
         cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 41, "params": params})
         out1, out2 = tmp_path / "t1", tmp_path / "tn"

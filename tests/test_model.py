@@ -7,7 +7,6 @@ import pytest
 
 from bergman_zeros import model
 from bergman_zeros.model import (
-    GramQuadrature,
     HomogeneousCurvature,
     QuadratureError,
     gram_matrix,
@@ -154,9 +153,11 @@ class TestGramMatrix:
         off = basis.gram - np.diag(np.diagonal(basis.gram))
         assert np.max(np.abs(off)) < 1e-10
 
-    def test_positive_definite_and_stable(self, quartic_potential):
-        b1 = gram_matrix(quartic_potential, max_deg=8, quad=GramQuadrature(n_theta=2048))
-        b2 = gram_matrix(quartic_potential, max_deg=8, quad=GramQuadrature(n_theta=4096))
+    def test_positive_definite_and_stable(self, quartic_potential, monkeypatch):
+        monkeypatch.setattr(model, "GRAM_ANGULAR_NODES", 2048)
+        b1 = gram_matrix(quartic_potential, max_deg=8)
+        monkeypatch.setattr(model, "GRAM_ANGULAR_NODES", 4096)
+        b2 = gram_matrix(quartic_potential, max_deg=8)
         v1, v2 = model_bergman_at_zero(b1), model_bergman_at_zero(b2)
         assert abs(v1 - v2) / v2 < 1e-6
         evals = np.linalg.eigvalsh(b1.gram)
@@ -199,14 +200,15 @@ class TestModelKernelAtZero:
         assert np.all(diffs > 0.0)  # growing subspace
         assert diffs[2] < diffs[1] < diffs[0]  # geometric-type decay
 
-    def test_smooth_dependence_on_curvature(self):
+    def test_smooth_dependence_on_curvature(self, monkeypatch):
         # one-parameter family psi_t = x^2 + t y^2, t in [0.5, 1.5]
+        monkeypatch.setattr(model, "GRAM_ANGULAR_NODES", 2048)
         ts = np.arange(0.5, 1.5001, 0.05)
         vals = []
         for t in ts:
             curv = HomogeneousCurvature.from_monomials(4, [(2, 0, 1.0), (0, 2, float(t))])
             pp = solve_potential(curv)
-            vals.append(model_bergman_at_zero(gram_matrix(pp, max_deg=10, quad=GramQuadrature(2048))))
+            vals.append(model_bergman_at_zero(gram_matrix(pp, max_deg=10)))
         vals = np.asarray(vals)
         steps = np.abs(np.diff(vals))
         slope = np.abs(np.gradient(vals, ts))

@@ -591,3 +591,38 @@ class TestLinearStatistic:
         g = lambda z: math.sin(abs(z))
         combo = linear_statistic(zs, lambda z: 2.0 * f(z) + g(z))
         assert combo == pytest.approx(2.0 * linear_statistic(zs, f) + linear_statistic(zs, g), rel=1e-12)
+
+
+class TestLogSup:
+    SEED = 20260811
+
+    def test_matches_dense_evaluation(self, monkeypatch):
+        # both are maxima over grids of the same field: the zoom may stay on
+        # a lower peak than the one the coarse grid missed, and a grid point
+        # misses the top of its peak; either gap is a few 1e-3 here
+        p, region = 20, Annulus(0.2, 0.7)
+        space = make_disc_space(p, truncation_length(p, region.b))
+        etas = sections.sample_etas(space, self.SEED, (p,), 4)
+        got = sections.log_sup_batch(space, etas, region)
+        grid = [r * np.exp(1j * t) for r in np.linspace(region.a, region.b, 61)
+                for t in np.linspace(0.0, 2.0 * math.pi, 240, endpoint=False)]
+        dense = [max(evaluate(SectionSample(space=space, eta=eta, seed_path=()), z).log_modulus for z in grid)
+                 for eta in etas]
+        assert np.allclose(got, dense, rtol=0.0, atol=1e-2)
+        monkeypatch.setattr(sections, "BLOCK_ENTRIES", 1)  # one row per zoom block
+        assert np.array_equal(sections.log_sup_batch(space, etas, region), got)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zoom_raises_at_large_p(self, monkeypatch):
+        # unscaled powers c_ell z^ell overflow here
+        p, region = 1000, Annulus(0.2, 0.7)
+        space = make_disc_space(p, truncation_length(p, region.b))
+        assert space.L == 1798
+        etas = sections.sample_etas(space, self.SEED, (p,), 8)
+        zoomed = sections.log_sup_batch(space, etas, region)
+        monkeypatch.setattr(sections, "LOG_SUP_REFINE_ROUNDS", 0)
+        coarse = sections.log_sup_batch(space, etas, region)
+        assert np.all(np.isfinite(zoomed)) and np.all(zoomed >= coarse)
+        # a row whose coarse point lies within half a final zoom step of its
+        # peak keeps its value (2 of these 8 rows)
+        assert np.count_nonzero(zoomed > coarse + 1e-9) >= 6

@@ -20,6 +20,7 @@ from bergman_zeros.statistics import (
     _gtilde_series,
     _pair_blocks,
     _theta_mean,
+    expected_linear_statistic,
     laplacian_ratio,
     sodin_tsirelson_proxy,
     variance_bipotential,
@@ -256,7 +257,7 @@ class TestProxyAndExperiments:
         from numpy.polynomial.legendre import leggauss
 
         phi = TestFunction(0.35, 0.65)
-        pred = experiments.expected_linear_statistic(space80, phi)
+        pred = expected_linear_statistic(space80, phi)
         x, w = leggauss(800)
         r = 0.15 * x + 0.5
         dn = np.gradient([disc.zero_counting_function(space80, ri) for ri in r], r)
