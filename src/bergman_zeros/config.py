@@ -2,7 +2,10 @@
 
 Configs are flat YAML documents with a fixed key set per experiment kind;
 unknown keys are rejected with the offending key named (and the line
-number when it can be located in the source text).
+number when it can be located in the source text).  The key set is read
+from the kind's driver in `experiments`: every parameter but `seed` and
+`threads` is a key, typed by its annotation through `TYPE_NAMES` and
+required exactly when it has no default.  No key or type is written here.
 """
 
 from __future__ import annotations
@@ -26,82 +29,70 @@ class ConfigError(ValueError):
 # default of a driver parameter that has none: the config key is required
 REQUIRED = inspect.Parameter.empty
 
+# driver annotation (as written, the drivers postpone evaluation) -> config type name
+TYPE_NAMES = {
+    "Sequence[int]": "int_list", "int": "int", "float": "float", "bool": "bool",
+    "Annulus": "annulus", "TestFunction": "testfunction", "Sequence[tuple[int, int, float]]": "curvature",
+}
+
+# driver parameters that are run settings, not config keys
+RUN_PARAMETERS = ("seed", "threads")
+
 
 @dataclass(frozen=True)
 class Kind:
-    """One experiment kind: its driver in `experiments`, its law, its config keys.
+    """One experiment kind: its driver in `experiments` and the law it probes.
 
-    Each config key is a parameter of the driver with the same name; the
-    driver's signature says which keys are required and gives the default
-    of the others.
+    Its config keys are the driver's parameters but RUN_PARAMETERS, in
+    signature order.  Making a Kind reads their types, so an annotation
+    missing from TYPE_NAMES fails when this module is imported.
     """
 
     driver: str
     anchor: str  # one-line statement of the law the kind probes (shown by `list`)
-    params: dict[str, str]  # key -> int | float | bool | int_list | annulus | testfunction | curvature
+
+    def __post_init__(self) -> None:
+        self.params  # raises on an unmapped annotation
+
+    def _keys(self) -> list[inspect.Parameter]:
+        signature = inspect.signature(getattr(experiments, self.driver)).parameters
+        return [param for name, param in signature.items() if name not in RUN_PARAMETERS]
+
+    @property
+    def params(self) -> dict[str, str]:
+        """Key -> int | float | bool | int_list | annulus | testfunction | curvature."""
+        keys = self._keys()
+        unmapped = [f"{param.name}: {param.annotation}" for param in keys if param.annotation not in TYPE_NAMES]
+        if unmapped:
+            raise TypeError(f"{self.driver}: no config type for {', '.join(unmapped)}")
+        return {param.name: TYPE_NAMES[param.annotation] for param in keys}
 
     def defaults(self) -> dict[str, Any]:
         """Key -> driver default, REQUIRED for a key the driver has no default for."""
-        signature = inspect.signature(getattr(experiments, self.driver)).parameters
-        return {name: signature[name].default for name in self.params}
+        return {param.name: param.default for param in self._keys()}
 
 
 TOP_LEVEL_KEYS = {"experiment", "seed", "threads", "out", "params"}
 
 EXPERIMENTS: dict[str, Kind] = {
-    "plateau": Kind(
-        "plateau_experiment",
-        "kernel plateau: 2 pi B_p/(p-1) -> 1 on fixed annuli",
-        {"p": "int_list", "r_min": "float", "r_max": "float", "n_grid": "int", "tolerance": "float"},
-    ),
-    "sup": Kind(
-        "sup_experiment",
-        "global sup of B_p grows like (p/2 pi)^(3/2)",
-        {"p": "int_list", "tolerance": "float"},
-    ),
+    "plateau": Kind("plateau_experiment", "kernel plateau: 2 pi B_p/(p-1) -> 1 on fixed annuli"),
+    "sup": Kind("sup_experiment", "global sup of B_p grows like (p/2 pi)^(3/2)"),
     "model-kernel": Kind(
         "model_kernel_experiment",
         "model kernel at a curvature zero: B(0,0) > 0, = c/2 pi when constant; even in Z",
-        {
-            "rho_prime": "int", "curvature": "curvature", "max_deg": "int",
-            "parity_step": "float", "parity_tolerance": "float",
-        },
     ),
     "equidistribution": Kind(
-        "equidistribution_experiment",
-        "zero counts / p converge to the curvature area of the region",
-        {"p": "int_list", "annulus": "annulus", "samples": "int", "paired_seeds": "bool", "slack": "float"},
+        "equidistribution_experiment", "zero counts / p converge to the curvature area of the region"
     ),
-    "variance": Kind(
-        "variance_experiment",
-        "Var[Y(phi)] = zeta(3)/(4 pi^2 p) int |L(phi)|^2 c1 + lower order",
-        {"p": "int_list", "testfunction": "testfunction", "samples": "int", "rel_tolerance": "float"},
-    ),
-    "clt": Kind(
-        "clt_experiment",
-        "standardized linear statistics are asymptotically normal",
-        {"p": "int_list", "testfunction": "testfunction", "samples": "int", "ks_level": "float"},
-    ),
-    "holes": Kind(
-        "hole_probability_experiment",
-        "hole probabilities decay like exp(-C p^2)",
-        {"p": "int_list", "annulus": "annulus", "samples": "int"},
-    ),
-    "deviation": Kind(
-        "deviation_experiment",
-        "large-deviation frequencies for counts and log-sup decay in p",
-        {"p": "int_list", "annulus": "annulus", "delta": "float", "samples": "int"},
-    ),
+    "variance": Kind("variance_experiment", "Var[Y(phi)] = zeta(3)/(4 pi^2 p) int |L(phi)|^2 c1 + lower order"),
+    "clt": Kind("clt_experiment", "standardized linear statistics are asymptotically normal"),
+    "holes": Kind("hole_probability_experiment", "hole probabilities decay like exp(-C p^2)"),
+    "deviation": Kind("deviation_experiment", "large-deviation frequencies for counts and log-sup decay in p"),
     "kernel-decay": Kind(
         "kernel_decay_experiment",
         "normalized kernel: Gaussian near-diagonal decay, negligible beyond sqrt(12k log p/p)",
-        {"p": "int", "annulus": "annulus", "n_pairs": "int", "k": "int", "far_tolerance": "float"},
     ),
-    "l1log": Kind(
-        "l1log_experiment",
-        "L1 norm of log B_p grows at most like log p",
-        {"p": "int_list", "annulus": "annulus"},
-    ),
+    "l1log": Kind("l1log_experiment", "L1 norm of log B_p grows at most like log p"),
 }
 
 
@@ -216,14 +207,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("key 'params': expected mapping")
-    unknown = set(raw_params) - set(entry.params)
+    types = entry.params
+    unknown = set(raw_params) - set(types)
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"unknown parameter '{key}'{_key_line(text, key)} for experiment '{kind}'")
     params: dict[str, Any] = {}
     for name, default in entry.defaults().items():
         if name in raw_params:
-            params[name] = _coerce(name, entry.params[name], raw_params[name], text)
+            params[name] = _coerce(name, types[name], raw_params[name], text)
         elif default is REQUIRED:
             raise ConfigError(f"missing required parameter '{name}' for experiment '{kind}'")
         else:

@@ -13,11 +13,13 @@ magnitude, so direct summation is impossible in double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, logsumexp
 
 __all__ = [
@@ -392,19 +394,26 @@ def expected_zero_measure(space: DiscSpace, region: Annulus) -> float:
     return float(n_b - n_a)
 
 
+_leggauss = functools.cache(leggauss)  # one rule per node count, never handed out
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of the n Gauss-Legendre nodes on (-1, 1) and their weights."""
+    x, w = _leggauss(n)
+    return x.copy(), w.copy()
+
+
 def log_bergman_l1(space: DiscSpace, region: Annulus) -> float:
     """Integral of |log B_p| against the cusp form omega over the annulus.
 
     Radially, omega reduces to pi * dr / (r log^2 r); Gauss-Legendre in
     t = log(-log r) turns that into pi * e^(-t) dt.
     """
-    from numpy.polynomial.legendre import leggauss
-
     if region.is_empty:
         return 0.0
     t_lo = math.log(-math.log(region.b))
     t_hi = math.log(-math.log(region.a))
-    x, w = leggauss(L1_QUAD_NODES)
+    x, w = _gauss_legendre(L1_QUAD_NODES)
     t = 0.5 * (t_hi - t_lo) * x + 0.5 * (t_hi + t_lo)
     vals = np.abs(log_kernel_function(space, np.exp(-np.exp(t)))) * np.exp(-t)
     return math.pi * 0.5 * (t_hi - t_lo) * float(np.dot(w, vals))

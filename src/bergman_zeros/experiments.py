@@ -8,10 +8,13 @@ byte (the draw comes before the work is cut into fixed-size chunks;
 threads only decide who runs a chunk).  Every Monte Carlo driver records
 the truncation length of each p in `diagnostics`.
 
-Driver parameters carry the names of the config keys (`config.EXPERIMENTS`),
-and their defaults are the config defaults.  In the multi-p drivers `p` is
-the ascending list of tensor powers; the loop over it rebinds `p` to one
-power.
+The driver signatures are the experiment table: every parameter but
+`seed` and `threads` is a config key of the same name, its annotation
+gives the key's type and its default the key's default
+(`config.EXPERIMENTS` reads them from here).  The threshold each law is
+checked at is a module constant beside its driver, not a config key.  In
+the multi-p drivers `p` is the ascending list of tensor powers; the loop
+over it rebinds `p` to one power.
 """
 
 from __future__ import annotations
@@ -98,24 +101,38 @@ def _chunked(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int, 
     return [np.concatenate(parts) for parts in zip(*_map_chunks(worker, etas.shape[0], COUNT_CHUNK, threads))]
 
 
+def _falls(
+    report: StatsReport, name: str, values: dict[int, float], fmt: str, label: str = "", strict: bool = True
+) -> None:
+    """One check {name}_p{p_lo}_to_p{p_hi} per neighbouring pair of p (the keys of values, in order).
+
+    It passes when values[p_hi] < values[p_lo], or <= when not strict.
+    """
+    ps = list(values)
+    for p_lo, p_hi in zip(ps, ps[1:]):
+        lo, hi = values[p_lo], values[p_hi]
+        passed = hi < lo if strict else hi <= lo
+        report.checks.append(CheckResult(f"{name}_p{p_lo}_to_p{p_hi}", passed, f"{label}{lo:{fmt}} -> {hi:{fmt}}"))
+
+
 # ---------------------------------------------------------------------------
 # deterministic kernel experiments
 
 
-def plateau_experiment(
-    p: Sequence[int],
-    r_min: float = 0.3,
-    r_max: float = 0.9,
-    n_grid: int = 512,
-    seed: int = 0,
-    tolerance: float = 1e-3,
-) -> StatsReport:
-    """Sup over [r_min, r_max] of |2 pi B_p / (p-1) - 1| for each p."""
+# plateau: PLATEAU_N_GRID radii of [PLATEAU_R_MIN, PLATEAU_R_MAX], even in log(-log r)
+PLATEAU_R_MIN = 0.3
+PLATEAU_R_MAX = 0.9
+PLATEAU_N_GRID = 512
+PLATEAU_TOLERANCE = 1e-3
+
+
+def plateau_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
+    """Sup over [PLATEAU_R_MIN, PLATEAU_R_MAX] of |2 pi B_p / (p-1) - 1| for each p."""
     report = StatsReport()
-    t = np.linspace(math.log(-math.log(r_max)), math.log(-math.log(r_min)), n_grid)
+    t = np.linspace(math.log(-math.log(PLATEAU_R_MAX)), math.log(-math.log(PLATEAU_R_MIN)), PLATEAU_N_GRID)
     radii = np.exp(-np.exp(t))
     for p in list(p):
-        space = _space_for(p, r_max, eps=1e-7)
+        space = _space_for(p, PLATEAU_R_MAX, eps=1e-7)
         plateau = (p - 1) / (2.0 * math.pi)
         sup_err = float(np.max(np.abs(disc.kernel_function(space, radii) / plateau - 1.0)))
         report.add(
@@ -127,23 +144,25 @@ def plateau_experiment(
         report.checks.append(
             CheckResult(
                 f"plateau_error_p{p}",
-                sup_err <= tolerance,
-                f"sup error {sup_err:.3e} vs tolerance {tolerance:.0e}",
+                sup_err <= PLATEAU_TOLERANCE,
+                f"sup error {sup_err:.3e} vs tolerance {PLATEAU_TOLERANCE:.0e}",
             )
         )
     return report
 
 
-def sup_experiment(p: Sequence[int], seed: int = 0, tolerance: float = 0.25) -> StatsReport:
+SUP_TOLERANCE = 0.25  # largest |ratio - 1| of sup B_p to (p / 2 pi)^(3/2)
+
+
+def sup_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     """Global sup of B_p against the (p / 2 pi)^(3/2) law."""
     report = StatsReport()
-    ratios: dict[int, float] = {}
-    ps = list(p)
-    for p in ps:
+    errors: dict[int, float] = {}
+    for p in list(p):
         space = _space_for(p, 0.95, eps=1e-7)
         r_star, value = disc.sup_kernel(space)
         ratio = value * (2.0 * math.pi / p) ** 1.5
-        ratios[p] = ratio
+        errors[p] = abs(ratio - 1.0)
         report.add(
             ReportRow(
                 "sup", p, "sup_ratio_to_power_law",
@@ -159,20 +178,16 @@ def sup_experiment(p: Sequence[int], seed: int = 0, tolerance: float = 0.25) -> 
         report.checks.append(
             CheckResult(
                 f"sup_ratio_p{p}",
-                abs(ratio - 1.0) <= tolerance,
-                f"|ratio - 1| = {abs(ratio - 1.0):.4f} vs {tolerance}",
+                errors[p] <= SUP_TOLERANCE,
+                f"|ratio - 1| = {errors[p]:.4f} vs {SUP_TOLERANCE}",
             )
         )
-    for p_lo, p_hi in zip(ps, ps[1:]):
-        ok = abs(ratios[p_hi] - 1.0) < abs(ratios[p_lo] - 1.0)
-        report.checks.append(
-            CheckResult(
-                f"sup_ratio_improves_p{p_lo}_to_p{p_hi}",
-                ok,
-                f"|ratio-1|: {abs(ratios[p_lo] - 1):.4f} -> {abs(ratios[p_hi] - 1):.4f}",
-            )
-        )
+    _falls(report, "sup_ratio_improves", errors, ".4f", label="|ratio-1|: ")
     return report
+
+
+PARITY_STEP = 1e-3  # of the central differences giving the jets of B at 0
+PARITY_TOLERANCE = 1e-5  # largest odd jet
 
 
 def model_kernel_experiment(
@@ -180,8 +195,6 @@ def model_kernel_experiment(
     curvature: Sequence[tuple[int, int, float]],
     max_deg: int = 12,
     seed: int = 0,
-    parity_step: float = 1e-3,
-    parity_tolerance: float = 1e-5,
 ) -> StatsReport:
     """Model kernel at a curvature-vanishing point: B(0,0) and parity jets."""
     from . import model
@@ -202,7 +215,7 @@ def model_kernel_experiment(
             deviation=None if prediction is None else abs(value - prediction), seed=seed,
         )
     )
-    jets = model.kernel_parity_and_jets(basis, order=4, step=parity_step)
+    jets = model.kernel_parity_and_jets(basis, order=4, step=PARITY_STEP)
     odd = max(abs(v) for (i, j), v in jets.items() if (i + j) % 2 == 1)
     report.add(
         ReportRow(
@@ -219,7 +232,7 @@ def model_kernel_experiment(
             CheckResult("model_kernel_constant_curvature", rel <= 1e-6, f"relative error {rel:.2e}")
         )
     report.checks.append(
-        CheckResult("model_kernel_parity", odd <= parity_tolerance, f"max odd jet {odd:.2e}")
+        CheckResult("model_kernel_parity", odd <= PARITY_TOLERANCE, f"max odd jet {odd:.2e}")
     )
     return report
 
@@ -271,13 +284,15 @@ def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> Stats
     return report
 
 
+FAR_TOLERANCE = 1e-3  # largest N_p of a far pair
+
+
 def kernel_decay_experiment(
     p: int,
     annulus: Annulus,
     n_pairs: int = 400,
     k: int = 2,
     seed: int = 0,
-    far_tolerance: float = 1e-3,
 ) -> StatsReport:
     """Normalized-kernel decay: Gaussian near-regime slope and far-regime bound.
 
@@ -342,13 +357,16 @@ def kernel_decay_experiment(
         CheckResult("decay_slope_window", bool(0.9 <= slope <= 1.1), f"slope {slope:.4f}")
     )
     report.checks.append(
-        CheckResult("decay_far_bound", far_max <= far_tolerance, f"max far N_p {far_max:.3e}")
+        CheckResult("decay_far_bound", far_max <= FAR_TOLERANCE, f"max far N_p {far_max:.3e}")
     )
     return report
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments
+
+
+EQUIDISTRIBUTION_SLACK = 0.05  # what |mean/p - area| may exceed 3 SE/p by
 
 
 def equidistribution_experiment(
@@ -358,7 +376,6 @@ def equidistribution_experiment(
     seed: int,
     paired_seeds: bool = False,
     threads: int = 1,
-    slack: float = 0.05,
 ) -> StatsReport:
     """Zero-count equidistribution against the curvature measure of the annulus.
 
@@ -391,11 +408,12 @@ def equidistribution_experiment(
                 n_samples=samples, seed=seed,
             )
         )
+        bound = 3.0 * se / p + EQUIDISTRIBUTION_SLACK
         report.checks.append(
             CheckResult(
                 f"equidistribution_p{p}",
-                dev <= 3.0 * se / p + slack,
-                f"|mean/p - area| = {dev:.4f} vs 3 SE/p + {slack} = {3.0 * se / p + slack:.4f}",
+                dev <= bound,
+                f"|mean/p - area| = {dev:.4f} vs 3 SE/p + {EQUIDISTRIBUTION_SLACK} = {bound:.4f}",
             )
         )
         report.checks.append(
@@ -448,13 +466,15 @@ def _linear_statistics(
     return ys, counts
 
 
+KS_LEVEL = 0.01  # smallest KS p-value of the standardized linear statistic against N(0, 1)
+
+
 def clt_experiment(
     p: Sequence[int],
     testfunction: TestFunction,
     samples: int,
     seed: int,
     threads: int = 1,
-    ks_level: float = 0.01,
 ) -> StatsReport:
     """Asymptotic normality of the standardized linear statistic.
 
@@ -466,8 +486,7 @@ def clt_experiment(
     report = StatsReport()
     diagnostics = report.metadata["diagnostics"] = {}
     proxies: dict[int, float] = {}
-    ps = list(p)
-    for p, space, etas in _draw(ps, testfunction.b, samples, seed, diagnostics):
+    for p, space, etas in _draw(list(p), testfunction.b, samples, seed, diagnostics):
         ys, counts = _linear_statistics(space, testfunction, etas, threads)
         diagnostics[p].update(counts)
         sd = float(np.std(ys, ddof=1))
@@ -492,22 +511,19 @@ def clt_experiment(
         report.add(
             ReportRow(
                 "clt", p, "ks_pvalue",
-                estimate=float(ks_p), prediction=ks_level, n_samples=samples, seed=seed,
+                estimate=float(ks_p), prediction=KS_LEVEL, n_samples=samples, seed=seed,
             )
         )
         report.add(ReportRow("clt", p, "correlation_sum_diagnostic", estimate=proxy, seed=seed))
         report.checks.append(
-            CheckResult(f"clt_ks_p{p}", bool(ks_p >= ks_level), f"KS p-value {ks_p:.4f} vs level {ks_level}")
+            CheckResult(f"clt_ks_p{p}", bool(ks_p >= KS_LEVEL), f"KS p-value {ks_p:.4f} vs level {KS_LEVEL}")
         )
-    for p_lo, p_hi in zip(ps, ps[1:]):
-        report.checks.append(
-            CheckResult(
-                f"correlation_diagnostic_decreases_p{p_lo}_to_p{p_hi}",
-                proxies[p_hi] < proxies[p_lo],
-                f"{proxies[p_lo]:.5f} -> {proxies[p_hi]:.5f}",
-            )
-        )
+    _falls(report, "correlation_diagnostic_decreases", proxies, ".5f")
     return report
+
+
+VARIANCE_REL_TOLERANCE = 0.15  # share of the bipotential |MC - bipotential| may reach (or 3 bootstrap SE)
+BOOTSTRAP_RESAMPLES = 500
 
 
 def variance_experiment(
@@ -516,20 +532,17 @@ def variance_experiment(
     samples: int,
     seed: int,
     threads: int = 1,
-    rel_tolerance: float = 0.15,
-    n_bootstrap: int = 500,
 ) -> StatsReport:
     """Number variance: Monte Carlo vs bipotential vs the zeta(3) leading term."""
     report = StatsReport()
     diagnostics = report.metadata["diagnostics"] = {}
     lead_gaps: dict[int, float] = {}
-    ps = list(p)
-    for p, space, etas in _draw(ps, testfunction.b, samples, seed, diagnostics):
+    for p, space, etas in _draw(list(p), testfunction.b, samples, seed, diagnostics):
         ys, counts = _linear_statistics(space, testfunction, etas, threads)
         diagnostics[p].update(counts)
         var_mc = float(np.var(ys, ddof=1))
         boot_rng = sections.section_stream(seed, (p, 1_000_003))
-        idx = boot_rng.integers(0, samples, size=(n_bootstrap, samples))
+        idx = boot_rng.integers(0, samples, size=(BOOTSTRAP_RESAMPLES, samples))
         boot_vars = np.var(ys[idx], axis=1, ddof=1)
         boot_se = float(np.std(boot_vars, ddof=1))
         bip = variance_bipotential(space, testfunction, diagnostics[p])
@@ -548,7 +561,7 @@ def variance_experiment(
                 estimate=p * bip, prediction=p * lead, deviation=lead_gaps[p], seed=seed,
             )
         )
-        tol = max(rel_tolerance * bip, 3.0 * boot_se)
+        tol = max(VARIANCE_REL_TOLERANCE * bip, 3.0 * boot_se)
         report.checks.append(
             CheckResult(
                 f"variance_mc_matches_bipotential_p{p}",
@@ -556,18 +569,15 @@ def variance_experiment(
                 f"|MC - bipotential| = {abs(var_mc - bip):.3e} vs {tol:.3e}",
             )
         )
-    for p_lo, p_hi in zip(ps, ps[1:]):
-        report.checks.append(
-            CheckResult(
-                f"variance_leading_term_gap_shrinks_p{p_lo}_to_p{p_hi}",
-                lead_gaps[p_hi] < lead_gaps[p_lo],
-                f"|p Var - leading| {lead_gaps[p_lo]:.3e} -> {lead_gaps[p_hi]:.3e}",
-            )
-        )
+    _falls(report, "variance_leading_term_gap_shrinks", lead_gaps, ".3e", label="|p Var - leading| ")
     return report
 
 
-def _wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+WILSON_Z = 1.959963984540054  # two-sided 95 % normal quantile
+
+
+def _wilson_interval(k: int, n: int) -> tuple[float, float]:
+    z = WILSON_Z
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -619,14 +629,7 @@ def hole_probability_experiment(
         report.checks.append(
             CheckResult("hole_decay_slope_positive", slope > 0.0, f"slope {slope:.4e}")
         )
-    for p_lo, p_hi in zip(ps, ps[1:]):
-        report.checks.append(
-            CheckResult(
-                f"hole_probability_decreases_p{p_lo}_to_p{p_hi}",
-                estimates[p_hi] < estimates[p_lo],
-                f"{estimates[p_lo]:.4f} -> {estimates[p_hi]:.4f}",
-            )
-        )
+    _falls(report, "hole_probability_decreases", estimates, ".4f")
     if len(ps) >= 2:
         lo_first = intervals[ps[0]][0]
         hi_last = intervals[ps[-1]][1]
@@ -653,8 +656,7 @@ def deviation_experiment(
     diagnostics = report.metadata["diagnostics"] = {}
     area = disc.c1_area(annulus)
     freqs: dict[int, float] = {}
-    ps = list(p)
-    for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics):
+    for p, space, etas in _draw(list(p), annulus.b, samples, seed, diagnostics):
         counts, log_sup = _chunked(space, annulus, etas, threads, sections.count_zeros_batch, sections.log_sup_batch)
         freq_count = float(np.mean(np.abs(counts / p - area) > delta))
         freq_sup = float(np.mean(np.abs(log_sup) / p >= delta))
@@ -669,12 +671,5 @@ def deviation_experiment(
                     n_samples=samples, seed=seed,
                 )
             )
-    for p_lo, p_hi in zip(ps, ps[1:]):
-        report.checks.append(
-            CheckResult(
-                f"count_deviation_decreases_p{p_lo}_to_p{p_hi}",
-                freqs[p_hi] <= freqs[p_lo],
-                f"{freqs[p_lo]:.4f} -> {freqs[p_hi]:.4f}",
-            )
-        )
+    _falls(report, "count_deviation_decreases", freqs, ".4f", strict=False)
     return report

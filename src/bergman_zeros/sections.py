@@ -80,6 +80,7 @@ ZERO_TAIL_EPS = 1e-8
 # Gaussian section repel, making spurious merges negligible.
 MERGE_DISTANCE = 1e-7
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 # Leading words of the ZeroSet diagnostics: the first diagnostic of a row
 # that find_zeros_batch solved by find_zeros, an unconverged Newton point,
 # and roots merged into one zero of higher multiplicity.
@@ -210,7 +211,7 @@ def truncation_length(p: int, b: float, eps: float = ZERO_TAIL_EPS) -> int:
 # root extraction: Newton, Aberth
 
 
-def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, max_iter: int = 50):
+def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray):
     """Newton's method on the sections etas[own], one starting point z per entry.
 
     All points are iterated at once.  The terms are scaled at each
@@ -219,7 +220,8 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, 
     stays near its start, whatever the radius.  A point converges when
     its step is below NEWTON_TOL * max(1, |z|), the step it would take
     then is not taken.  A point that leaves the punctured disc, turns
-    non-finite or meets a zero derivative stops there unconverged.
+    non-finite or meets a zero derivative stops there unconverged, and so
+    does one still moving after NEWTON_MAX_ITER steps.
     """
     z = np.array(z, dtype=np.complex128)
     converged = np.zeros(z.shape, dtype=bool)
@@ -229,7 +231,7 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray, 
     # a point that wanders far from its start may overflow the powers; its
     # step is then non-finite, and it stops there
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             za = z[active]
             rad = np.abs(za)
             ok = np.isfinite(za) & (rad < 1.0) & (rad > 0.0)

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import spence
 
-from .disc import Annulus, DiscSpace, _log_diag, zero_counting_function
+from .disc import Annulus, DiscSpace, _gauss_legendre, _log_diag, zero_counting_function
 
 __all__ = [
     "APERY",
@@ -185,7 +184,7 @@ def _gtilde_fast(t: np.ndarray) -> np.ndarray:
 
 def _legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre radii on (a, b) and their weights against dr."""
-    x, w = leggauss(n)
+    x, w = _gauss_legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -11,10 +11,11 @@ import yaml
 
 from bergman_zeros import experiments
 from bergman_zeros.cli import main
-from bergman_zeros.config import EXPERIMENTS, ConfigError, load_config
+from bergman_zeros.config import EXPERIMENTS, ConfigError, Kind, load_config
 from bergman_zeros.report import CSV_HEADER
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+GOLDEN_CONFIGS = sorted((Path(__file__).resolve().parent / "golden").glob("*.yaml"))
 
 
 def write_config(path: Path, payload: dict) -> Path:
@@ -22,20 +23,42 @@ def write_config(path: Path, payload: dict) -> Path:
     return path
 
 
-PLATEAU_CFG = {"experiment": "plateau", "seed": 11, "params": {"p": [20], "n_grid": 64}}
+PLATEAU_CFG = {"experiment": "plateau", "seed": 11, "params": {"p": [20]}}
+
+# Settings that are module constants of `experiments`, not config keys: a
+# config that sets one, even to the constant's value, is rejected.  Each
+# entry: kind, its required keys, the settings with their constant values.
+REMOVED_KEYS = [
+    ("plateau", {"p": [20]}, {"r_min": 0.3, "r_max": 0.9, "n_grid": 512, "tolerance": 1e-3}),
+    ("sup", {"p": [50]}, {"tolerance": 0.25}),
+    (
+        "model-kernel", {"rho_prime": 2, "curvature": [[0, 0, 1.0]]},
+        {"parity_step": 1e-3, "parity_tolerance": 1e-5},
+    ),
+    ("equidistribution", {"p": [20], "annulus": {"a": 0.3, "b": 0.6}, "samples": 10}, {"slack": 0.05}),
+    ("variance", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 10}, {"rel_tolerance": 0.15}),
+    ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 10}, {"ks_level": 0.01}),
+    ("kernel-decay", {"p": 100, "annulus": {"a": 0.3, "b": 0.7}}, {"far_tolerance": 1e-3}),
+]
 
 
 class TestConfigLoading:
     def test_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.yaml", PLATEAU_CFG))
         assert cfg.kind == "plateau"
-        assert cfg.params["p"] == [20]
-        assert cfg.params["r_min"] == 0.3  # default applied
+        assert cfg.params == {"p": [20]}  # the plateau's radii, grid and tolerance are not keys
 
-    def test_unknown_key_named(self, tmp_path):
+    def test_unknown_key_named(self, tmp_path, capsys):
         bad = dict(PLATEAU_CFG, params={"p": [20], "mystery": 1})
         with pytest.raises(ConfigError, match="mystery"):
             load_config(write_config(tmp_path / "c.yaml", bad))
+        for kind, params, removed in REMOVED_KEYS:
+            for key, value in removed.items():
+                cfg = write_config(tmp_path / f"{kind}-{key}.yaml", {
+                    "experiment": kind, "seed": 1, "params": dict(params, **{key: value}),
+                })
+                assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1, (kind, key)
+                assert f"unknown parameter '{key}' (line " in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, tmp_path):
         bad = dict(PLATEAU_CFG, extra=3)
@@ -80,7 +103,10 @@ class TestRegistry:
         "curvature": [[0, 0, 1.0]],
     }
 
-    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
+    @pytest.mark.parametrize(
+        "path", CONFIGS + GOLDEN_CONFIGS,
+        ids=lambda path: path.name if path.parent.name == "configs" else f"golden/{path.name}",
+    )
     def test_shipped_configs_load(self, path):
         cfg = load_config(path)
         assert cfg.kind in EXPERIMENTS
@@ -90,9 +116,22 @@ class TestRegistry:
     def test_schema_keys_are_driver_parameters(self, kind):
         entry = EXPERIMENTS[kind]
         signature = inspect.signature(getattr(experiments, entry.driver)).parameters
-        assert set(entry.params) <= set(signature)
+        assert list(entry.params) == [name for name in signature if name not in ("seed", "threads")]
         assert "seed" in signature
         assert set(entry.params.values()) <= set(self.VALUES)
+
+    def test_unmapped_annotation_fails(self, monkeypatch):
+        def typed(p: "Sequence[int]", weight: "float", seed: int = 0, threads: int = 1):
+            pass
+
+        def untyped(p: "Sequence[int]", weight: "complex", seed: int = 0):
+            pass
+
+        monkeypatch.setattr(experiments, "typed_experiment", typed, raising=False)
+        monkeypatch.setattr(experiments, "untyped_experiment", untyped, raising=False)
+        assert Kind("typed_experiment", "a law").params == {"p": "int_list", "weight": "float"}
+        with pytest.raises(TypeError, match="weight: complex"):
+            Kind("untyped_experiment", "a law")
 
     @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
     def test_required_exactly_without_driver_default(self, kind, tmp_path):
@@ -170,7 +209,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("p", [[8, 6, 4], [20, 20]])
     def test_unordered_p_exit_code(self, tmp_path, capsys, p):
-        cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": p, "n_grid": 64}))
+        cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": p}))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "key 'p' (line " in err
@@ -184,7 +223,7 @@ class TestRunCommand:
     def test_check_failure_exit_code(self, tmp_path):
         # p = 5 sits far off the plateau: the 1e-3 gate must fail
         cfg = write_config(tmp_path / "c.yaml", {
-            "experiment": "plateau", "seed": 1, "params": {"p": [5], "n_grid": 64},
+            "experiment": "plateau", "seed": 1, "params": {"p": [5]},
         })
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--check"]) == 2

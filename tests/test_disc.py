@@ -389,3 +389,16 @@ class TestLogBergmanL1:
         assert vals[36] <= 1.05 * area * math.log(36)
         ratio_bound = abs(math.log(35 / (2 * math.pi))) / abs(math.log(17 / (2 * math.pi)))
         assert vals[36] / vals[18] <= 1.05 * ratio_bound
+
+    def test_gauss_legendre_rule_built_once_and_handed_out_fresh(self):
+        from numpy.polynomial.legendre import leggauss
+
+        x_ref, w_ref = leggauss(disc.L1_QUAD_NODES)
+        x, w = disc._gauss_legendre(disc.L1_QUAD_NODES)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        x[:], w[:] = 0.0, 0.0  # a caller that writes into its copy
+        x, w = disc._gauss_legendre(disc.L1_QUAD_NODES)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        builds = disc._leggauss.cache_info().misses
+        log_bergman_l1(make_disc_space(18, adaptive_truncation(18, 0.9)), Annulus(0.3, 0.9))
+        assert disc._leggauss.cache_info().misses == builds

@@ -22,9 +22,14 @@ per sample: every Monte Carlo row is a new sample, a declared output
 change.  The kernel digests and the listing did not move.
 A change that alters any of them changes program output; it must be
 declared as such and re-baselined in the same change, never silently.
-tests/golden/list.json holds `bergman-zeros list --json` as it printed
-before the registry; the config defaults live in the driver signatures,
-so editing one changes it.
+tests/golden/list.json holds `bergman-zeros list --json`; the config
+keys, types and defaults live in the driver signatures, so editing one
+changes it.  It was taken before the registry, and again when the 11
+keys that no config set (the plateau radii, grid and tolerance, the sup
+tolerance, the parity step and tolerance, the equidistribution slack,
+the variance tolerance, the KS level and the far-kernel tolerance)
+became module constants of `experiments`: the listing lost exactly
+those keys, and no results.csv digest moved.
 """
 
 import hashlib

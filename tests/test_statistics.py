@@ -252,6 +252,17 @@ class TestProxyAndExperiments:
         probs = [r.estimate for r in rep.rows if r.statistic == "hole_probability"]
         assert probs[1] < probs[0]
 
+    def test_falls_checks_on_a_tie(self):
+        # no holes and no deviation in any sample: a tie, which fails the
+        # strict hole check and passes the non-strict deviation check
+        region = Annulus(0.25, 0.45)
+        holes = experiments.hole_probability_experiment([20, 30], region, 50, seed=3)
+        dev = experiments.deviation_experiment([20, 30], region, 5.0, 50, seed=3)
+        (hole_check,) = [c for c in holes.checks if c.name == "hole_probability_decreases_p20_to_p30"]
+        (dev_check,) = [c for c in dev.checks if c.name == "count_deviation_decreases_p20_to_p30"]
+        assert (hole_check.passed, hole_check.detail) == (False, "0.0000 -> 0.0000")
+        assert (dev_check.passed, dev_check.detail) == (True, "0.0000 -> 0.0000")
+
     def test_expected_linear_statistic_by_parts(self, space80):
         # -int phi' n dr equals direct quadrature of phi against d n
         from numpy.polynomial.legendre import leggauss
