@@ -96,6 +96,12 @@ ABERTH_ANGLE = 0.7
 # much thicker ones have long radial edges, whose increments alias too.
 RINGS_PER_ZERO = 2.0
 MAX_ASPECT = 8.0
+# Every blocked array pass (winding rows, log-sup zooms, bipotential radius
+# pairs) holds at most this many entries per temporary: 1 MB of float64,
+# 2 MB of complex128, sized to a 2 MiB L2.  The p = 200 bipotential took
+# 0.60 s in blocks of 2^21 entries, 0.42 s at 2^17, 0.44 s at 2^18 and
+# 0.49 s at 2^16 (2 vCPUs, OpenBLAS 0.3.31, serial, median of 5).
+BLOCK_ENTRIES = 1 << 17
 
 
 class ContourError(RuntimeError):
@@ -324,9 +330,6 @@ def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
 # ---------------------------------------------------------------------------
 # argument-principle counting
 
-# Pass one evaluates at most this many (row, angle) entries at once, which
-# bounds the complex values and the phase temporaries of one row block.
-BLOCK_ENTRIES = 1 << 18
 # Checks of the phase increments per contour (the first on the initial
 # grid, one after each midpoint split); a segment still unresolved after
 # the last almost certainly holds a zero on the contour.

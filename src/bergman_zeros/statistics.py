@@ -24,6 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import spence
 
+from . import sections
 from .disc import Annulus, DiscSpace, _gauss_legendre, _log_diag, zero_counting_function
 
 __all__ = [
@@ -47,9 +48,8 @@ VARIANCE_RTOL = 5e-4
 VARIANCE_MAX_REFINEMENTS = 3
 # Gt(t) = t^2 / 4 pi^2 + R(t), 0 <= R(t) <= t^4 (pi^2/6 - 1) / 4 pi^2: R is summed only
 # where N_p^2 > VARIANCE_TAU, which drops at most 0.65 VARIANCE_TAU of the N_p^2 term.
-# The arrays of the radius-pair loop hold at most PAIR_BLOCK_ENTRIES entries.
+# The arrays of the radius-pair loop hold at most sections.BLOCK_ENTRIES entries.
 VARIANCE_TAU = 1e-4
-PAIR_BLOCK_ENTRIES = 2**21
 # Gauss-Legendre nodes of the leading-term integral and of the expected
 # linear statistic; radial and angular nodes of the correlation proxy.
 LEADING_TERM_NODES = 512
@@ -195,12 +195,12 @@ def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
-    """Yield (slice, d, shift) over the radius pairs (r[i], r[j]), in blocks of at most PAIR_BLOCK_ENTRIES.
+    """Yield (slice, d, shift) over the radius pairs (r[i], r[j]), in blocks of at most sections.BLOCK_ENTRIES.
 
     N_p(r_i, r_j e^(i theta)) = e^shift |sum_ell d_ell e^(i ell theta)|, d_ell = c_ell^2 (r_i r_j)^ell / max >= 0.
     """
     logd = _log_diag(space, log_r)
-    step = max(1, PAIR_BLOCK_ENTRIES // (-(-space.L // n_t) * n_t))
+    step = max(1, sections.BLOCK_ENTRIES // (-(-space.L // n_t) * n_t))
     for lo in range(0, i.size, step):
         bi, bj = i[lo : lo + step], j[lo : lo + step]
         log_terms = space.log_coeffs + np.multiply.outer(log_r[bi] + log_r[bj], space.ells)
@@ -211,11 +211,12 @@ def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarr
 def _angular_values(d: np.ndarray, shift: np.ndarray, n_t: int) -> np.ndarray:
     """N_p at the angles 2 pi k / n_t, k = 0 .. n_t/2 (N_p is even in theta), for a `_pair_blocks` block.
 
-    On that grid e^(i ell theta) depends on ell mod n_t only: fold, then one real FFT.
+    On that grid e^(i ell theta) depends on ell mod n_t only: fold if L > n_t, then one real FFT.
     """
     k = -(-d.shape[1] // n_t)
-    folded = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
-    return np.minimum(np.abs(np.fft.rfft(folded, axis=1)) * np.exp(shift)[:, None], 1.0)
+    if k > 1:
+        d = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
+    return np.minimum(np.abs(np.fft.rfft(d, n=n_t, axis=1)) * np.exp(shift)[:, None], 1.0)
 
 
 def _theta_mean(values: np.ndarray, n_t: int) -> np.ndarray:

@@ -565,6 +565,15 @@ class TestBatchedZeros:
         assert zsets[1].zeros == ref.zeros
         assert not zsets[0].diagnostics
 
+    def test_block_size_does_not_change_zeros(self, monkeypatch):
+        # a row's certifying winding counts depend on that row only: row blocks
+        # of 5000 // 512 = 9 and 5000 // 256 = 19 rows give the same zero sets as the default
+        p, region = 40, Annulus(0.35, 0.65)
+        [(_, space, etas)] = experiments._draw([p], region.b, 64, self.SEED, {})
+        zsets = find_zeros_batch(space, etas, region)
+        monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
+        assert find_zeros_batch(space, etas, region) == zsets
+
     def test_newton_scaled_by_radius(self):
         # at p = 300, c_1 / max c_ell is below the smallest double; the
         # terms scaled by the point's own radius are not

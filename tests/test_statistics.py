@@ -186,9 +186,25 @@ class TestVariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 300 * 2**20
+        assert peak < 40 * 2**20
         assert value == pytest.approx(0.07822989228457813, rel=1e-9)
         assert diagnostics == {"bipotential_radial_nodes": 256}
+
+    def test_pair_block_size_does_not_change_values(self, monkeypatch):
+        # each pair value depends on its own radii only: blocks of 4 to 19 pairs give the
+        # same floats as the default blocks
+        phi, region = TestFunction(0.35, 0.65), Annulus(0.2, 0.7)
+        spaces = [make_disc_space(p, sections.truncation_length(p, phi.b)) for p in (40, 200)]
+        proxy_space = make_disc_space(100, sections.truncation_length(100, region.b))
+
+        def values():
+            return [variance_bipotential(s, phi) for s in spaces] + [sodin_tsirelson_proxy(proxy_space, region)]
+
+        default = values()
+        monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
+        blocks = _pair_blocks(spaces[1], np.log([0.4, 0.5, 0.6]), *np.triu_indices(3), 1024)
+        assert [len(d) for _, d, _ in blocks] == [4, 2]
+        assert values() == default
 
     @pytest.mark.parametrize("p", [50, 200, 800])
     @pytest.mark.parametrize("r0", [0.4, 0.5, 0.6])
