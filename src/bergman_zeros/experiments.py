@@ -330,7 +330,7 @@ def kernel_decay_experiment(
     npv = disc.normalized_kernel(space, z0s, z1s)
     near = np.arange(0, n_pairs, 2)
     near = near[npv[near] > 0.0]
-    dists = np.array([disc.poincare_distance(z0s[i], z1s[i]) for i in near])
+    dists = disc.poincare_distance(z0s[near], z1s[near])
     xs, ys = p * dists * dists / 4.0, -np.log(npv[near])
     far_vals = npv[1::2]
     if len(xs) < 2:

@@ -38,16 +38,14 @@ largest truncation length, so every p sees the same leading coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .disc import (
     Annulus,
     DiscSpace,
-    DomainError,
-    KernelValue,
     _require_adequate,
     adaptive_truncation,
     expected_zero_measure,
@@ -56,17 +54,12 @@ from .disc import (
 
 __all__ = [
     "ContourError",
-    "SectionSample",
     "ZeroSet",
-    "count_zeros_argument_principle",
     "count_zeros_batch",
-    "evaluate",
     "find_zeros",
     "find_zeros_batch",
-    "linear_statistic",
     "log_sup_batch",
     "sample_etas",
-    "sample_section",
     "section_stream",
     "truncation_length",
 ]
@@ -109,20 +102,6 @@ class ContourError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SectionSample:
-    """One draw of Gaussian coefficients for a fixed truncated space."""
-
-    space: DiscSpace
-    eta: np.ndarray = field(repr=False)
-    seed_path: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.eta.shape != (self.space.L,):
-            raise ValueError("coefficient vector length must equal the truncation length")
-        self.eta.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class ZeroSet:
     """Zero divisor of a section restricted to an annulus."""
 
@@ -158,12 +137,6 @@ def sample_etas(space: DiscSpace, seed: int, path: Sequence[int], samples: int) 
     return etas
 
 
-def sample_section(space: DiscSpace, seed: int, path: Sequence[int] = ()) -> SectionSample:
-    """Draw eta ~ CN(0, 1)^L from the stream keyed by (seed, *path): row 0 of `sample_etas`."""
-    eta = sample_etas(space, seed, path, 1)[0]
-    return SectionSample(space=space, eta=eta, seed_path=(int(seed), *map(int, path)))
-
-
 def _scaled_coefficients(space: DiscSpace, etas: np.ndarray, log_r) -> tuple[np.ndarray, np.ndarray]:
     """Terms eta_ell c_ell r^ell over the largest c_ell r^ell (finite at any r), and its log.
 
@@ -187,25 +160,6 @@ def _circle_table(space: DiscSpace, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return thetas, np.exp(1j * thetas)[np.outer(np.arange(1, space.L + 1), np.arange(n)) % n]
-
-
-def evaluate(sample: SectionSample, z: complex) -> KernelValue:
-    """Pointwise value of the section in the h_p norm, as log-magnitude and phase.
-
-    |S(z)|_{h_p} carries the weight |log|z|^2|^{p/2}; the series is summed
-    after factoring out its largest log-scaled term.
-    """
-    space = sample.space
-    r = abs(z)
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
-    theta = math.atan2(z.imag, z.real)
-    coeff, m = _scaled_coefficients(space, sample.eta, math.log(r))
-    s = np.sum(coeff * np.exp(1j * space.ells * theta))
-    weight = 0.5 * space.p * math.log(-2.0 * math.log(r))
-    if s == 0.0:
-        return KernelValue(log_modulus=-math.inf, phase=0.0)
-    return KernelValue(log_modulus=weight + float(m) + math.log(abs(s)), phase=math.atan2(s.imag, s.real))
 
 
 def truncation_length(p: int, b: float, eps: float = ZERO_TAIL_EPS) -> int:
@@ -288,25 +242,27 @@ def _sorted_candidates(own: np.ndarray, z: np.ndarray, region: Annulus) -> tuple
     return own, z, close
 
 
-def find_zeros(sample: SectionSample, region: Annulus) -> ZeroSet:
-    """Zeros of the section inside the annulus, by Aberth iteration on all roots of S(z) / z.
+def find_zeros(space: DiscSpace, eta: np.ndarray, region: Annulus) -> ZeroSet:
+    """Zeros in the annulus of the section with coefficients eta, by Aberth iteration on all roots of S(z) / z.
 
     The roots start on the Newton polygon's circles; each sweep scales a root's terms at its
     current radius.  A root freezes after a step below NEWTON_TOL * max(1, |z|); one still
     moving after ABERTH_MAX_ITER sweeps, or stopped by a non-finite step, is noted and kept.
     Roots with a < |z| < b are merged within MERGE_DISTANCE (flagged), sorted by radius, angle.
+    ValueError if eta is not one row of length space.L.
     """
-    space = sample.space
+    if eta.shape != (space.L,):
+        raise ValueError(f"coefficient row of shape {eta.shape} does not match the truncation length L = {space.L}")
     _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z, k0 = _polygon_starts(np.log(np.abs(sample.eta)) + 0.5 * space.log_coeffs)
+        z, k0 = _polygon_starts(np.log(np.abs(eta)) + 0.5 * space.log_coeffs)
         degrees = space.ells - (k0 + 1.0)  # of the terms of P / w^k0
         active, converged = np.arange(z.size), np.zeros(z.size, dtype=bool)
         for _ in range(ABERTH_MAX_ITER):
             if active.size == 0:
                 break
             za, rad = z[active], np.abs(z[active])
-            coeff, _ = _scaled_coefficients(space, sample.eta, np.log(rad))
+            coeff, _ = _scaled_coefficients(space, eta, np.log(rad))
             terms = _powers(za / rad, space.L) * coeff
             newton = za * terms.sum(axis=1) / (terms @ degrees)
             diff = za[:, None] - z
@@ -448,11 +404,6 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
     """
     _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
     return _windings(space, etas, region.b) - _windings(space, etas, region.a)
-
-
-def count_zeros_argument_principle(sample: SectionSample, region: Annulus) -> int:
-    """Zero count of one section in the annulus: count_zeros_batch on a single row."""
-    return int(count_zeros_batch(sample.space, sample.eta[None, :], region)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +578,7 @@ def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> lis
             zeros = tuple((complex(w), 1) for w in z[bounds[i] : bounds[i + 1]])
             out.append(ZeroSet(zeros=zeros, region=region, diagnostics=tuple(notes[i])))
             continue
-        zset = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), region)
+        zset = find_zeros(space, etas[i], region)
         out.append(ZeroSet(zeros=zset.zeros, region=region, diagnostics=(f"{FALLBACK}: {reason}", *zset.diagnostics)))
     return out
 
-
-def linear_statistic(zset: ZeroSet, phi: Callable[[complex], float]) -> float:
-    """Sum of phi over the zeros, with multiplicity."""
-    return float(sum(m * phi(z) for z, m in zset.zeros))

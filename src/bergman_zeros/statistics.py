@@ -21,15 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import spence
 
 from . import sections
-from .disc import Annulus, DiscSpace, _gauss_legendre, _log_diag, zero_counting_function
+from .disc import Annulus, DiscSpace, _legendre_rule, _log_diag, zero_counting_function
 
 __all__ = [
     "APERY",
-    "Gtilde",
     "TestFunction",
     "expected_linear_statistic",
     "laplacian_ratio",
@@ -136,56 +134,10 @@ def laplacian_ratio(phi: TestFunction, z) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _gtilde_series(t: float) -> float:
-    x = t * t
-    terms = []
-    j = 1
-    xj = x
-    while xj / (j * j) > 1e-20 and j < 100_000:
-        terms.append(xj / (j * j))
-        j += 1
-        xj *= x
-    return math.fsum(terms) / (4.0 * math.pi**2)
-
-
-def _gtilde_integral(t: float) -> float:
-    if t == 0.0:
-        return 0.0
-
-    def integrand(s: float) -> float:
-        return 1.0 if s == 0.0 else -math.log1p(-s) / s
-
-    val, _ = quad(integrand, 0.0, t * t, limit=200, epsabs=1e-15, epsrel=1e-13)
-    return val / (4.0 * math.pi**2)
-
-
-def Gtilde(t: float) -> float:
-    """Bipotential profile (1/4 pi^2) sum_j t^(2j) / j^2 on [0, 1].
-
-    Series with compensated summation away from 1; the equivalent
-    integral form -(1/4 pi^2) int_0^{t^2} log(1-s)/s ds near t = 1, where
-    the series converges too slowly.  The two representations agree to
-    1e-12 on [0, 0.999]; Gtilde(1) = 1/24.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"Gtilde domain is [0, 1], got {t}")
-    if t == 0.0:
-        return 0.0
-    if t * t <= 0.9:
-        return _gtilde_series(t)
-    return _gtilde_integral(t)
-
-
 def _gtilde_fast(t: np.ndarray) -> np.ndarray:
-    # Li2(t^2) / (4 pi^2) via scipy's spence for vectorized inner loops;
-    # agrees with Gtilde to 1e-12 (asserted in the test suite)
+    # the bipotential profile Gt(t) = Li2(t^2) / (4 pi^2), through scipy's spence; agrees to
+    # 1e-12 with the series and integral forms of the scalar oracle in tests/oracles.py
     return spence(1.0 - np.square(t)) / (4.0 * math.pi**2)
-
-
-def _legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Legendre radii on (a, b) and their weights against dr."""
-    x, w = _gauss_legendre(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +151,8 @@ def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarr
 
     N_p(r_i, r_j e^(i theta)) = e^shift |sum_ell d_ell e^(i ell theta)|, d_ell = c_ell^2 (r_i r_j)^ell / max >= 0.
     """
-    logd = _log_diag(space, log_r)
+    rows = max(1, sections.BLOCK_ENTRIES // space.L)
+    logd = np.concatenate([_log_diag(space, log_r[lo : lo + rows]) for lo in range(0, log_r.size, rows)])
     step = max(1, sections.BLOCK_ENTRIES // (-(-space.L // n_t) * n_t))
     for lo in range(0, i.size, step):
         bi, bj = i[lo : lo + step], j[lo : lo + step]

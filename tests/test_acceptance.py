@@ -111,19 +111,12 @@ def test_criterion_05_zero_finder_cross_oracle():
     crit = Criterion(5, "Aberth oracle vs argument-principle counts", budget_s=20.0)
     p, region, n = 80, Annulus(0.2, 0.7), 200
     space = make_disc_space(p, sections.truncation_length(p, region.b))
-    disagreements = []
-    for i in range(n):
-        sample = sections.sample_section(space, SEED, (p, i))
-        nc = sections.find_zeros(sample, region).total
-        nw = sections.count_zeros_argument_principle(sample, region)
-        if nc != nw:
-            disagreements.append((i, nc, nw))
-    resolved = 0
-    for i, nc, _ in disagreements:
-        sample = sections.sample_section(space, SEED, (p, i))
-        shifted = Annulus(region.a + 1e-6, region.b - 1e-6)
-        if sections.count_zeros_argument_principle(sample, shifted) == sections.find_zeros(sample, shifted).total:
-            resolved += 1
+    etas = np.array([sections.sample_etas(space, SEED, (p, i), 1)[0] for i in range(n)])
+    counts = sections.count_zeros_batch(space, etas, region)
+    disagreements = [i for i in range(n) if sections.find_zeros(space, etas[i], region).total != counts[i]]
+    shifted = Annulus(region.a + 1e-6, region.b - 1e-6)
+    recounts = sections.count_zeros_batch(space, etas[disagreements], shifted)
+    resolved = sum(c == sections.find_zeros(space, etas[i], shifted).total for i, c in zip(disagreements, recounts))
     ok = len(disagreements) <= 2 and resolved == len(disagreements)
     crit.finish(ok, f"{n - len(disagreements)}/{n} agree; {resolved}/{len(disagreements)} resolved by perturbation")
 

@@ -20,6 +20,9 @@ block draw from the stream (seed, p), or one draw from (seed,) at the
 largest L shared by column prefixes when paired, in place of one stream
 per sample: every Monte Carlo row is a new sample, a declared output
 change.  The kernel digests and the listing did not move.
+No digest moved when the single-section API went (the section wrappers,
+the scalar evaluators and `KernelValue`; the scalar oracles moved into
+tests/oracles.py) and `poincare_distance` came to take arrays.
 A change that alters any of them changes program output; it must be
 declared as such and re-baselined in the same change, never silently.
 tests/golden/list.json holds `bergman-zeros list --json`; the config

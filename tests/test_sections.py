@@ -1,5 +1,6 @@
 """Gaussian sections: sampling streams, evaluation, zero extraction."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -12,17 +13,14 @@ from bergman_zeros.statistics import TestFunction
 from bergman_zeros import disc, experiments, sections
 from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.sections import (
-    SectionSample,
-    count_zeros_argument_principle,
     count_zeros_batch,
-    evaluate,
     find_zeros,
     find_zeros_batch,
-    linear_statistic,
-    sample_section,
+    sample_etas,
     section_stream,
     truncation_length,
 )
+from oracles import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -32,19 +30,19 @@ def space10():
 
 class TestSampling:
     def test_deterministic_streams(self, space10):
-        a = sample_section(space10, 42, (3, 7))
-        b = sample_section(space10, 42, (3, 7))
-        assert np.array_equal(a.eta, b.eta)
-        c = sample_section(space10, 42, (3, 8))
-        assert not np.array_equal(a.eta, c.eta)
+        a = sample_etas(space10, 42, (3, 7), 1)[0]
+        b = sample_etas(space10, 42, (3, 7), 1)[0]
+        assert np.array_equal(a, b)
+        c = sample_etas(space10, 42, (3, 8), 1)[0]
+        assert not np.array_equal(a, c)
 
     def test_prefix_stability_across_lengths(self):
         # paired-seed comparisons across p rely on shared stream prefixes
         small = make_disc_space(10, 40)
         large = make_disc_space(10, 90)
-        a = sample_section(small, 9, (1,))
-        b = sample_section(large, 9, (1,))
-        assert np.array_equal(a.eta, b.eta[:40])
+        a = sample_etas(small, 9, (1,), 1)[0]
+        b = sample_etas(large, 9, (1,), 1)[0]
+        assert np.array_equal(a, b[:40])
 
     def test_unit_second_moment(self):
         rng = section_stream(123, (0,))
@@ -63,10 +61,10 @@ class TestSampling:
         stat = sps.kstest(np.abs(eta) ** 2, "expon")
         assert stat.pvalue >= 0.01
 
-    def test_draw_row_zero_is_sample_section(self):
+    def test_draw_row_zero_is_one_row_draw(self):
         [(p, space, etas)] = experiments._draw([6], 0.45, 5, 11, {})
-        assert etas[0].tobytes() == sample_section(space, 11, (p,)).eta.tobytes()
-        # and sample_section still builds eta from interleaved normals
+        assert etas[0].tobytes() == sample_etas(space, 11, (p,), 1)[0].tobytes()
+        # and a row is built from interleaved normals
         flat = section_stream(11, (p,)).standard_normal(2 * space.L)
         assert etas[0].tobytes() == ((flat[0::2] + 1j * flat[1::2]) / math.sqrt(2.0)).tobytes()
 
@@ -120,15 +118,14 @@ class TestEvaluate:
     def test_single_basis_vector(self, space10):
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[0] = 1.0
-        sample = SectionSample(space=space10, eta=eta, seed_path=(0,))
         z = 0.35 * np.exp(0.4j)
-        val = evaluate(sample, z)
+        log_modulus, _ = evaluate(space10, eta, z)
         expected = (
             0.5 * space10.log_coeffs[0]
             + math.log(abs(z))
             + 0.5 * space10.p * math.log(abs(math.log(abs(z) ** 2)))
         )
-        assert val.log_modulus == pytest.approx(expected, abs=1e-12)
+        assert log_modulus == pytest.approx(expected, abs=1e-12)
 
     def test_linearity_in_coefficients(self, space10):
         rng = np.random.default_rng(0)
@@ -137,8 +134,8 @@ class TestEvaluate:
         z = 0.5 * np.exp(1.1j)
         vals = []
         for eta in (eta1, eta2, eta1 + eta2):
-            kv = evaluate(SectionSample(space=space10, eta=eta, seed_path=()), z)
-            vals.append(kv.to_complex())
+            log_modulus, phase = evaluate(space10, eta, z)
+            vals.append(cmath.rect(math.exp(log_modulus), phase))
         assert vals[2] == pytest.approx(vals[0] + vals[1], rel=1e-10)
 
     def test_second_moment_matches_kernel(self, space10):
@@ -147,7 +144,7 @@ class TestEvaluate:
         m = 10_000
         etas = np.empty((m, space10.L), dtype=np.complex128)
         for i in range(m):
-            etas[i] = sample_section(space10, 321, (i,)).eta
+            etas[i] = sample_etas(space10, 321, (i,), 1)[0]
         rng = np.random.default_rng(14)
         for _ in range(10):
             z = rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.random())
@@ -161,10 +158,7 @@ class TestEvaluate:
             assert abs(np.mean(ratio) - 1.0) <= 3.0 * se
 
     def test_underflow_marker(self, space10):
-        sample = SectionSample(space=space10, eta=np.zeros(space10.L, dtype=np.complex128), seed_path=())
-        val = evaluate(sample, 0.3)
-        assert val.is_underflow
-        assert val.to_complex() == 0.0
+        assert evaluate(space10, np.zeros(space10.L, dtype=np.complex128), 0.3) == (-math.inf, 0.0)
 
 
 class TestTruncationLength:
@@ -198,7 +192,7 @@ class TestTruncationLength:
         m = 500
         etas_ext = np.empty((m, L + 10), dtype=np.complex128)
         for i in range(m):
-            etas_ext[i] = sample_section(ext, 55, (i,)).eta
+            etas_ext[i] = sample_etas(ext, 55, (i,), 1)[0]
         counts_base = count_zeros_batch(base, etas_ext[:, :L], region)
         counts_ext = count_zeros_batch(ext, etas_ext, region)
         se = np.std(counts_base, ddof=1) / math.sqrt(m)
@@ -209,7 +203,7 @@ class TestFindZeros:
     def test_single_term_has_no_zeros(self, space10):
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[0] = 1.0
-        zs = find_zeros(SectionSample(space=space10, eta=eta, seed_path=()), Annulus(0.1, 0.6))
+        zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
         assert zs.total == 0
 
     def test_constructed_single_zero(self, space10):
@@ -218,7 +212,7 @@ class TestFindZeros:
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[0] = -w / math.exp(0.5 * space10.log_coeffs[0])
         eta[1] = 1.0 / math.exp(0.5 * space10.log_coeffs[1])
-        zs = find_zeros(SectionSample(space=space10, eta=eta, seed_path=()), Annulus(0.1, 0.6))
+        zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
         assert zs.total == 1
         assert zs.zeros[0][0] == pytest.approx(w, abs=1e-10)
 
@@ -228,7 +222,7 @@ class TestFindZeros:
         ws = [0.3 * np.exp(1.1j), 0.5 * np.exp(-2.0j)]
         eta = _with_zeros(space10, [0.0, 0.0, *ws])
         assert eta[0] == 0.0 and eta[1] == 0.0
-        zs = find_zeros(SectionSample(space=space10, eta=eta, seed_path=()), Annulus(0.1, 0.6))
+        zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
         assert not zs.diagnostics
         assert [z for z, _ in zs.zeros] == pytest.approx(ws, abs=1e-10)
 
@@ -239,7 +233,7 @@ class TestFindZeros:
         eta = np.zeros(space10.L, dtype=np.complex128)
         for ell, c in coeffs.items():
             eta[ell - 1] = c / math.exp(0.5 * space10.log_coeffs[ell - 1])
-        zs = find_zeros(SectionSample(space=space10, eta=eta, seed_path=()), Annulus(0.1, 0.6))
+        zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
         assert zs.total == 2
         assert len(zs.zeros) == 1
         assert zs.zeros[0][1] == 2
@@ -250,29 +244,28 @@ class TestFindZeros:
         # roots inside the annulus must match an eigenvalue solve of P
         p = 8
         space = make_disc_space(p, truncation_length(p, 0.6))
-        sample = sample_section(space, 77, (0,))
+        eta = sample_etas(space, 77, (0,), 1)[0]
         region = Annulus(0.05, 0.6)
-        zs = find_zeros(sample, region)
-        coeffs = sample.eta * np.exp(0.5 * space.log_coeffs)
+        zs = find_zeros(space, eta, region)
+        coeffs = eta * np.exp(0.5 * space.log_coeffs)
         roots = np.roots(coeffs[::-1])
         assert roots.size == space.L - 1
         inside = np.sum((np.abs(roots) > region.a) & (np.abs(roots) < region.b))
         assert zs.total == int(inside)
 
     def test_zeros_sorted_and_in_region(self, space10):
-        sample = sample_section(space10, 5, (0,))
+        eta = sample_etas(space10, 5, (0,), 1)[0]
         region = Annulus(0.15, 0.65)
-        zs = find_zeros(sample, region)
+        zs = find_zeros(space10, eta, region)
         radii = [abs(z) for z, _ in zs.zeros]
         assert radii == sorted(radii)
         assert all(region.a < r < region.b for r in radii)
 
     def test_phase_invariance(self, space10):
-        sample = sample_section(space10, 13, (4,))
-        rotated = SectionSample(space=space10, eta=np.exp(0.77j) * sample.eta, seed_path=())
+        eta = sample_etas(space10, 13, (4,), 1)[0]
         region = Annulus(0.1, 0.65)
-        za = find_zeros(sample, region).zeros
-        zb = find_zeros(rotated, region).zeros
+        za = find_zeros(space10, eta, region).zeros
+        zb = find_zeros(space10, np.exp(0.77j) * eta, region).zeros
         assert len(za) == len(zb)
         for (x, mx), (y, my) in zip(za, zb):
             assert x == pytest.approx(y, abs=1e-10)
@@ -281,10 +274,10 @@ class TestFindZeros:
     def test_unconverged_roots_noted_and_kept(self, space10, monkeypatch):
         # three Aberth sweeps leave roots moving: each is noted, and those
         # in the annulus stay in the zero set
-        sample = sample_section(space10, 5, (0,))
+        eta = sample_etas(space10, 5, (0,), 1)[0]
         region = Annulus(0.15, 0.65)
         monkeypatch.setattr(sections, "ABERTH_MAX_ITER", 3)
-        zs = find_zeros(sample, region)
+        zs = find_zeros(space10, eta, region)
         prefix = f"{sections.NEWTON_NOTE} at z="
         moving = [complex(d[len(prefix):]) for d in zs.diagnostics if d.startswith(prefix)]
         inside = [z for z in moving if region.a < abs(z) < region.b]
@@ -294,9 +287,15 @@ class TestFindZeros:
 
     def test_truncation_guard(self):
         space = make_disc_space(60, 40)
-        sample = SectionSample(space=space, eta=np.ones(40, dtype=np.complex128), seed_path=())
         with pytest.raises(disc.TruncationError):
-            find_zeros(sample, Annulus(0.2, 0.8))
+            find_zeros(space, np.ones(40, dtype=np.complex128), Annulus(0.2, 0.8))
+
+    def test_rejects_row_of_wrong_shape(self, space10):
+        # a row one term short, and a batch of rows in place of one row
+        for eta in (np.ones(space10.L - 1, dtype=np.complex128), np.ones((2, space10.L), dtype=np.complex128)):
+            with pytest.raises(ValueError) as err:
+                find_zeros(space10, eta, Annulus(0.1, 0.6))
+            assert str(err.value) == f"coefficient row of shape {eta.shape} does not match the truncation length L = {space10.L}"
 
 
 class TestArgumentPrinciple:
@@ -304,31 +303,29 @@ class TestArgumentPrinciple:
         # section proportional to z^k: winding k on both circles, count 0
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[4] = 2.3
-        sample = SectionSample(space=space10, eta=eta, seed_path=())
-        assert count_zeros_argument_principle(sample, Annulus(0.2, 0.6)) == 0
+        assert count_zeros_batch(space10, eta[None, :], Annulus(0.2, 0.6)).tolist() == [0]
         windings, failed = sections._winding(space10, eta[None, :], 0.5, 256)
         assert windings[0] == 5 and not failed[0]
 
     def test_empty_annulus(self, space10):
-        sample = sample_section(space10, 3, (1,))
-        assert count_zeros_argument_principle(sample, Annulus(0.5, 0.5 + 1e-12)) == 0
+        etas = sample_etas(space10, 3, (1,), 1)
+        assert count_zeros_batch(space10, etas, Annulus(0.5, 0.5 + 1e-12)).tolist() == [0]
 
     def test_agrees_with_companion(self, space10):
         region = Annulus(0.15, 0.65)
         for i in range(60):
-            sample = sample_section(space10, 99, (i,))
-            assert count_zeros_argument_principle(sample, region) == find_zeros(sample, region).total
+            etas = sample_etas(space10, 99, (i,), 1)
+            assert count_zeros_batch(space10, etas, region).tolist() == [find_zeros(space10, etas[0], region).total]
 
     def test_batch_matches_scalar(self, space10):
         region = Annulus(0.2, 0.6)
         m = 64
         etas = np.empty((m, space10.L), dtype=np.complex128)
         for i in range(m):
-            etas[i] = sample_section(space10, 31, (i,)).eta
+            etas[i] = sample_etas(space10, 31, (i,), 1)[0]
         batch = count_zeros_batch(space10, etas, region)
         for i in range(m):
-            sample = SectionSample(space=space10, eta=etas[i], seed_path=())
-            assert batch[i] == count_zeros_argument_principle(sample, region)
+            assert count_zeros_batch(space10, etas[i : i + 1], region).tolist() == [batch[i]]
 
     def test_contour_zero_perturbation(self, space10):
         # place a zero exactly on the outer contour; the count must still
@@ -337,8 +334,7 @@ class TestArgumentPrinciple:
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[0] = -w / math.exp(0.5 * space10.log_coeffs[0])
         eta[1] = 1.0 / math.exp(0.5 * space10.log_coeffs[1])
-        sample = SectionSample(space=space10, eta=eta, seed_path=())
-        count = count_zeros_argument_principle(sample, Annulus(0.2, w))
+        [count] = count_zeros_batch(space10, eta[None, :], Annulus(0.2, w))
         assert count in (0, 1)
 
 
@@ -380,7 +376,7 @@ class TestWindingEngine:
     @pytest.mark.parametrize("p, region", [(8, Annulus(0.25, 0.45)), (20, Annulus(0.2, 0.7))])
     def test_matches_per_row_reference(self, p, region):
         space = make_disc_space(p, truncation_length(p, region.b))
-        etas = np.array([sample_section(space, 8, (i,)).eta for i in range(150)])
+        etas = np.array([sample_etas(space, 8, (i,), 1)[0] for i in range(150)])
         for r in (region.a, region.b):
             n = sections._initial_points(space, r)
             windings, failed = sections._winding(space, etas, r, n)
@@ -454,7 +450,7 @@ class TestWindingEngine:
     def test_chunk_independence(self, monkeypatch):
         p, region = 20, Annulus(0.2, 0.7)
         space = make_disc_space(p, truncation_length(p, region.b))
-        etas = np.array([sample_section(space, 17, (i,)).eta for i in range(300)])
+        etas = np.array([sample_etas(space, 17, (i,), 1)[0] for i in range(300)])
         # rows with a zero close to each contour exercise the refinement queue
         near = [_with_zeros(space, [region.b * (1.0 + 1e-8) * np.exp(2.0j)]),
                 _with_zeros(space, [region.a * (1.0 - 1e-8) * np.exp(-1.0j)])]
@@ -469,9 +465,9 @@ class TestWindingEngine:
     @pytest.mark.parametrize("p, region", [(8, Annulus(0.25, 0.45)), (100, Annulus(0.2, 0.7))])
     def test_agrees_with_companion_roots(self, p, region):
         space = make_disc_space(p, truncation_length(p, region.b))
-        samples = [sample_section(space, 2024, (p, i)) for i in range(200)]
-        counts = count_zeros_batch(space, np.array([s.eta for s in samples]), region)
-        roots = [find_zeros(s, region).total for s in samples]
+        etas = np.array([sample_etas(space, 2024, (p, i), 1)[0] for i in range(200)])
+        counts = count_zeros_batch(space, etas, region)
+        roots = [find_zeros(space, eta, region).total for eta in etas]
         assert counts.tolist() == roots
 
 
@@ -485,8 +481,8 @@ class TestBatchedZeros:
         [(_, space, etas)] = experiments._draw([p], phi.b, 200, self.SEED, {})
         ys, counts = experiments._linear_statistics(space, phi, etas, threads=1)
         for i in range(etas.shape[0]):
-            zs = find_zeros(SectionSample(space=space, eta=etas[i], seed_path=()), phi.support)
-            assert abs(ys[i] - linear_statistic(zs, phi)) <= 1e-9
+            zs = find_zeros(space, etas[i], phi.support)
+            assert abs(ys[i] - sum(m * phi(z) for z, m in zs.zeros)) <= 1e-9
         assert counts == {"fallback_rows": 0, "newton_nonconvergence": 0, "merges": 0}
 
     def test_wide_annulus_zero_sets(self):
@@ -495,7 +491,7 @@ class TestBatchedZeros:
         p, region = 60, Annulus(0.1, 0.8)
         [(_, space, etas)] = experiments._draw([p], region.b, 16, self.SEED, {})
         for row, zs in zip(etas, find_zeros_batch(space, etas, region)):
-            ref = find_zeros(SectionSample(space=space, eta=row, seed_path=()), region)
+            ref = find_zeros(space, row, region)
             assert not zs.diagnostics and len(zs.zeros) == len(ref.zeros)
             assert max(abs(a - b) for (a, _), (b, _) in zip(zs.zeros, ref.zeros)) < 1e-9
 
@@ -507,7 +503,7 @@ class TestBatchedZeros:
         region = Annulus(0.05, 0.95)
         [(_, space, etas)] = experiments._draw([10], region.b, 64, self.SEED, {})
         counts = count_zeros_batch(space, etas, region)
-        zsets = [find_zeros(SectionSample(space=space, eta=row, seed_path=()), region) for row in etas]
+        zsets = [find_zeros(space, row, region) for row in etas]
         assert [zs.total for zs in zsets] == counts.tolist()
         assert not any(d.startswith(sections.NEWTON_NOTE) for zs in zsets for d in zs.diagnostics)
         batch = find_zeros_batch(space, etas, region)
@@ -519,14 +515,14 @@ class TestBatchedZeros:
         phi = TestFunction(0.1, 0.6)
         w = 0.45 * np.exp(-1.2j)
         double = _with_zeros(space10, [w, w, 0.3j])
-        etas = np.array([sample_section(space10, 8, (0,)).eta, double])
+        etas = np.array([sample_etas(space10, 8, (0,), 1)[0], double])
         zsets = find_zeros_batch(space10, etas, phi.support)
         assert not zsets[0].diagnostics
-        ref = find_zeros(SectionSample(space=space10, eta=double, seed_path=()), phi.support)
+        ref = find_zeros(space10, double, phi.support)
         assert zsets[1].diagnostics[0].startswith(sections.FALLBACK)
         assert zsets[1].zeros == ref.zeros and ref.total == 3
         ys, counts = experiments._linear_statistics(space10, phi, etas, threads=1)
-        assert ys[1] == pytest.approx(linear_statistic(ref, phi), rel=1e-14)
+        assert ys[1] == pytest.approx(sum(m * phi(z) for z, m in ref.zeros), rel=1e-14)
         # Aberth converges only linearly at a double zero, so one of its two
         # roots may be noted as unconverged
         newton = sum(d.startswith(sections.NEWTON_NOTE) for d in ref.diagnostics)
@@ -535,7 +531,7 @@ class TestBatchedZeros:
     def test_missed_zero_takes_fallback(self, space10, monkeypatch):
         # a seed grid that misses a zero: the count, not the grid, decides
         region = Annulus(0.1, 0.6)
-        etas = np.array([sample_section(space10, 8, (i,)).eta for i in range(3)])
+        etas = np.array([sample_etas(space10, 8, (i,), 1)[0] for i in range(3)])
         full = find_zeros_batch(space10, etas, region)
         seeds = sections._grid_seeds
 
@@ -548,7 +544,7 @@ class TestBatchedZeros:
         zsets = find_zeros_batch(space10, etas, region)
         assert zsets[0].diagnostics[0].startswith(f"{sections.FALLBACK}: ")
         assert "argument principle counts" in zsets[0].diagnostics[0]
-        assert zsets[0].zeros == find_zeros(SectionSample(space=space10, eta=etas[0], seed_path=()), region).zeros
+        assert zsets[0].zeros == find_zeros(space10, etas[0], region).zeros
         assert zsets[1:] == full[1:]
 
     def test_unresolved_contour_takes_fallback(self, space10):
@@ -556,12 +552,12 @@ class TestBatchedZeros:
         # raises, the batched finder hands the row to find_zeros
         region = Annulus(0.2, 0.5)
         stuck = _with_zeros(space10, [region.b + dr for dr in (0.0, -1e-6, 2e-6, -3e-6)])
-        etas = np.array([sample_section(space10, 8, (1,)).eta, stuck])
+        etas = np.array([sample_etas(space10, 8, (1,), 1)[0], stuck])
         with pytest.raises(sections.ContourError):
             count_zeros_batch(space10, etas, region)
         zsets = find_zeros_batch(space10, etas, region)
         assert zsets[1].diagnostics[0] == f"{sections.FALLBACK}: boundary winding unresolved"
-        ref = find_zeros(SectionSample(space=space10, eta=stuck, seed_path=()), region)
+        ref = find_zeros(space10, stuck, region)
         assert zsets[1].zeros == ref.zeros
         assert not zsets[0].diagnostics
 
@@ -586,22 +582,6 @@ class TestBatchedZeros:
         assert converged[0] and abs(z[0] - w) < 1e-12
 
 
-class TestLinearStatistic:
-    def test_counts_with_constant_function(self, space10):
-        sample = sample_section(space10, 21, (2,))
-        region = Annulus(0.15, 0.6)
-        zs = find_zeros(sample, region)
-        assert linear_statistic(zs, lambda z: 1.0) == pytest.approx(zs.total)
-
-    def test_linear_in_function(self, space10):
-        sample = sample_section(space10, 22, (2,))
-        zs = find_zeros(sample, Annulus(0.15, 0.6))
-        f = lambda z: abs(z) ** 2
-        g = lambda z: math.sin(abs(z))
-        combo = linear_statistic(zs, lambda z: 2.0 * f(z) + g(z))
-        assert combo == pytest.approx(2.0 * linear_statistic(zs, f) + linear_statistic(zs, g), rel=1e-12)
-
-
 class TestLogSup:
     SEED = 20260811
 
@@ -615,8 +595,7 @@ class TestLogSup:
         got = sections.log_sup_batch(space, etas, region)
         grid = [r * np.exp(1j * t) for r in np.linspace(region.a, region.b, 61)
                 for t in np.linspace(0.0, 2.0 * math.pi, 240, endpoint=False)]
-        dense = [max(evaluate(SectionSample(space=space, eta=eta, seed_path=()), z).log_modulus for z in grid)
-                 for eta in etas]
+        dense = [max(evaluate(space, eta, z)[0] for z in grid) for eta in etas]
         assert np.allclose(got, dense, rtol=0.0, atol=1e-2)
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 1)  # one row per zoom block
         assert np.array_equal(sections.log_sup_batch(space, etas, region), got)

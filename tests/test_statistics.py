@@ -10,14 +10,11 @@ from bergman_zeros import disc, sections, experiments
 from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.statistics import (
     APERY,
-    Gtilde,
     TestFunction,
     _angular_values,
     _bipotential_means,
     _c1_rule,
     _gtilde_fast,
-    _gtilde_integral,
-    _gtilde_series,
     _pair_blocks,
     _theta_mean,
     expected_linear_statistic,
@@ -26,6 +23,7 @@ from bergman_zeros.statistics import (
     variance_bipotential,
     variance_leading_term,
 )
+from oracles import Gtilde, _gtilde_integral, _gtilde_series
 
 
 class TestTestFunction:
@@ -189,6 +187,20 @@ class TestVariance:
         assert peak < 40 * 2**20
         assert value == pytest.approx(0.07822989228457813, rel=1e-9)
         assert diagnostics == {"bipotential_radial_nodes": 256}
+
+    def test_log_diagonal_in_row_blocks(self):
+        # the log diagonal of all 512 radial nodes in one array peaks at 104 MB traced here (L = 4132);
+        # in row blocks of sections.BLOCK_ENTRIES the first pair block peaks at 6 MB
+        phi = TestFunction(0.1, 0.9)
+        space = make_disc_space(640, sections.truncation_length(640, phi.b))
+        r, _ = _c1_rule(phi.a, phi.b, 512)
+        tracemalloc.start()
+        try:
+            next(_pair_blocks(space, np.log(r), *np.triu_indices(r.size), 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_pair_block_size_does_not_change_values(self, monkeypatch):
         # each pair value depends on its own radii only: blocks of 4 to 19 pairs give the
