@@ -45,10 +45,8 @@ def _run(args: argparse.Namespace) -> int:
     except Exception as exc:  # numerical failures surface as exit 1 with context
         print(f"error: {cfg.kind}: {exc}", file=sys.stderr)
         return 1
-    report.metadata["seed"] = cfg.seed
-    report.metadata["config_digest"] = config_digest(cfg.digest_payload())
     report.to_csv(out_dir / "results.csv")
-    report.to_summary_json(out_dir / "summary.json", _versions())
+    report.to_summary_json(out_dir / "summary.json", config_digest(cfg.digest_payload()), _versions())
     for row in report.rows:
         print(row.to_csv_line())
     if args.check:

@@ -5,8 +5,9 @@ out in a fixed order, the coefficient rows of a Monte Carlo run at p are
 drawn in sample order from the one stream (seed, p), or from (seed,) for
 all p at once when paired, and thread count never changes any output
 byte (the draw comes before the work is cut into fixed-size chunks;
-threads only decide who runs a chunk).  Every Monte Carlo driver records
-the truncation length of each p in `diagnostics`.
+threads only decide who runs a chunk).  Every Monte Carlo driver runs
+through `_monte_carlo` and records the truncation length of each p in
+`report.diagnostics`.
 
 The driver signatures are the experiment table: every parameter but
 `seed` and `threads` is a config key of the same name, its annotation
@@ -28,7 +29,7 @@ from scipy import stats as sps
 
 from . import disc, sections
 from .disc import Annulus, DiscSpace
-from .report import CheckResult, ReportRow, StatsReport
+from .report import StatsReport
 from .statistics import (
     TestFunction,
     expected_linear_statistic,
@@ -51,23 +52,13 @@ __all__ = [
 
 # Fixed work-partition sizes: identical batched calls of the winding
 # engine, the log sup and the zero finder regardless of the thread count.
+# The drivers read them when they run, so a test can shrink them.
 COUNT_CHUNK = 4096
 ROOT_CHUNK = 64
 
 
-def _map_chunks(
-    worker: Callable[[int, int], object], total: int, chunk: int, threads: int
-) -> list[object]:
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if threads <= 1 or len(bounds) <= 1:
-        return [worker(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
-
-
-def _space_for(p: int, r_max: float, eps: float = sections.ZERO_TAIL_EPS) -> DiscSpace:
-    return disc.make_disc_space(p, sections.truncation_length(p, r_max, eps))
+def _space_for(p: int, r_max: float) -> DiscSpace:
+    return disc.make_disc_space(p, sections.truncation_length(p, r_max))
 
 
 def _draw(
@@ -92,13 +83,40 @@ def _draw(
         yield p, space, etas
 
 
-def _chunked(space: DiscSpace, region: Annulus, etas: np.ndarray, threads: int, *batch_fns) -> list[np.ndarray]:
-    """fn(space, rows, region) for each batch function, over COUNT_CHUNK chunks of rows in one pass, in row order."""
+def _monte_carlo(
+    report: StatsReport,
+    ps: Sequence[int],
+    r_max: float,
+    samples: int,
+    threads: int,
+    rows_fn: Callable[[DiscSpace, np.ndarray], tuple[np.ndarray, ...]],
+    chunk: int,
+    paired: bool = False,
+) -> Iterator[tuple]:
+    """For each p in turn: p, its space, and the arrays of rows_fn over all of the p's coefficient rows.
 
-    def worker(lo: int, hi: int):
-        return [fn(space, etas[lo:hi], region) for fn in batch_fns]
+    The rows come from `_draw` at report.seed, which records
+    report.diagnostics[p].  rows_fn(space, rows) returns a tuple of arrays
+    with one entry per row; it runs on fixed chunks of `chunk` rows, on
+    `threads` pool threads, and each array is joined in row order.
+    """
+    for p, space, etas in _draw(ps, r_max, samples, report.seed, report.diagnostics, paired):
+        starts = range(0, samples, chunk)
 
-    return [np.concatenate(parts) for parts in zip(*_map_chunks(worker, etas.shape[0], COUNT_CHUNK, threads))]
+        def run(lo: int) -> tuple[np.ndarray, ...]:
+            return rows_fn(space, etas[lo : lo + chunk])
+
+        if threads <= 1 or len(starts) <= 1:
+            parts = [run(lo) for lo in starts]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(run, starts))
+        yield (p, space, *(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def _batched(region: Annulus, *batch_fns) -> Callable[[DiscSpace, np.ndarray], tuple[np.ndarray, ...]]:
+    """Rows function of the batched section routines fn(space, rows, region), one array each."""
+    return lambda space, etas: tuple(fn(space, etas, region) for fn in batch_fns)
 
 
 def _falls(
@@ -112,7 +130,7 @@ def _falls(
     for p_lo, p_hi in zip(ps, ps[1:]):
         lo, hi = values[p_lo], values[p_hi]
         passed = hi < lo if strict else hi <= lo
-        report.checks.append(CheckResult(f"{name}_p{p_lo}_to_p{p_hi}", passed, f"{label}{lo:{fmt}} -> {hi:{fmt}}"))
+        report.check(f"{name}_p{p_lo}_to_p{p_hi}", passed, f"{label}{lo:{fmt}} -> {hi:{fmt}}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +146,18 @@ PLATEAU_TOLERANCE = 1e-3
 
 def plateau_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     """Sup over [PLATEAU_R_MIN, PLATEAU_R_MAX] of |2 pi B_p / (p-1) - 1| for each p."""
-    report = StatsReport()
+    report = StatsReport("plateau", seed)
     t = np.linspace(math.log(-math.log(PLATEAU_R_MAX)), math.log(-math.log(PLATEAU_R_MIN)), PLATEAU_N_GRID)
     radii = np.exp(-np.exp(t))
     for p in list(p):
-        space = _space_for(p, PLATEAU_R_MAX, eps=1e-7)
+        space = disc.make_disc_space(p, disc.adaptive_truncation(p, PLATEAU_R_MAX))
         plateau = (p - 1) / (2.0 * math.pi)
         sup_err = float(np.max(np.abs(disc.kernel_function(space, radii) / plateau - 1.0)))
-        report.add(
-            ReportRow(
-                "plateau", p, "plateau_sup_relative_error",
-                estimate=sup_err, prediction=0.0, deviation=sup_err, seed=seed,
-            )
-        )
-        report.checks.append(
-            CheckResult(
-                f"plateau_error_p{p}",
-                sup_err <= PLATEAU_TOLERANCE,
-                f"sup error {sup_err:.3e} vs tolerance {PLATEAU_TOLERANCE:.0e}",
-            )
+        report.row(p, "plateau_sup_relative_error", sup_err, prediction=0.0, deviation=sup_err)
+        report.check(
+            f"plateau_error_p{p}",
+            sup_err <= PLATEAU_TOLERANCE,
+            f"sup error {sup_err:.3e} vs tolerance {PLATEAU_TOLERANCE:.0e}",
         )
     return report
 
@@ -156,32 +167,16 @@ SUP_TOLERANCE = 0.25  # largest |ratio - 1| of sup B_p to (p / 2 pi)^(3/2)
 
 def sup_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     """Global sup of B_p against the (p / 2 pi)^(3/2) law."""
-    report = StatsReport()
+    report = StatsReport("sup", seed)
     errors: dict[int, float] = {}
     for p in list(p):
-        space = _space_for(p, 0.95, eps=1e-7)
+        space = disc.make_disc_space(p, disc.adaptive_truncation(p, 0.95))
         r_star, value = disc.sup_kernel(space)
         ratio = value * (2.0 * math.pi / p) ** 1.5
         errors[p] = abs(ratio - 1.0)
-        report.add(
-            ReportRow(
-                "sup", p, "sup_ratio_to_power_law",
-                estimate=ratio, prediction=1.0, deviation=abs(ratio - 1.0), seed=seed,
-            )
-        )
-        report.add(
-            ReportRow(
-                "sup", p, "sup_maximizer_neg_log_radius",
-                estimate=-math.log(r_star), seed=seed,
-            )
-        )
-        report.checks.append(
-            CheckResult(
-                f"sup_ratio_p{p}",
-                errors[p] <= SUP_TOLERANCE,
-                f"|ratio - 1| = {errors[p]:.4f} vs {SUP_TOLERANCE}",
-            )
-        )
+        report.row(p, "sup_ratio_to_power_law", ratio, prediction=1.0, deviation=abs(ratio - 1.0))
+        report.row(p, "sup_maximizer_neg_log_radius", -math.log(r_star))
+        report.check(f"sup_ratio_p{p}", errors[p] <= SUP_TOLERANCE, f"|ratio - 1| = {errors[p]:.4f} vs {SUP_TOLERANCE}")
     _falls(report, "sup_ratio_improves", errors, ".4f", label="|ratio-1|: ")
     return report
 
@@ -199,7 +194,7 @@ def model_kernel_experiment(
     """Model kernel at a curvature-vanishing point: B(0,0) and parity jets."""
     from . import model
 
-    report = StatsReport()
+    report = StatsReport("model-kernel", seed)
     curv = model.HomogeneousCurvature.from_monomials(rho_prime, curvature)
     pp = model.solve_potential(curv)
     basis = model.gram_matrix(pp, max_deg=max_deg)
@@ -208,65 +203,40 @@ def model_kernel_experiment(
     if rho_prime == 2:
         c = float(curv.psi_coeffs[0])
         prediction = c / (2.0 * math.pi)
-    report.add(
-        ReportRow(
-            "model-kernel", None, "model_kernel_at_zero",
-            estimate=value, prediction=prediction,
-            deviation=None if prediction is None else abs(value - prediction), seed=seed,
-        )
+    report.row(
+        None, "model_kernel_at_zero", value,
+        prediction=prediction, deviation=None if prediction is None else abs(value - prediction),
     )
     jets = model.kernel_parity_and_jets(basis, order=4, step=PARITY_STEP)
     odd = max(abs(v) for (i, j), v in jets.items() if (i + j) % 2 == 1)
-    report.add(
-        ReportRow(
-            "model-kernel", None, "parity_max_odd_jet",
-            estimate=odd, prediction=0.0, deviation=odd, seed=seed,
-        )
-    )
-    report.checks.append(
-        CheckResult("model_kernel_positive", value > 0.0, f"B(0,0) = {value:.6g}")
-    )
+    report.row(None, "parity_max_odd_jet", odd, prediction=0.0, deviation=odd)
+    report.check("model_kernel_positive", value > 0.0, f"B(0,0) = {value:.6g}")
     if prediction is not None:
         rel = abs(value / prediction - 1.0)
-        report.checks.append(
-            CheckResult("model_kernel_constant_curvature", rel <= 1e-6, f"relative error {rel:.2e}")
-        )
-    report.checks.append(
-        CheckResult("model_kernel_parity", odd <= PARITY_TOLERANCE, f"max odd jet {odd:.2e}")
-    )
+        report.check("model_kernel_constant_curvature", rel <= 1e-6, f"relative error {rel:.2e}")
+    report.check("model_kernel_parity", odd <= PARITY_TOLERANCE, f"max odd jet {odd:.2e}")
     return report
 
 
 def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> StatsReport:
     """L1 norm of log B_p over the annulus, against the plateau substitution."""
-    report = StatsReport()
+    report = StatsReport("l1log", seed)
     values: dict[int, float] = {}
     area = disc.hyperbolic_area(annulus)
     ps = list(p)
     for p in ps:
-        space = _space_for(p, annulus.b, eps=1e-7)
+        space = disc.make_disc_space(p, disc.adaptive_truncation(p, annulus.b))
         val = disc.log_bergman_l1(space, annulus)
         values[p] = val
         pred = abs(math.log((p - 1) / (2.0 * math.pi))) * area
-        report.add(
-            ReportRow(
-                "l1log", p, "log_kernel_l1",
-                estimate=val, prediction=pred, deviation=abs(val - pred), seed=seed,
-            )
-        )
+        report.row(p, "log_kernel_l1", val, prediction=pred, deviation=abs(val - pred))
     # C log p bound with the natural constant: the plateau value is
     # |log((p-1)/2pi)| * area, so area * (1 + slack) dominates value/log p
     for p in ps:
         if p <= 2:
             continue
         bound = 1.05 * area * math.log(p)
-        report.checks.append(
-            CheckResult(
-                f"l1_log_bound_p{p}",
-                values[p] <= bound,
-                f"value {values[p]:.4f} vs C log p = {bound:.4f}",
-            )
-        )
+        report.check(f"l1_log_bound_p{p}", values[p] <= bound, f"value {values[p]:.4f} vs C log p = {bound:.4f}")
     for p_lo, p_hi in zip(ps, ps[1:]):
         if p_hi == 2 * p_lo and p_lo > 8:
             # doubling p grows the plateau value by the predicted log ratio
@@ -274,16 +244,15 @@ def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> Stats
             bound = 1.05 * abs(math.log((2 * p_lo - 1) / (2 * math.pi))) / abs(
                 math.log((p_lo - 1) / (2 * math.pi))
             )
-            report.checks.append(
-                CheckResult(
-                    f"l1_log_growth_p{p_lo}_to_p{p_hi}",
-                    ratio <= bound,
-                    f"growth ratio {ratio:.4f} vs plateau-predicted bound {bound:.4f}",
-                )
+            report.check(
+                f"l1_log_growth_p{p_lo}_to_p{p_hi}",
+                ratio <= bound,
+                f"growth ratio {ratio:.4f} vs plateau-predicted bound {bound:.4f}",
             )
     return report
 
 
+FAR_K = 2  # far pairs sit beyond sqrt(12 FAR_K log p / p)
 FAR_TOLERANCE = 1e-3  # largest N_p of a far pair
 
 
@@ -291,20 +260,19 @@ def kernel_decay_experiment(
     p: int,
     annulus: Annulus,
     n_pairs: int = 400,
-    k: int = 2,
     seed: int = 0,
 ) -> StatsReport:
     """Normalized-kernel decay: Gaussian near-regime slope and far-regime bound.
 
     Near pairs have hyperbolic distance below sqrt(12 log p / p); the
     regression of -log N_p on p d^2/4 over them should have slope near 1.
-    Far pairs sit beyond sqrt(12 k log p / p), where N_p must be tiny.
+    Far pairs sit beyond sqrt(12 FAR_K log p / p), where N_p must be tiny.
     """
-    report = StatsReport()
-    space = _space_for(p, annulus.b * 1.05, eps=1e-7)
+    report = StatsReport("kernel-decay", seed)
+    space = disc.make_disc_space(p, disc.adaptive_truncation(p, annulus.b * 1.05))
     rng = sections.section_stream(seed, (p, 7001))
     d_near = math.sqrt(12.0) * math.sqrt(math.log(p) / p)
-    d_far = math.sqrt(12.0 * k) * math.sqrt(math.log(p) / p)
+    d_far = math.sqrt(12.0 * FAR_K) * math.sqrt(math.log(p) / p)
 
     def displaced(r0: float, theta0: float, d: float, mode: int, sign: float) -> complex:
         s = -math.log(r0)
@@ -339,26 +307,12 @@ def kernel_decay_experiment(
         )
     slope = float(np.polyfit(xs, ys, 1)[0])
     far_max = float(np.max(far_vals))
-    report.add(
-        ReportRow(
-            "kernel-decay", p, "near_regime_slope",
-            estimate=float(slope), prediction=1.0, deviation=abs(float(slope) - 1.0),
-            n_samples=len(xs), seed=seed,
-        )
+    report.row(p, "near_regime_slope", slope, prediction=1.0, deviation=abs(slope - 1.0), n_samples=len(xs))
+    report.row(
+        p, "far_regime_max_normalized_kernel", far_max, prediction=0.0, deviation=far_max, n_samples=len(far_vals)
     )
-    report.add(
-        ReportRow(
-            "kernel-decay", p, "far_regime_max_normalized_kernel",
-            estimate=far_max, prediction=0.0, deviation=far_max,
-            n_samples=len(far_vals), seed=seed,
-        )
-    )
-    report.checks.append(
-        CheckResult("decay_slope_window", bool(0.9 <= slope <= 1.1), f"slope {slope:.4f}")
-    )
-    report.checks.append(
-        CheckResult("decay_far_bound", far_max <= FAR_TOLERANCE, f"max far N_p {far_max:.3e}")
-    )
+    report.check("decay_slope_window", bool(0.9 <= slope <= 1.1), f"slope {slope:.4f}")
+    report.check("decay_far_bound", far_max <= FAR_TOLERANCE, f"max far N_p {far_max:.3e}")
     return report
 
 
@@ -382,88 +336,70 @@ def equidistribution_experiment(
     Also checks the mean count against the exact expected zero measure of
     the truncated section, within 3 standard errors.
     """
-    report = StatsReport()
-    diagnostics = report.metadata["diagnostics"] = {}
+    report = StatsReport("equidistribution", seed)
     area = disc.c1_area(annulus)
     deviations: dict[int, float] = {}
     ps = list(p)
-    for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics, paired_seeds):
-        (counts,) = _chunked(space, annulus, etas, threads, sections.count_zeros_batch)
+    rows_fn = _batched(annulus, sections.count_zeros_batch)
+    for p, space, counts in _monte_carlo(report, ps, annulus.b, samples, threads, rows_fn, COUNT_CHUNK, paired_seeds):
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(samples))
         exact = disc.expected_zero_measure(space, annulus)
         dev = abs(mean / p - area)
         deviations[p] = dev
-        report.add(
-            ReportRow(
-                "equidistribution", p, "mean_count_over_p",
-                estimate=mean / p, stderr=se / p, prediction=area, deviation=dev,
-                n_samples=samples, seed=seed,
-            )
+        report.row(
+            p, "mean_count_over_p", mean / p,
+            stderr=se / p, prediction=area, deviation=dev, n_samples=samples,
         )
-        report.add(
-            ReportRow(
-                "equidistribution", p, "mean_count",
-                estimate=mean, stderr=se, prediction=exact, deviation=abs(mean - exact),
-                n_samples=samples, seed=seed,
-            )
+        report.row(
+            p, "mean_count", mean,
+            stderr=se, prediction=exact, deviation=abs(mean - exact), n_samples=samples,
         )
         bound = 3.0 * se / p + EQUIDISTRIBUTION_SLACK
-        report.checks.append(
-            CheckResult(
-                f"equidistribution_p{p}",
-                dev <= bound,
-                f"|mean/p - area| = {dev:.4f} vs 3 SE/p + {EQUIDISTRIBUTION_SLACK} = {bound:.4f}",
-            )
+        report.check(
+            f"equidistribution_p{p}",
+            dev <= bound,
+            f"|mean/p - area| = {dev:.4f} vs 3 SE/p + {EQUIDISTRIBUTION_SLACK} = {bound:.4f}",
         )
-        report.checks.append(
-            CheckResult(
-                f"expected_measure_p{p}",
-                abs(mean - exact) <= 3.0 * se,
-                f"|mean - expected| = {abs(mean - exact):.4f} vs 3 SE = {3.0 * se:.4f}",
-            )
+        report.check(
+            f"expected_measure_p{p}",
+            abs(mean - exact) <= 3.0 * se,
+            f"|mean - expected| = {abs(mean - exact):.4f} vs 3 SE = {3.0 * se:.4f}",
         )
     if len(ps) >= 2:
-        ok = deviations[ps[-1]] < deviations[ps[0]]
-        report.checks.append(
-            CheckResult(
-                f"equidistribution_speed_p{ps[0]}_to_p{ps[-1]}",
-                ok,
-                f"deviation {deviations[ps[0]]:.4f} -> {deviations[ps[-1]]:.4f}",
-            )
+        report.check(
+            f"equidistribution_speed_p{ps[0]}_to_p{ps[-1]}",
+            deviations[ps[-1]] < deviations[ps[0]],
+            f"deviation {deviations[ps[0]]:.4f} -> {deviations[ps[-1]]:.4f}",
         )
     return report
 
 
-def _linear_statistics(
-    space: DiscSpace, phi: TestFunction, etas: np.ndarray, threads: int
-) -> tuple[np.ndarray, dict[str, int]]:
-    """Y(phi) of every row, and the counts of what the zero finder had to do.
+# what the zero finder had to do, counted per row and summed into
+# diagnostics[p]: rows solved by the oracle fallback, unconverged-root
+# notes, and merged roots
+_ROOT_NOTES = {
+    "fallback_rows": sections.FALLBACK,
+    "newton_nonconvergence": sections.NEWTON_NOTE,
+    "merges": sections.MERGE_NOTE,
+}
 
-    The counts are rows solved by the oracle fallback, unconverged-root
-    notes, and merged roots, summed over the ZeroSet diagnostics of all rows.
-    """
-    m = etas.shape[0]
-    ys = np.empty(m)
 
-    def worker(lo: int, hi: int):
-        zsets = sections.find_zeros_batch(space, etas[lo:hi], phi.support)
-        for i, zset in enumerate(zsets, start=lo):
+def _linear_statistics(phi: TestFunction) -> Callable[[DiscSpace, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Rows function of the linear statistic: Y(phi) of every row, and each row's count of each _ROOT_NOTES note."""
+
+    def rows_fn(space: DiscSpace, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        zsets = sections.find_zeros_batch(space, etas, phi.support)
+        ys = np.empty(len(zsets))
+        for i, zset in enumerate(zsets):
             zeros = np.array([z for z, _ in zset.zeros], dtype=np.complex128)
             mult = np.array([k for _, k in zset.zeros], dtype=np.float64)
             ys[i] = float(np.dot(mult, phi.value(np.abs(zeros))))
-        return [note for zset in zsets for note in zset.diagnostics]
+        notes = [[sum(note.startswith(prefix) for note in zset.diagnostics) for prefix in _ROOT_NOTES.values()]
+                 for zset in zsets]
+        return ys, np.array(notes, dtype=np.int64)
 
-    notes = [note for chunk in _map_chunks(worker, m, ROOT_CHUNK, threads) for note in chunk]
-    counts = {
-        key: sum(note.startswith(prefix) for note in notes)
-        for key, prefix in (
-            ("fallback_rows", sections.FALLBACK),
-            ("newton_nonconvergence", sections.NEWTON_NOTE),
-            ("merges", sections.MERGE_NOTE),
-        )
-    }
-    return ys, counts
+    return rows_fn
 
 
 KS_LEVEL = 0.01  # smallest KS p-value of the standardized linear statistic against N(0, 1)
@@ -483,12 +419,12 @@ def clt_experiment(
     Also reports sup_z int N_p(z, w) c1(w), the correlation-summability
     diagnostic behind the theorem, which must decrease in p.
     """
-    report = StatsReport()
-    diagnostics = report.metadata["diagnostics"] = {}
+    report = StatsReport("clt", seed)
     proxies: dict[int, float] = {}
-    for p, space, etas in _draw(list(p), testfunction.b, samples, seed, diagnostics):
-        ys, counts = _linear_statistics(space, testfunction, etas, threads)
-        diagnostics[p].update(counts)
+    for p, space, ys, notes in _monte_carlo(
+        report, list(p), testfunction.b, samples, threads, _linear_statistics(testfunction), ROOT_CHUNK
+    ):
+        report.diagnostics[p].update(zip(_ROOT_NOTES, notes.sum(axis=0).tolist()))
         sd = float(np.std(ys, ddof=1))
         if sd == 0.0:
             raise RuntimeError(
@@ -499,25 +435,15 @@ def clt_experiment(
         proxy = sodin_tsirelson_proxy(space, testfunction.support)
         proxies[p] = proxy
         mean_pred = expected_linear_statistic(space, testfunction)
-        report.add(
-            ReportRow(
-                "clt", p, "linstat_mean",
-                estimate=float(np.mean(ys)), stderr=sd / math.sqrt(samples),
-                prediction=mean_pred, deviation=abs(float(np.mean(ys)) - mean_pred),
-                n_samples=samples, seed=seed,
-            )
+        report.row(
+            p, "linstat_mean", float(np.mean(ys)),
+            stderr=sd / math.sqrt(samples), prediction=mean_pred,
+            deviation=abs(float(np.mean(ys)) - mean_pred), n_samples=samples,
         )
-        report.add(ReportRow("clt", p, "ks_statistic", estimate=float(ks_stat), n_samples=samples, seed=seed))
-        report.add(
-            ReportRow(
-                "clt", p, "ks_pvalue",
-                estimate=float(ks_p), prediction=KS_LEVEL, n_samples=samples, seed=seed,
-            )
-        )
-        report.add(ReportRow("clt", p, "correlation_sum_diagnostic", estimate=proxy, seed=seed))
-        report.checks.append(
-            CheckResult(f"clt_ks_p{p}", bool(ks_p >= KS_LEVEL), f"KS p-value {ks_p:.4f} vs level {KS_LEVEL}")
-        )
+        report.row(p, "ks_statistic", float(ks_stat), n_samples=samples)
+        report.row(p, "ks_pvalue", float(ks_p), prediction=KS_LEVEL, n_samples=samples)
+        report.row(p, "correlation_sum_diagnostic", proxy)
+        report.check(f"clt_ks_p{p}", bool(ks_p >= KS_LEVEL), f"KS p-value {ks_p:.4f} vs level {KS_LEVEL}")
     _falls(report, "correlation_diagnostic_decreases", proxies, ".5f")
     return report
 
@@ -534,40 +460,30 @@ def variance_experiment(
     threads: int = 1,
 ) -> StatsReport:
     """Number variance: Monte Carlo vs bipotential vs the zeta(3) leading term."""
-    report = StatsReport()
-    diagnostics = report.metadata["diagnostics"] = {}
+    report = StatsReport("variance", seed)
     lead_gaps: dict[int, float] = {}
-    for p, space, etas in _draw(list(p), testfunction.b, samples, seed, diagnostics):
-        ys, counts = _linear_statistics(space, testfunction, etas, threads)
-        diagnostics[p].update(counts)
+    for p, space, ys, notes in _monte_carlo(
+        report, list(p), testfunction.b, samples, threads, _linear_statistics(testfunction), ROOT_CHUNK
+    ):
+        report.diagnostics[p].update(zip(_ROOT_NOTES, notes.sum(axis=0).tolist()))
         var_mc = float(np.var(ys, ddof=1))
         boot_rng = sections.section_stream(seed, (p, 1_000_003))
         idx = boot_rng.integers(0, samples, size=(BOOTSTRAP_RESAMPLES, samples))
         boot_vars = np.var(ys[idx], axis=1, ddof=1)
         boot_se = float(np.std(boot_vars, ddof=1))
-        bip = variance_bipotential(space, testfunction, diagnostics[p])
+        bip = variance_bipotential(space, testfunction, report.diagnostics[p])
         lead = variance_leading_term(testfunction, p)
         lead_gaps[p] = abs(p * bip - p * lead)
-        report.add(
-            ReportRow(
-                "variance", p, "linstat_variance_mc",
-                estimate=var_mc, stderr=boot_se, prediction=bip, deviation=abs(var_mc - bip),
-                n_samples=samples, seed=seed,
-            )
+        report.row(
+            p, "linstat_variance_mc", var_mc,
+            stderr=boot_se, prediction=bip, deviation=abs(var_mc - bip), n_samples=samples,
         )
-        report.add(
-            ReportRow(
-                "variance", p, "scaled_variance_vs_leading_term",
-                estimate=p * bip, prediction=p * lead, deviation=lead_gaps[p], seed=seed,
-            )
-        )
+        report.row(p, "scaled_variance_vs_leading_term", p * bip, prediction=p * lead, deviation=lead_gaps[p])
         tol = max(VARIANCE_REL_TOLERANCE * bip, 3.0 * boot_se)
-        report.checks.append(
-            CheckResult(
-                f"variance_mc_matches_bipotential_p{p}",
-                abs(var_mc - bip) <= tol,
-                f"|MC - bipotential| = {abs(var_mc - bip):.3e} vs {tol:.3e}",
-            )
+        report.check(
+            f"variance_mc_matches_bipotential_p{p}",
+            abs(var_mc - bip) <= tol,
+            f"|MC - bipotential| = {abs(var_mc - bip):.3e} vs {tol:.3e}",
         )
     _falls(report, "variance_leading_term_gap_shrinks", lead_gaps, ".3e", label="|p Var - leading| ")
     return report
@@ -593,13 +509,12 @@ def hole_probability_experiment(
     threads: int = 1,
 ) -> StatsReport:
     """Empirical hole probabilities with Wilson intervals and the p^2 trend."""
-    report = StatsReport()
-    diagnostics = report.metadata["diagnostics"] = {}
+    report = StatsReport("holes", seed)
     estimates: dict[int, float] = {}
     intervals: dict[int, tuple[float, float]] = {}
     ps = list(p)
-    for p, space, etas in _draw(ps, annulus.b, samples, seed, diagnostics):
-        (counts,) = _chunked(space, annulus, etas, threads, sections.count_zeros_batch)
+    rows_fn = _batched(annulus, sections.count_zeros_batch)
+    for p, _, counts in _monte_carlo(report, ps, annulus.b, samples, threads, rows_fn, COUNT_CHUNK):
         k = int(np.sum(counts == 0))
         phat = k / samples
         lo, hi = _wilson_interval(k, samples)
@@ -607,38 +522,27 @@ def hole_probability_experiment(
         intervals[p] = (lo, hi)
         if k == 0:
             # rule of three: one-sided 95% upper bound on an unobserved event
-            report.add(
-                ReportRow(
-                    "holes", p, "hole_probability_upper_bound",
-                    estimate=3.0 / samples, n_samples=samples, seed=seed,
-                )
-            )
+            report.row(p, "hole_probability_upper_bound", 3.0 / samples, n_samples=samples)
         else:
             se = math.sqrt(phat * (1.0 - phat) / samples)
-            report.add(
-                ReportRow("holes", p, "hole_probability", estimate=phat, stderr=se, n_samples=samples, seed=seed)
-            )
-        report.add(ReportRow("holes", p, "hole_probability_wilson_low", estimate=lo, n_samples=samples, seed=seed))
-        report.add(ReportRow("holes", p, "hole_probability_wilson_high", estimate=hi, n_samples=samples, seed=seed))
+            report.row(p, "hole_probability", phat, stderr=se, n_samples=samples)
+        report.row(p, "hole_probability_wilson_low", lo, n_samples=samples)
+        report.row(p, "hole_probability_wilson_high", hi, n_samples=samples)
     positive = [(p, estimates[p]) for p in ps if estimates[p] > 0.0]
     if len(positive) >= 2:
         xs = np.array([p * p for p, _ in positive], dtype=np.float64)
         ys = np.array([-math.log(ph) for _, ph in positive])
         slope = float(np.polyfit(xs, ys, 1)[0])
-        report.add(ReportRow("holes", None, "neg_log_hole_slope_vs_p2", estimate=slope, seed=seed))
-        report.checks.append(
-            CheckResult("hole_decay_slope_positive", slope > 0.0, f"slope {slope:.4e}")
-        )
+        report.row(None, "neg_log_hole_slope_vs_p2", slope)
+        report.check("hole_decay_slope_positive", slope > 0.0, f"slope {slope:.4e}")
     _falls(report, "hole_probability_decreases", estimates, ".4f")
     if len(ps) >= 2:
         lo_first = intervals[ps[0]][0]
         hi_last = intervals[ps[-1]][1]
-        report.checks.append(
-            CheckResult(
-                f"hole_wilson_disjoint_p{ps[0]}_p{ps[-1]}",
-                hi_last < lo_first,
-                f"[{intervals[ps[-1]][0]:.4f}, {hi_last:.4f}] below [{lo_first:.4f}, {intervals[ps[0]][1]:.4f}]",
-            )
+        report.check(
+            f"hole_wilson_disjoint_p{ps[0]}_p{ps[-1]}",
+            hi_last < lo_first,
+            f"[{intervals[ps[-1]][0]:.4f}, {hi_last:.4f}] below [{lo_first:.4f}, {intervals[ps[0]][1]:.4f}]",
         )
     return report
 
@@ -652,24 +556,21 @@ def deviation_experiment(
     threads: int = 1,
 ) -> StatsReport:
     """Tail frequencies for the count deviation and the log-sup statistic."""
-    report = StatsReport()
-    diagnostics = report.metadata["diagnostics"] = {}
+    report = StatsReport("deviation", seed)
     area = disc.c1_area(annulus)
     freqs: dict[int, float] = {}
-    for p, space, etas in _draw(list(p), annulus.b, samples, seed, diagnostics):
-        counts, log_sup = _chunked(space, annulus, etas, threads, sections.count_zeros_batch, sections.log_sup_batch)
+
+    rows_fn = _batched(annulus, sections.count_zeros_batch, sections.log_sup_batch)
+    for p, _, counts, log_sup in _monte_carlo(report, list(p), annulus.b, samples, threads, rows_fn, COUNT_CHUNK):
         freq_count = float(np.mean(np.abs(counts / p - area) > delta))
         freq_sup = float(np.mean(np.abs(log_sup) / p >= delta))
         freqs[p] = freq_count
         for statistic, freq in (
             ("count_deviation_frequency", freq_count), ("log_sup_deviation_frequency", freq_sup)
         ):
-            report.add(
-                ReportRow(
-                    "deviation", p, statistic,
-                    estimate=freq, stderr=math.sqrt(max(freq * (1 - freq), 1.0 / samples) / samples),
-                    n_samples=samples, seed=seed,
-                )
+            report.row(
+                p, statistic, freq,
+                stderr=math.sqrt(max(freq * (1 - freq), 1.0 / samples) / samples), n_samples=samples,
             )
     _falls(report, "count_deviation_decreases", freqs, ".4f", strict=False)
     return report

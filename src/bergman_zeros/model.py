@@ -319,22 +319,17 @@ def kernel_diagonal(basis: GramBasis, z) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite-difference weights on offsets -2..2 (h = 1 units)."""
-    offs = np.arange(-2, 3, dtype=np.float64)
-    if order == 0:
-        w = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    elif order == 1:
-        w = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
-    elif order == 2:
-        w = np.array([0.0, 1.0, -2.0, 1.0, 0.0])
-    elif order == 3:
-        w = np.array([-0.5, 1.0, 0.0, -1.0, 0.5])
-    elif order == 4:
-        w = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-    else:
-        raise ValueError("finite-difference jets supported up to order 4")
-    return offs, w
+# central finite-difference weights of the derivative of order 0..4 (the
+# row) on the offsets -2..2 (the column), in units of the step
+JET_STENCIL = np.array(
+    [
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, -0.5, 0.0, 0.5, 0.0],
+        [0.0, 1.0, -2.0, 1.0, 0.0],
+        [-0.5, 1.0, 0.0, -1.0, 0.5],
+        [1.0, -4.0, 6.0, -4.0, 1.0],
+    ]
+)
 
 
 def kernel_parity_and_jets(
@@ -348,18 +343,13 @@ def kernel_parity_and_jets(
     """
     if order > 4:
         raise ValueError("jets supported up to order 4")
-    offs, _ = _stencil(0)
-    xs = offs * step
-    grid = xs[:, None] + 1j * xs[None, :]
-    K = kernel_diagonal(basis, grid)
-    jets: dict[tuple[int, int], float] = {}
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            _, wx = _stencil(i)
-            _, wy = _stencil(j)
-            val = float(wx @ K @ wy) / step ** (i + j)
-            jets[(i, j)] = val
-    return jets
+    xs = np.arange(-2, 3) * step
+    K = kernel_diagonal(basis, xs[:, None] + 1j * xs[None, :])
+    return {
+        (i, j): float(JET_STENCIL[i] @ K @ JET_STENCIL[j]) / step ** (i + j)
+        for i in range(order + 1)
+        for j in range(order + 1 - i)
+    }
 
 
 def kernel_membership_residual(

@@ -65,12 +65,20 @@ class CheckResult:
 
 @dataclass
 class StatsReport:
+    """The rows, checks and per-p diagnostics of one run of one experiment kind at one seed."""
+
+    experiment: str
+    seed: int
     rows: list[ReportRow] = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
-    def add(self, row: ReportRow) -> None:
-        self.rows.append(row)
+    def row(self, p: int | None, statistic: str, estimate: float, **fields) -> None:
+        """Append a row of this run; fields are the optional ReportRow columns."""
+        self.rows.append(ReportRow(self.experiment, p, statistic, estimate, seed=self.seed, **fields))
+
+    def check(self, name: str, passed: bool, detail: str) -> None:
+        self.checks.append(CheckResult(name, passed, detail))
 
     @property
     def all_passed(self) -> bool:
@@ -80,13 +88,13 @@ class StatsReport:
         lines = [CSV_HEADER] + [r.to_csv_line() for r in self.rows]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def to_summary_json(self, path: str | Path, versions: dict[str, str]) -> None:
+    def to_summary_json(self, path: str | Path, digest: str, versions: dict[str, str]) -> None:
         def num(x):
             return None if x is None else float(x)
 
         payload = {
-            "config_digest": self.metadata.get("config_digest", ""),
-            "seed": self.metadata.get("seed"),
+            "config_digest": digest,
+            "seed": self.seed,
             "rows": [
                 {
                     "experiment": r.experiment,
@@ -102,7 +110,7 @@ class StatsReport:
                 for r in self.rows
             ],
             "checks": [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in self.checks],
-            "diagnostics": self.metadata.get("diagnostics", {}),
+            "diagnostics": self.diagnostics,
             "versions": versions,
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -81,38 +81,28 @@ class TestFunction:
     def support(self) -> Annulus:
         return Annulus(self.a, self.b)
 
-    def _u(self, r):
-        return (2.0 * np.asarray(r, dtype=np.float64) - (self.a + self.b)) / (self.b - self.a)
-
-    def value(self, r):
-        u = self._u(r)
+    def _bump(self, r):
+        """u, the inside mask |u| < 1, w = 1 - u^2 (1 outside) and exp(1 - 1/w) (0 outside) at the radii r."""
+        u = (2.0 * np.asarray(r, dtype=np.float64) - (self.a + self.b)) / (self.b - self.a)
         inside = np.abs(u) < 1.0
         w = np.where(inside, 1.0 - u * u, 1.0)
-        out = np.where(inside, np.exp(1.0 - 1.0 / w), 0.0)
-        return self.amplitude * out
+        return u, inside, w, np.where(inside, np.exp(1.0 - 1.0 / w), 0.0)
+
+    def value(self, r):
+        return self.amplitude * self._bump(r)[3]
 
     def d1(self, r):
         """First radial derivative, analytic."""
-        u = self._u(r)
+        u, inside, w, val = self._bump(r)
         s = 2.0 / (self.b - self.a)
-        inside = np.abs(u) < 1.0
-        w = np.where(inside, 1.0 - u * u, 1.0)
-        val = np.where(inside, np.exp(1.0 - 1.0 / w), 0.0)
         return self.amplitude * s * np.where(inside, val * (-2.0 * u / w**2), 0.0)
 
     def d2(self, r):
         """Second radial derivative, analytic."""
-        u = self._u(r)
+        u, inside, w, val = self._bump(r)
         s = 2.0 / (self.b - self.a)
-        inside = np.abs(u) < 1.0
-        w = np.where(inside, 1.0 - u * u, 1.0)
-        val = np.where(inside, np.exp(1.0 - 1.0 / w), 0.0)
         expr = 4.0 * u * u / w**4 - 2.0 / w**2 - 8.0 * u * u / w**3
         return self.amplitude * s * s * np.where(inside, val * expr, 0.0)
-
-    def __call__(self, z) -> float:
-        """Value at a complex point (radial profile)."""
-        return float(self.value(abs(z)))
 
 
 def laplacian_ratio(phi: TestFunction, z) -> float | np.ndarray:

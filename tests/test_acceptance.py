@@ -160,7 +160,7 @@ def test_criterion_09_clt():
 
 def test_criterion_10_normalized_kernel_decay():
     crit = Criterion(10, "normalized-kernel Gaussian decay and far bound", budget_s=0.15)
-    report = experiments.kernel_decay_experiment(200, Annulus(0.3, 0.7), n_pairs=400, k=2, seed=SEED)
+    report = experiments.kernel_decay_experiment(200, Annulus(0.3, 0.7), n_pairs=400, seed=SEED)
     slope = [r for r in report.rows if r.statistic == "near_regime_slope"][0].estimate
     far = [r for r in report.rows if r.statistic == "far_regime_max_normalized_kernel"][0].estimate
     crit.finish(report.all_passed, f"slope {slope:.4f} in [0.9, 1.1]; far max {far:.2e} <= 1e-3")

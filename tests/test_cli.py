@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bergman_zeros import experiments
+from bergman_zeros import experiments, sections
 from bergman_zeros.cli import main
 from bergman_zeros.config import EXPERIMENTS, ConfigError, Kind, load_config
+from bergman_zeros.disc import Annulus
 from bergman_zeros.report import CSV_HEADER
+from bergman_zeros.statistics import TestFunction
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 GOLDEN_CONFIGS = sorted((Path(__file__).resolve().parent / "golden").glob("*.yaml"))
@@ -38,7 +40,7 @@ REMOVED_KEYS = [
     ("equidistribution", {"p": [20], "annulus": {"a": 0.3, "b": 0.6}, "samples": 10}, {"slack": 0.05}),
     ("variance", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 10}, {"rel_tolerance": 0.15}),
     ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": 0.65}, "samples": 10}, {"ks_level": 0.01}),
-    ("kernel-decay", {"p": 100, "annulus": {"a": 0.3, "b": 0.7}}, {"far_tolerance": 1e-3}),
+    ("kernel-decay", {"p": 100, "annulus": {"a": 0.3, "b": 0.7}}, {"k": 2, "far_tolerance": 1e-3}),
 ]
 
 
@@ -197,6 +199,30 @@ class TestRunCommand:
         assert diagnostics[0] == diagnostics[1]
         assert sorted(diagnostics[0]) == [str(p) for p in params["p"]]
         assert all(d["truncation_length"] > 0 for d in diagnostics[0].values())
+
+    @pytest.mark.parametrize("kind, params", [
+        ("holes", {"p": [4, 6], "annulus": Annulus(0.25, 0.45), "samples": 40}),
+        ("deviation", {"p": [4, 6], "annulus": Annulus(0.25, 0.45), "delta": 0.1, "samples": 40}),
+        ("clt", {"p": [30, 40], "testfunction": TestFunction(0.35, 0.65), "samples": 24}),
+    ])
+    def test_threads_do_not_change_report_over_many_chunks(self, monkeypatch, kind, params):
+        # chunks of 7 count rows or 5 root rows: every p is several chunks,
+        # which two threads share
+        monkeypatch.setattr(experiments, "COUNT_CHUNK", 7)
+        monkeypatch.setattr(experiments, "ROOT_CHUNK", 5)
+        chunk_rows = []
+        for name in ("count_zeros_batch", "find_zeros_batch"):
+            def batch(space, etas, region, fn=getattr(sections, name)):
+                chunk_rows.append(etas.shape[0])
+                return fn(space, etas, region)
+
+            monkeypatch.setattr(sections, name, batch)
+        driver = getattr(experiments, EXPERIMENTS[kind].driver)
+        one, two = (driver(**params, seed=41, threads=threads) for threads in (1, 2))
+        # more than one chunk per p in each of the two runs
+        assert max(chunk_rows) <= 7 and len(chunk_rows) > 2 * len(params["p"])
+        assert (one.rows, one.checks, one.diagnostics) == (two.rows, two.checks, two.diagnostics)
+        assert sorted(one.diagnostics) == params["p"]
 
     def test_seed_override_changes_digest(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)

@@ -32,7 +32,11 @@ keys that no config set (the plateau radii, grid and tolerance, the sup
 tolerance, the parity step and tolerance, the equidistribution slack,
 the variance tolerance, the KS level and the far-kernel tolerance)
 became module constants of `experiments`: the listing lost exactly
-those keys, and no results.csv digest moved.
+those keys, and no results.csv digest moved.  It lost kernel-decay's `k`
+when that key, set to 2 by every caller, became the constant
+`experiments.FAR_K`; no digest moved then, nor when the reports came to
+build their own rows and every Monte Carlo kind came to run through one
+pass helper.
 """
 
 import hashlib

@@ -479,11 +479,11 @@ class TestBatchedZeros:
         # the clt/variance path against find_zeros, sample by sample
         phi = TestFunction(0.35, 0.65)
         [(_, space, etas)] = experiments._draw([p], phi.b, 200, self.SEED, {})
-        ys, counts = experiments._linear_statistics(space, phi, etas, threads=1)
+        ys, notes = experiments._linear_statistics(phi)(space, etas)
         for i in range(etas.shape[0]):
             zs = find_zeros(space, etas[i], phi.support)
-            assert abs(ys[i] - sum(m * phi(z) for z, m in zs.zeros)) <= 1e-9
-        assert counts == {"fallback_rows": 0, "newton_nonconvergence": 0, "merges": 0}
+            assert abs(ys[i] - sum(m * phi.value(abs(z)) for z, m in zs.zeros)) <= 1e-9
+        assert notes.shape == (200, 3) and not notes.any()
 
     def test_wide_annulus_zero_sets(self):
         # c_ell |z|^ell spans far beyond the double range here; Newton
@@ -521,8 +521,9 @@ class TestBatchedZeros:
         ref = find_zeros(space10, double, phi.support)
         assert zsets[1].diagnostics[0].startswith(sections.FALLBACK)
         assert zsets[1].zeros == ref.zeros and ref.total == 3
-        ys, counts = experiments._linear_statistics(space10, phi, etas, threads=1)
-        assert ys[1] == pytest.approx(sum(m * phi(z) for z, m in ref.zeros), rel=1e-14)
+        ys, notes = experiments._linear_statistics(phi)(space10, etas)
+        assert ys[1] == pytest.approx(sum(m * phi.value(abs(z)) for z, m in ref.zeros), rel=1e-14)
+        counts = dict(zip(experiments._ROOT_NOTES, notes.sum(axis=0).tolist()))
         # Aberth converges only linearly at a double zero, so one of its two
         # roots may be noted as unconverged
         newton = sum(d.startswith(sections.NEWTON_NOTE) for d in ref.diagnostics)
