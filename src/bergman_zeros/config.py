@@ -90,7 +90,7 @@ EXPERIMENTS: dict[str, Kind] = {
     "deviation": Kind("deviation_experiment", "large-deviation frequencies for counts and log-sup decay in p"),
     "kernel-decay": Kind(
         "kernel_decay_experiment",
-        "normalized kernel: Gaussian near-diagonal decay, negligible beyond sqrt(12k log p/p)",
+        "normalized kernel: Gaussian near-diagonal decay, negligible beyond sqrt(24 log p/p)",
     ),
     "l1log": Kind("l1log_experiment", "L1 norm of log B_p grows at most like log p"),
 }

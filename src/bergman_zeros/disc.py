@@ -81,10 +81,6 @@ class Annulus:
         if not (0.0 < self.a <= self.b < 1.0):
             raise DomainError(f"annulus radii must satisfy 0 < a <= b < 1, got ({self.a}, {self.b})")
 
-    @property
-    def is_empty(self) -> bool:
-        return self.a >= self.b
-
 
 @dataclass(frozen=True)
 class DiscSpace:
@@ -313,8 +309,6 @@ def poincare_distance(z, zp):
 
 def c1_area(region: Annulus) -> float:
     """Mass of c_1(L, h) = omega / 2pi on the annulus: (1/2)(1/|log b| - 1/|log a|)."""
-    if region.is_empty:
-        return 0.0
     return 0.5 * (1.0 / abs(math.log(region.b)) - 1.0 / abs(math.log(region.a)))
 
 
@@ -342,8 +336,6 @@ def zero_counting_function(space: DiscSpace, r):
 
 def expected_zero_measure(space: DiscSpace, region: Annulus) -> float:
     """Expected zero count of the truncated Gaussian section in the annulus."""
-    if region.is_empty:
-        return 0.0
     n_a, n_b = zero_counting_function(space, np.array([region.a, region.b]))
     return float(n_b - n_a)
 
@@ -363,8 +355,6 @@ def log_bergman_l1(space: DiscSpace, region: Annulus) -> float:
     Radially, omega reduces to pi * dr / (r log^2 r); Gauss-Legendre in
     t = log(-log r) turns that into pi * e^(-t) dt.
     """
-    if region.is_empty:
-        return 0.0
     t_lo = math.log(-math.log(region.b))
     t_hi = math.log(-math.log(region.a))
     x, w = _leggauss(L1_QUAD_NODES)  # read only

@@ -376,28 +376,24 @@ def equidistribution_experiment(
 
 
 # what the zero finder had to do, counted per row and summed into
-# diagnostics[p]: rows solved by the oracle fallback, unconverged-root
-# notes, and merged roots
-_ROOT_NOTES = {
-    "fallback_rows": sections.FALLBACK,
-    "newton_nonconvergence": sections.NEWTON_NOTE,
-    "merges": sections.MERGE_NOTE,
-}
+# diagnostics[p]: rows solved by the oracle fallback, unconverged roots,
+# and merged roots
+_ROOT_NOTES = ("fallback_rows", "newton_nonconvergence", "merges")
 
 
 def _linear_statistics(phi: TestFunction) -> Callable[[DiscSpace, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Rows function of the linear statistic: Y(phi) of every row, and each row's count of each _ROOT_NOTES note."""
+    """Rows function of the linear statistic: Y(phi) of every row, and each row's _ROOT_NOTES counts."""
 
     def rows_fn(space: DiscSpace, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zsets = sections.find_zeros_batch(space, etas, phi.support)
-        ys = np.empty(len(zsets))
-        for i, zset in enumerate(zsets):
-            zeros = np.array([z for z, _ in zset.zeros], dtype=np.complex128)
-            mult = np.array([k for _, k in zset.zeros], dtype=np.float64)
-            ys[i] = float(np.dot(mult, phi.value(np.abs(zeros))))
-        notes = [[sum(note.startswith(prefix) for note in zset.diagnostics) for prefix in _ROOT_NOTES.values()]
-                 for zset in zsets]
-        return ys, np.array(notes, dtype=np.int64)
+        zs = sections.find_zeros_batch(space, etas, phi.support)
+        m = etas.shape[0]
+        bounds = np.searchsorted(zs.row, np.arange(m + 1))
+        ys = np.empty(m)
+        for i in range(m):
+            lo, hi = bounds[i], bounds[i + 1]
+            ys[i] = np.dot(zs.mult[lo:hi], phi.value(np.abs(zs.z[lo:hi])))
+        merges = np.bincount(zs.row, weights=zs.mult - 1, minlength=m)
+        return ys, np.column_stack([zs.fallback, zs.unconverged, merges]).astype(np.int64)
 
     return rows_fn
 

@@ -12,20 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-CSV_HEADER = "experiment,p,statistic,estimate,stderr,prediction,deviation,n_samples,seed"
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, (int,)):
-        return str(x)
-    return format(float(x), ".12g")
 
 
 @dataclass(frozen=True)
@@ -40,20 +28,32 @@ class ReportRow:
     n_samples: int | None = None
     seed: int | None = None
 
+    def values(self) -> dict:
+        """Every column's value, in column order, converted by its annotation.
+
+        Text stays as it is, p, n_samples and seed become int, the rest float.
+        """
+        out = {}
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if x is not None and f.type != "str":
+                x = int(x) if f.type.startswith("int") else float(x)
+            out[f.name] = x
+        return out
+
     def to_csv_line(self) -> str:
-        return ",".join(
-            [
-                self.experiment,
-                _fmt(self.p),
-                self.statistic,
-                _fmt(self.estimate),
-                _fmt(self.stderr),
-                _fmt(self.prediction),
-                _fmt(self.deviation),
-                _fmt(self.n_samples),
-                _fmt(self.seed),
-            ]
-        )
+        cells = []
+        for x in self.values().values():
+            if x is None:
+                cells.append("")
+            elif isinstance(x, float):
+                cells.append(format(x, ".12g"))
+            else:
+                cells.append(str(x))
+        return ",".join(cells)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -89,26 +89,10 @@ class StatsReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def to_summary_json(self, path: str | Path, digest: str, versions: dict[str, str]) -> None:
-        def num(x):
-            return None if x is None else float(x)
-
         payload = {
             "config_digest": digest,
             "seed": self.seed,
-            "rows": [
-                {
-                    "experiment": r.experiment,
-                    "p": None if r.p is None else int(r.p),
-                    "statistic": r.statistic,
-                    "estimate": num(r.estimate),
-                    "stderr": num(r.stderr),
-                    "prediction": num(r.prediction),
-                    "deviation": num(r.deviation),
-                    "n_samples": None if r.n_samples is None else int(r.n_samples),
-                    "seed": None if r.seed is None else int(r.seed),
-                }
-                for r in self.rows
-            ],
+            "rows": [r.values() for r in self.rows],
             "checks": [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in self.checks],
             "diagnostics": self.diagnostics,
             "versions": versions,

@@ -13,6 +13,8 @@ method for every row at once; a row is certified when its distinct zeros
 number its argument-principle count.  `find_zeros` is the oracle of this
 path and its fallback: it solves every row that is not certified.  Every
 Newton and Aberth step evaluates the terms scaled by its point's radius.
+Both return one `Zeros` of flat arrays: the row, point and multiplicity
+of every zero, and per row its unconverged iterates and its fallback.
 
 The winding numbers of a whole batch come from one vectorized engine.
 A first pass evaluates every section on a shared grid of the circle
@@ -38,8 +40,7 @@ largest truncation length, so every p sees the same leading coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .disc import (
 
 __all__ = [
     "ContourError",
-    "ZeroSet",
+    "Zeros",
     "count_zeros_batch",
     "find_zeros",
     "find_zeros_batch",
@@ -74,13 +75,7 @@ ZERO_TAIL_EPS = 1e-8
 MERGE_DISTANCE = 1e-7
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# Leading words of the ZeroSet diagnostics: the first diagnostic of a row
-# that find_zeros_batch solved by find_zeros, an unconverged Newton point,
-# and roots merged into one zero of higher multiplicity.
-FALLBACK = "oracle fallback"
-NEWTON_NOTE = "newton non-convergence"
-MERGE_NOTE = "merged near-coincident roots"
-# find_zeros: Aberth sweeps before a moving root is noted, and the turn of the starts.
+# find_zeros: Aberth sweeps before a moving root is counted unconverged, and the turn of the starts.
 ABERTH_MAX_ITER = 400
 ABERTH_ANGLE = 0.7
 # Seed grid of find_zeros_batch: rings per expected zero, and the largest
@@ -101,17 +96,19 @@ class ContourError(RuntimeError):
     """A zero persists on the counting contour after perturbation attempts."""
 
 
-@dataclass(frozen=True)
-class ZeroSet:
-    """Zero divisor of a section restricted to an annulus."""
+class Zeros(NamedTuple):
+    """Zero divisors of a batch of sections in an annulus, sorted by (row, radius, angle).
 
-    zeros: tuple[tuple[complex, int], ...]
-    region: Annulus
-    diagnostics: tuple[str, ...] = ()
+    Zero k lies in row row[k], at z[k], with multiplicity mult[k].
+    unconverged[i] counts the iterates of row i that stopped unconverged,
+    and fallback[i] says that `find_zeros_batch` solved row i by `find_zeros`.
+    """
 
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.zeros)
+    row: np.ndarray
+    z: np.ndarray
+    mult: np.ndarray
+    unconverged: np.ndarray
+    fallback: np.ndarray
 
 
 def section_stream(seed: int, path: Sequence[int] = ()) -> np.random.Generator:
@@ -242,13 +239,13 @@ def _sorted_candidates(own: np.ndarray, z: np.ndarray, region: Annulus) -> tuple
     return own, z, close
 
 
-def find_zeros(space: DiscSpace, eta: np.ndarray, region: Annulus) -> ZeroSet:
+def find_zeros(space: DiscSpace, eta: np.ndarray, region: Annulus) -> Zeros:
     """Zeros in the annulus of the section with coefficients eta, by Aberth iteration on all roots of S(z) / z.
 
     The roots start on the Newton polygon's circles; each sweep scales a root's terms at its
     current radius.  A root freezes after a step below NEWTON_TOL * max(1, |z|); one still
-    moving after ABERTH_MAX_ITER sweeps, or stopped by a non-finite step, is noted and kept.
-    Roots with a < |z| < b are merged within MERGE_DISTANCE (flagged), sorted by radius, angle.
+    moving after ABERTH_MAX_ITER sweeps, or stopped by a non-finite step, is counted and kept.
+    Roots with a < |z| < b are merged within MERGE_DISTANCE, sorted by radius, angle: one row.
     ValueError if eta is not one row of length space.L.
     """
     if eta.shape != (space.L,):
@@ -273,14 +270,11 @@ def find_zeros(space: DiscSpace, eta: np.ndarray, region: Annulus) -> ZeroSet:
             converged[active[done]] = True
             z[active[ok]] = za[ok] - step[ok]
             active = active[ok & ~done]
-    diagnostics = [f"{NEWTON_NOTE} at z={w:.12g}" for w in z[~converged]]
-    _, z, close = _sorted_candidates(np.zeros(z.size, dtype=np.intp), z, region)
-    # each run of close candidates is one zero, noted once per merged root
+    unconverged = np.array([np.sum(~converged)])
+    own, z, close = _sorted_candidates(np.zeros(z.size, dtype=np.intp), z, region)
+    # each run of close candidates is one zero
     first = np.flatnonzero(~close)
-    mult = np.diff(np.append(first, z.size))
-    diagnostics += [f"{MERGE_NOTE} at z={z[i]:.12g} (multiplicity {k})" for i, n in zip(first, mult) for k in range(2, n + 1)]
-    zeros = tuple((complex(z[i]), int(n)) for i, n in zip(first, mult))
-    return ZeroSet(zeros=zeros, region=region, diagnostics=tuple(diagnostics))
+    return Zeros(own[first], z[first], np.diff(np.append(first, z.size)), unconverged, np.zeros(1, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +380,12 @@ def _perturbed_windings(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[n
     return w, failed
 
 
-def _windings(space: DiscSpace, etas: np.ndarray, r: float) -> np.ndarray:
-    """Winding numbers along |z| = r; ContourError if a row stays unresolved."""
-    w, failed = _perturbed_windings(space, etas, r)
-    if failed.any():
-        raise ContourError(f"contour through zero persists near |z| = {r} after 3 perturbations")
-    return w
+def _counts(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray]:
+    """Winding-number differences of the two boundary circles, and the rows no perturbation resolved."""
+    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
+    wb, fb = _perturbed_windings(space, etas, region.b)
+    wa, fa = _perturbed_windings(space, etas, region.a)
+    return wb - wa, fb | fa
 
 
 def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
@@ -402,8 +396,10 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
     perturbed by multiples of 1e-6 (up to 3 attempts); ContourError is
     raised if every attempt fails.
     """
-    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
-    return _windings(space, etas, region.b) - _windings(space, etas, region.a)
+    counts, unresolved = _counts(space, etas, region)
+    if unresolved.any():
+        raise ContourError(f"contour through zero persists near |z| = {region.a} or {region.b} after 3 perturbations")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +533,7 @@ def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np
     return np.concatenate(owners), np.concatenate(points)
 
 
-def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> list[ZeroSet]:
+def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> Zeros:
     """Zeros in the annulus of every row of etas, certified by their winding counts.
 
     Grid cells of nonzero winding seed Newton's method (`_grid_seeds`,
@@ -545,40 +541,27 @@ def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> lis
     zeros of their row.  A row is certified when its candidates are
     pairwise at least MERGE_DISTANCE apart and their number equals its
     argument-principle count: then they are all of its zeros, each
-    simple.  Every other row (a merge, a missed or extra zero, a
-    boundary winding that no perturbation resolves) is solved by
-    `find_zeros`, and its ZeroSet says why in its first diagnostic.
-    Zeros of certified rows carry multiplicity 1, and unconverged seeds
-    are noted in their diagnostics.
+    simple, and its unconverged seeds are counted.  Every other row (a
+    merge, a missed or extra zero, a boundary winding that no
+    perturbation resolves) falls back to `find_zeros`, whose zeros and
+    unconverged count it takes.
     """
-    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
     m = etas.shape[0]
-    wb, fb = _perturbed_windings(space, etas, region.b)
-    wa, fa = _perturbed_windings(space, etas, region.a)
-    counts, unresolved = wb - wa, fb | fa
+    counts, unresolved = _counts(space, etas, region)
     own, z = _grid_seeds(space, etas, region)
     z, converged = _newton(space, etas, own, z)
-    notes: list[list[str]] = [[] for _ in range(m)]
-    for i, zi in zip(own[~converged], z[~converged]):
-        notes[i].append(f"{NEWTON_NOTE} at z={zi:.12g}")
+    unconverged = np.bincount(own[~converged], minlength=m)
     # a close pair with a radius between is an extra candidate: the count rejects it
     own, z, close = _sorted_candidates(own[converged], z[converged], region)
-    merged = np.bincount(own[close], minlength=m) > 0
-    found = np.bincount(own, minlength=m)
-    bounds = np.concatenate([[0], np.cumsum(found)])
-    out = []
-    for i in range(m):
-        if unresolved[i]:
-            reason = "boundary winding unresolved"
-        elif merged[i]:
-            reason = "seeds converged to coincident points"
-        elif found[i] != counts[i]:
-            reason = f"{found[i]} zeros found, argument principle counts {counts[i]}"
-        else:
-            zeros = tuple((complex(w), 1) for w in z[bounds[i] : bounds[i + 1]])
-            out.append(ZeroSet(zeros=zeros, region=region, diagnostics=tuple(notes[i])))
-            continue
-        zset = find_zeros(space, etas[i], region)
-        out.append(ZeroSet(zeros=zset.zeros, region=region, diagnostics=(f"{FALLBACK}: {reason}", *zset.diagnostics)))
-    return out
-
+    fallback = unresolved | (np.bincount(own[close], minlength=m) > 0) | (np.bincount(own, minlength=m) != counts)
+    keep = ~fallback[own]
+    rows, zs, mults = [own[keep]], [z[keep]], [np.ones(keep.sum(), dtype=np.int64)]
+    for i in np.flatnonzero(fallback):
+        oracle = find_zeros(space, etas[i], region)
+        rows.append(oracle.row + i)
+        zs.append(oracle.z)
+        mults.append(oracle.mult)
+        unconverged[i] = oracle.unconverged[0]
+    own = np.concatenate(rows)
+    order = np.argsort(own, kind="stable")
+    return Zeros(own[order], np.concatenate(zs)[order], np.concatenate(mults)[order], unconverged, fallback)

@@ -113,10 +113,10 @@ def test_criterion_05_zero_finder_cross_oracle():
     space = make_disc_space(p, sections.truncation_length(p, region.b))
     etas = np.array([sections.sample_etas(space, SEED, (p, i), 1)[0] for i in range(n)])
     counts = sections.count_zeros_batch(space, etas, region)
-    disagreements = [i for i in range(n) if sections.find_zeros(space, etas[i], region).total != counts[i]]
+    disagreements = [i for i in range(n) if sections.find_zeros(space, etas[i], region).mult.sum() != counts[i]]
     shifted = Annulus(region.a + 1e-6, region.b - 1e-6)
     recounts = sections.count_zeros_batch(space, etas[disagreements], shifted)
-    resolved = sum(c == sections.find_zeros(space, etas[i], shifted).total for i, c in zip(disagreements, recounts))
+    resolved = sum(c == sections.find_zeros(space, etas[i], shifted).mult.sum() for i, c in zip(disagreements, recounts))
     ok = len(disagreements) <= 2 and resolved == len(disagreements)
     crit.finish(ok, f"{n - len(disagreements)}/{n} agree; {resolved}/{len(disagreements)} resolved by perturbation")
 

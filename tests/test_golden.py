@@ -36,7 +36,9 @@ those keys, and no results.csv digest moved.  It lost kernel-decay's `k`
 when that key, set to 2 by every caller, became the constant
 `experiments.FAR_K`; no digest moved then, nor when the reports came to
 build their own rows and every Monte Carlo kind came to run through one
-pass helper.
+pass helper.  Only kernel-decay's `anchor` line moved when it came to read
+"sqrt(24 log p/p)" with k = `FAR_K` = 2 put in; no digest moved then, nor
+when the zero finders came to return `sections.Zeros` arrays.
 """
 
 import hashlib

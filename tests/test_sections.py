@@ -204,7 +204,7 @@ class TestFindZeros:
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[0] = 1.0
         zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
-        assert zs.total == 0
+        assert zs.mult.sum() == 0
 
     def test_constructed_single_zero(self, space10):
         # section proportional to z (z - w)
@@ -213,8 +213,8 @@ class TestFindZeros:
         eta[0] = -w / math.exp(0.5 * space10.log_coeffs[0])
         eta[1] = 1.0 / math.exp(0.5 * space10.log_coeffs[1])
         zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
-        assert zs.total == 1
-        assert zs.zeros[0][0] == pytest.approx(w, abs=1e-10)
+        assert zs.mult.sum() == 1
+        assert zs.z[0] == pytest.approx(w, abs=1e-10)
 
     def test_vanishing_low_coefficients(self, space10):
         # section proportional to z^3 (z - w1) (z - w2): the double root of
@@ -223,8 +223,8 @@ class TestFindZeros:
         eta = _with_zeros(space10, [0.0, 0.0, *ws])
         assert eta[0] == 0.0 and eta[1] == 0.0
         zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
-        assert not zs.diagnostics
-        assert [z for z, _ in zs.zeros] == pytest.approx(ws, abs=1e-10)
+        assert zs.unconverged.tolist() == [0] and zs.mult.tolist() == [1, 1]
+        assert zs.z.tolist() == pytest.approx(ws, abs=1e-10)
 
     def test_double_root_merged_and_flagged(self, space10):
         # section proportional to z (z - w)^2 = z^3 - 2 w z^2 + w^2 z
@@ -234,10 +234,9 @@ class TestFindZeros:
         for ell, c in coeffs.items():
             eta[ell - 1] = c / math.exp(0.5 * space10.log_coeffs[ell - 1])
         zs = find_zeros(space10, eta, Annulus(0.1, 0.6))
-        assert zs.total == 2
-        assert len(zs.zeros) == 1
-        assert zs.zeros[0][1] == 2
-        assert any("merged" in d for d in zs.diagnostics)
+        assert zs.mult.sum() == 2
+        assert len(zs.z) == 1
+        assert zs.mult.tolist() == [2]
 
     def test_degree_bookkeeping_against_roots_oracle(self):
         # the truncated section is z * P(z) with deg P = L - 1: the oracle's
@@ -251,39 +250,37 @@ class TestFindZeros:
         roots = np.roots(coeffs[::-1])
         assert roots.size == space.L - 1
         inside = np.sum((np.abs(roots) > region.a) & (np.abs(roots) < region.b))
-        assert zs.total == int(inside)
+        assert zs.mult.sum() == int(inside)
 
     def test_zeros_sorted_and_in_region(self, space10):
         eta = sample_etas(space10, 5, (0,), 1)[0]
         region = Annulus(0.15, 0.65)
         zs = find_zeros(space10, eta, region)
-        radii = [abs(z) for z, _ in zs.zeros]
+        radii = np.abs(zs.z).tolist()
         assert radii == sorted(radii)
         assert all(region.a < r < region.b for r in radii)
 
     def test_phase_invariance(self, space10):
         eta = sample_etas(space10, 13, (4,), 1)[0]
         region = Annulus(0.1, 0.65)
-        za = find_zeros(space10, eta, region).zeros
-        zb = find_zeros(space10, np.exp(0.77j) * eta, region).zeros
-        assert len(za) == len(zb)
-        for (x, mx), (y, my) in zip(za, zb):
+        za = find_zeros(space10, eta, region)
+        zb = find_zeros(space10, np.exp(0.77j) * eta, region)
+        assert len(za.z) == len(zb.z)
+        for x, mx, y, my in zip(za.z, za.mult, zb.z, zb.mult):
             assert x == pytest.approx(y, abs=1e-10)
             assert mx == my
 
     def test_unconverged_roots_noted_and_kept(self, space10, monkeypatch):
-        # three Aberth sweeps leave roots moving: each is noted, and those
-        # in the annulus stay in the zero set
+        # three Aberth sweeps leave roots moving: each is counted, and those
+        # in the annulus stay in the zero set, far from every converged zero
         eta = sample_etas(space10, 5, (0,), 1)[0]
         region = Annulus(0.15, 0.65)
+        converged = find_zeros(space10, eta, region)
+        assert converged.unconverged.tolist() == [0]
         monkeypatch.setattr(sections, "ABERTH_MAX_ITER", 3)
         zs = find_zeros(space10, eta, region)
-        prefix = f"{sections.NEWTON_NOTE} at z="
-        moving = [complex(d[len(prefix):]) for d in zs.diagnostics if d.startswith(prefix)]
-        inside = [z for z in moving if region.a < abs(z) < region.b]
-        assert inside
-        zeros = [z for z, _ in zs.zeros]
-        assert all(min(abs(z - w) for w in zeros) < 1e-11 * max(1.0, abs(z)) for z in inside)
+        assert zs.unconverged[0] > 0 and zs.z.size > 0
+        assert all(np.min(np.abs(converged.z - z)) > 1e-11 for z in zs.z)
 
     def test_truncation_guard(self):
         space = make_disc_space(60, 40)
@@ -315,7 +312,7 @@ class TestArgumentPrinciple:
         region = Annulus(0.15, 0.65)
         for i in range(60):
             etas = sample_etas(space10, 99, (i,), 1)
-            assert count_zeros_batch(space10, etas, region).tolist() == [find_zeros(space10, etas[0], region).total]
+            assert count_zeros_batch(space10, etas, region).tolist() == [find_zeros(space10, etas[0], region).mult.sum()]
 
     def test_batch_matches_scalar(self, space10):
         region = Annulus(0.2, 0.6)
@@ -344,6 +341,17 @@ def _with_zeros(space, zeros):
     eta = np.zeros(space.L, dtype=np.complex128)
     eta[: k + 1] = np.poly(zeros)[::-1] / np.exp(0.5 * space.log_coeffs[: k + 1])
     return eta
+
+
+def _row(zs, i=0):
+    """The zeros and multiplicities of row i of a Zeros, as lists."""
+    at = zs.row == i
+    return zs.z[at].tolist(), zs.mult[at].tolist()
+
+
+def _linear_statistic(phi, zs):
+    """Y(phi) of a one-row Zeros, zero by zero."""
+    return sum(m * phi.value(abs(z)) for z, m in zip(zs.z, zs.mult))
 
 
 def _reference_winding(space, eta, r, n_init, max_rounds=40):
@@ -414,13 +422,14 @@ class TestWindingEngine:
         _, failed = sections._winding(space10, etas, self.R, n)
         assert failed.all()
         # the first perturbed radius, R - 1e-6, leaves the zero outside
-        assert sections._windings(space10, etas, self.R).tolist() == [1, 1]
+        windings, failed = sections._perturbed_windings(space10, etas, self.R)
+        assert windings.tolist() == [1, 1] and not failed.any()
 
     def test_persistent_contour_zero_raises(self, space10):
         # zeros on the contour and on every perturbed radius
         eta = _with_zeros(space10, [self.R + dr for dr in (0.0, -1e-6, 2e-6, -3e-6)])
         with pytest.raises(sections.ContourError, match="persists"):
-            sections._windings(space10, eta[None, :], self.R)
+            count_zeros_batch(space10, eta[None, :], Annulus(0.2, self.R))
 
     def test_batch_without_flagged_rows(self, space10, monkeypatch):
         # no zero near the contour: the first pass settles every row, so
@@ -467,7 +476,7 @@ class TestWindingEngine:
         space = make_disc_space(p, truncation_length(p, region.b))
         etas = np.array([sample_etas(space, 2024, (p, i), 1)[0] for i in range(200)])
         counts = count_zeros_batch(space, etas, region)
-        roots = [find_zeros(space, eta, region).total for eta in etas]
+        roots = [find_zeros(space, eta, region).mult.sum() for eta in etas]
         assert counts.tolist() == roots
 
 
@@ -482,7 +491,7 @@ class TestBatchedZeros:
         ys, notes = experiments._linear_statistics(phi)(space, etas)
         for i in range(etas.shape[0]):
             zs = find_zeros(space, etas[i], phi.support)
-            assert abs(ys[i] - sum(m * phi.value(abs(z)) for z, m in zs.zeros)) <= 1e-9
+            assert abs(ys[i] - _linear_statistic(phi, zs)) <= 1e-9
         assert notes.shape == (200, 3) and not notes.any()
 
     def test_wide_annulus_zero_sets(self):
@@ -490,10 +499,13 @@ class TestBatchedZeros:
         # scales by each point's own radius
         p, region = 60, Annulus(0.1, 0.8)
         [(_, space, etas)] = experiments._draw([p], region.b, 16, self.SEED, {})
-        for row, zs in zip(etas, find_zeros_batch(space, etas, region)):
+        zs = find_zeros_batch(space, etas, region)
+        assert not zs.fallback.any() and not zs.unconverged.any()
+        for i, row in enumerate(etas):
             ref = find_zeros(space, row, region)
-            assert not zs.diagnostics and len(zs.zeros) == len(ref.zeros)
-            assert max(abs(a - b) for (a, _), (b, _) in zip(zs.zeros, ref.zeros)) < 1e-9
+            z = zs.z[zs.row == i]
+            assert len(z) == len(ref.z)
+            assert np.max(np.abs(z - ref.z)) < 1e-9
 
     def test_subnormal_leading_coefficient(self):
         # p = 10 on (0.05, 0.95), L = 597: the terms c_ell |z|^ell span far
@@ -504,30 +516,42 @@ class TestBatchedZeros:
         [(_, space, etas)] = experiments._draw([10], region.b, 64, self.SEED, {})
         counts = count_zeros_batch(space, etas, region)
         zsets = [find_zeros(space, row, region) for row in etas]
-        assert [zs.total for zs in zsets] == counts.tolist()
-        assert not any(d.startswith(sections.NEWTON_NOTE) for zs in zsets for d in zs.diagnostics)
+        assert [zs.mult.sum() for zs in zsets] == counts.tolist()
+        assert not any(zs.unconverged[0] for zs in zsets)
         batch = find_zeros_batch(space, etas, region)
-        fallback = [i for i, zs in enumerate(batch) if any(d.startswith(sections.FALLBACK) for d in zs.diagnostics)]
-        assert len(batch) == 64 and fallback
-        assert all(batch[i].zeros == zsets[i].zeros for i in fallback)
+        fallback = np.flatnonzero(batch.fallback)
+        assert batch.fallback.size == 64 and fallback.size
+        assert all(_row(batch, i) == _row(zsets[i]) for i in fallback)
 
     def test_double_zero_takes_fallback(self, space10):
         phi = TestFunction(0.1, 0.6)
         w = 0.45 * np.exp(-1.2j)
         double = _with_zeros(space10, [w, w, 0.3j])
         etas = np.array([sample_etas(space10, 8, (0,), 1)[0], double])
-        zsets = find_zeros_batch(space10, etas, phi.support)
-        assert not zsets[0].diagnostics
+        zs = find_zeros_batch(space10, etas, phi.support)
+        assert zs.fallback.tolist() == [False, True] and zs.unconverged[0] == 0
         ref = find_zeros(space10, double, phi.support)
-        assert zsets[1].diagnostics[0].startswith(sections.FALLBACK)
-        assert zsets[1].zeros == ref.zeros and ref.total == 3
+        assert _row(zs, 1) == _row(ref) and ref.mult.sum() == 3
         ys, notes = experiments._linear_statistics(phi)(space10, etas)
-        assert ys[1] == pytest.approx(sum(m * phi.value(abs(z)) for z, m in ref.zeros), rel=1e-14)
+        assert ys[1] == pytest.approx(_linear_statistic(phi, ref), rel=1e-14)
         counts = dict(zip(experiments._ROOT_NOTES, notes.sum(axis=0).tolist()))
         # Aberth converges only linearly at a double zero, so one of its two
-        # roots may be noted as unconverged
-        newton = sum(d.startswith(sections.NEWTON_NOTE) for d in ref.diagnostics)
-        assert counts == {"fallback_rows": 1, "newton_nonconvergence": newton, "merges": 1}
+        # roots may be counted as unconverged
+        assert counts == {"fallback_rows": 1, "newton_nonconvergence": ref.unconverged[0], "merges": 1}
+
+    def test_fallback_rows_keep_row_order(self, space10):
+        # double zeros in rows 0 and 2: the oracle's zeros go back between the
+        # certified rows, and each row gets the linear statistic of its own zeros
+        phi = TestFunction(0.1, 0.6)
+        w = 0.45 * np.exp(-1.2j)
+        double = _with_zeros(space10, [w, w, 0.3j])
+        etas = np.array([double, sample_etas(space10, 8, (0,), 1)[0], double, sample_etas(space10, 8, (1,), 1)[0]])
+        zs = find_zeros_batch(space10, etas, phi.support)
+        assert zs.fallback.tolist() == [True, False, True, False]
+        assert np.all(np.diff(zs.row) >= 0)
+        ys, _ = experiments._linear_statistics(phi)(space10, etas)
+        for i, eta in enumerate(etas):
+            assert abs(ys[i] - _linear_statistic(phi, find_zeros(space10, eta, phi.support))) <= 1e-9
 
     def test_missed_zero_takes_fallback(self, space10, monkeypatch):
         # a seed grid that misses a zero: the count, not the grid, decides
@@ -542,11 +566,11 @@ class TestBatchedZeros:
             return own[keep], z[keep]
 
         monkeypatch.setattr(sections, "_grid_seeds", one_seed_short)
-        zsets = find_zeros_batch(space10, etas, region)
-        assert zsets[0].diagnostics[0].startswith(f"{sections.FALLBACK}: ")
-        assert "argument principle counts" in zsets[0].diagnostics[0]
-        assert zsets[0].zeros == find_zeros(space10, etas[0], region).zeros
-        assert zsets[1:] == full[1:]
+        zs = find_zeros_batch(space10, etas, region)
+        assert not full.fallback.any() and zs.fallback.tolist() == [True, False, False]
+        assert _row(zs, 0) == _row(find_zeros(space10, etas[0], region))
+        assert all(_row(zs, i) == _row(full, i) for i in (1, 2))
+        assert zs.unconverged[1:].tolist() == full.unconverged[1:].tolist()
 
     def test_unresolved_contour_takes_fallback(self, space10):
         # zeros on the outer circle and on every perturbed radius: the count
@@ -556,20 +580,21 @@ class TestBatchedZeros:
         etas = np.array([sample_etas(space10, 8, (1,), 1)[0], stuck])
         with pytest.raises(sections.ContourError):
             count_zeros_batch(space10, etas, region)
-        zsets = find_zeros_batch(space10, etas, region)
-        assert zsets[1].diagnostics[0] == f"{sections.FALLBACK}: boundary winding unresolved"
+        assert sections._counts(space10, etas, region)[1].tolist() == [False, True]
+        zs = find_zeros_batch(space10, etas, region)
+        assert zs.fallback.tolist() == [False, True]
         ref = find_zeros(space10, stuck, region)
-        assert zsets[1].zeros == ref.zeros
-        assert not zsets[0].diagnostics
+        assert _row(zs, 1) == _row(ref)
+        assert zs.unconverged[0] == 0
 
     def test_block_size_does_not_change_zeros(self, monkeypatch):
         # a row's certifying winding counts depend on that row only: row blocks
         # of 5000 // 512 = 9 and 5000 // 256 = 19 rows give the same zero sets as the default
         p, region = 40, Annulus(0.35, 0.65)
         [(_, space, etas)] = experiments._draw([p], region.b, 64, self.SEED, {})
-        zsets = find_zeros_batch(space, etas, region)
+        zs = find_zeros_batch(space, etas, region)
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
-        assert find_zeros_batch(space, etas, region) == zsets
+        assert all(np.array_equal(a, b) for a, b in zip(find_zeros_batch(space, etas, region), zs))
 
     def test_newton_scaled_by_radius(self):
         # at p = 300, c_1 / max c_ell is below the smallest double; the
