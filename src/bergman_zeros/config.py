@@ -110,10 +110,8 @@ class ExperimentConfig:
 
 
 def _jsonable(obj):
-    if isinstance(obj, Annulus):
+    if isinstance(obj, (Annulus, TestFunction)):
         return {"a": obj.a, "b": obj.b}
-    if isinstance(obj, TestFunction):
-        return {"a": obj.a, "b": obj.b, "amplitude": obj.amplitude}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -153,14 +151,10 @@ def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
                     raise ConfigError(f"key '{name}'{where}: values must be strictly ascending, got {value!r}")
                 return list(value)
             raise ConfigError(f"key '{name}'{where}: expected integer or list of integers, got {value!r}")
-        if type_name == "annulus":
+        if type_name in ("annulus", "testfunction"):
             if not isinstance(value, dict) or set(value) != {"a", "b"}:
                 raise ConfigError(f"key '{name}'{where}: expected mapping with keys a, b")
-            return Annulus(float(value["a"]), float(value["b"]))
-        if type_name == "testfunction":
-            if not isinstance(value, dict) or not {"a", "b"} <= set(value) or set(value) - {"a", "b", "amplitude"}:
-                raise ConfigError(f"key '{name}'{where}: expected mapping with keys a, b[, amplitude]")
-            return TestFunction(float(value["a"]), float(value["b"]), float(value.get("amplitude", 1.0)))
+            return (Annulus if type_name == "annulus" else TestFunction)(float(value["a"]), float(value["b"]))
         if type_name == "curvature":
             if not isinstance(value, list):
                 raise ConfigError(f"key '{name}'{where}: expected list of [i, j, coefficient] triples")

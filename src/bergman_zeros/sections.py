@@ -21,8 +21,8 @@ A first pass evaluates every section on a shared grid of the circle
 (one GEMM) and sums the small phase increments of all rows at once.
 The few large increments, almost always caused by a zero close to the
 circle, form one flat queue of segments that is bisected for all rows
-together.  Only a row on which the section vanishes on the circle is
-recounted alone, on slightly perturbed radii.
+together.  A row on which the section vanishes on the circle, or whose
+segments do not settle, fails; every job hands it to `find_zeros`.
 
 `log_sup_batch` gives the log sup of |s|_{h_p} over an annulus for a
 whole batch: a coarse polar grid on the circle table of the winding
@@ -54,7 +54,6 @@ from .disc import (
 )
 
 __all__ = [
-    "ContourError",
     "Zeros",
     "count_zeros_batch",
     "find_zeros",
@@ -90,10 +89,6 @@ MAX_ASPECT = 8.0
 # 0.60 s in blocks of 2^21 entries, 0.42 s at 2^17, 0.44 s at 2^18 and
 # 0.49 s at 2^16 (2 vCPUs, OpenBLAS 0.3.31, serial, median of 5).
 BLOCK_ENTRIES = 1 << 17
-
-
-class ContourError(RuntimeError):
-    """A zero persists on the counting contour after perturbation attempts."""
 
 
 class Zeros(NamedTuple):
@@ -296,25 +291,27 @@ def _initial_points(space: DiscSpace, r: float) -> int:
     return max(64, 1 << int(math.ceil(math.log2(8.0 * (n + 8.0)))))
 
 
-def _winding(space: DiscSpace, etas: np.ndarray, r: float, n_init: int) -> tuple[np.ndarray, np.ndarray]:
+def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Winding numbers of the rows of etas along |z| = r, and the rows that failed.
 
-    Pass one evaluates every row on a shared grid of n_init angles (one
-    GEMM per row block).  The phase increment of a segment is the angle
-    of v1 * conj(v0), already wrapped into (-pi, pi].  Increments below
-    pi/2 in size are final and summed per row at once.  The others go
-    into one flat queue of segments (owner row, theta0, theta1, v0, v1).
-    Each round evaluates every queued midpoint with one einsum and splits
-    each segment in two; halves that are now small are added to their
-    row, the rest stay queued.
+    Pass one evaluates every row on a shared grid of `_initial_points`
+    angles (one GEMM per row block).  The phase increment of a segment is
+    the angle of v1 * conj(v0), already wrapped into (-pi, pi].
+    Increments below pi/2 in size are final and summed per row at once.
+    The others go into one flat queue of segments (owner row, theta0,
+    theta1, v0, v1).  Each round evaluates every queued midpoint with one
+    einsum and splits each segment in two; halves that are now small are
+    added to their row, the rest stay queued.
 
     A row fails if the section (nearly) vanishes at an evaluated point,
     if its winding is not an integer, or if segments remain after
-    MAX_ROUNDS checks; its winding entry is then meaningless.
+    MAX_ROUNDS checks; its winding entry is then meaningless, and callers
+    count the row by `find_zeros`.
     """
     m = etas.shape[0]
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    n_init = _initial_points(space, r)
     coeff, _ = _scaled_coefficients(space, etas, math.log(r))
     thetas, basis = _circle_table(space, n_init)
     ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
@@ -360,45 +357,24 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float, n_init: int) -> tuple
     return wi.astype(np.int64), failed
 
 
-def _perturbed_windings(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Winding numbers along |z| = r, and the rows no attempt resolved.
-
-    A failed row is recounted alone, on a doubled grid, at r and then at
-    r - 1e-6, r + 2e-6 and r - 3e-6; the first attempt that succeeds
-    gives its winding.
-    """
-    n_init = _initial_points(space, r)
-    w, failed = _winding(space, etas, r, n_init)
-    for i in np.flatnonzero(failed):
-        for attempt in range(4):
-            rr = r + (0.0 if attempt == 0 else (-1) ** attempt * 1e-6 * attempt)
-            wi, again = _winding(space, etas[i : i + 1], rr, 2 * n_init)
-            if not again[0]:
-                w[i] = wi[0]
-                failed[i] = False
-                break
-    return w, failed
-
-
 def _counts(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray]:
-    """Winding-number differences of the two boundary circles, and the rows no perturbation resolved."""
+    """Winding-number differences of the two boundary circles, and the rows on which either winding failed."""
     _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
-    wb, fb = _perturbed_windings(space, etas, region.b)
-    wa, fa = _perturbed_windings(space, etas, region.a)
+    wb, fb = _winding(space, etas, region.b)
+    wa, fa = _winding(space, etas, region.a)
     return wb - wa, fb | fa
 
 
 def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
-    """Argument-principle zero counts for a batch of coefficient rows.
+    """Zero counts in the open annulus for a batch of coefficient rows, one int per row.
 
     Each count is the winding-number difference of the two boundary
-    circles.  If the section vanishes on a contour, the radius is
-    perturbed by multiples of 1e-6 (up to 3 attempts); ContourError is
-    raised if every attempt fails.
+    circles.  A row on which either winding fails is counted by
+    `find_zeros`, as in `find_zeros_batch`.
     """
     counts, unresolved = _counts(space, etas, region)
-    if unresolved.any():
-        raise ContourError(f"contour through zero persists near |z| = {region.a} or {region.b} after 3 perturbations")
+    for i in np.flatnonzero(unresolved):
+        counts[i] = find_zeros(space, etas[i], region).mult.sum()
     return counts
 
 
@@ -542,9 +518,8 @@ def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> Zer
     pairwise at least MERGE_DISTANCE apart and their number equals its
     argument-principle count: then they are all of its zeros, each
     simple, and its unconverged seeds are counted.  Every other row (a
-    merge, a missed or extra zero, a boundary winding that no
-    perturbation resolves) falls back to `find_zeros`, whose zeros and
-    unconverged count it takes.
+    merge, a missed or extra zero, a failed boundary winding) falls back
+    to `find_zeros`, whose zeros and unconverged count it takes.
     """
     m = etas.shape[0]
     counts, unresolved = _counts(space, etas, region)

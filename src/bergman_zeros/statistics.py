@@ -60,7 +60,7 @@ PROXY_ANGULAR_NODES = 192
 class TestFunction:
     """Radial C^infinity bump supported on the annulus a < |z| < b.
 
-    profile(r) = amplitude * exp(1 - 1/(1 - u^2)) with
+    profile(r) = exp(1 - 1/(1 - u^2)) with
     u = (2r - (a+b)) / (b-a); the function and all radial derivatives
     vanish at the support endpoints (class C^3 and beyond; the curvature
     of the disc model never vanishes, so no extra flatness condition is
@@ -69,7 +69,6 @@ class TestFunction:
 
     a: float
     b: float
-    amplitude: float = 1.0
 
     __test__ = False  # not a pytest class despite the name
 
@@ -89,20 +88,20 @@ class TestFunction:
         return u, inside, w, np.where(inside, np.exp(1.0 - 1.0 / w), 0.0)
 
     def value(self, r):
-        return self.amplitude * self._bump(r)[3]
+        return self._bump(r)[3]
 
     def d1(self, r):
         """First radial derivative, analytic."""
         u, inside, w, val = self._bump(r)
         s = 2.0 / (self.b - self.a)
-        return self.amplitude * s * np.where(inside, val * (-2.0 * u / w**2), 0.0)
+        return s * np.where(inside, val * (-2.0 * u / w**2), 0.0)
 
     def d2(self, r):
         """Second radial derivative, analytic."""
         u, inside, w, val = self._bump(r)
         s = 2.0 / (self.b - self.a)
         expr = 4.0 * u * u / w**4 - 2.0 / w**2 - 8.0 * u * u / w**3
-        return self.amplitude * s * s * np.where(inside, val * expr, 0.0)
+        return s * s * np.where(inside, val * expr, 0.0)
 
 
 def laplacian_ratio(phi: TestFunction, z) -> float | np.ndarray:

@@ -112,13 +112,16 @@ def test_criterion_05_zero_finder_cross_oracle():
     p, region, n = 80, Annulus(0.2, 0.7), 200
     space = make_disc_space(p, sections.truncation_length(p, region.b))
     etas = np.array([sections.sample_etas(space, SEED, (p, i), 1)[0] for i in range(n)])
-    counts = sections.count_zeros_batch(space, etas, region)
+    # the argument principle alone: count_zeros_batch would count a failed row by find_zeros itself
+    counts, unresolved = sections._counts(space, etas, region)
     disagreements = [i for i in range(n) if sections.find_zeros(space, etas[i], region).mult.sum() != counts[i]]
     shifted = Annulus(region.a + 1e-6, region.b - 1e-6)
-    recounts = sections.count_zeros_batch(space, etas[disagreements], shifted)
+    recounts, unresolved_shifted = sections._counts(space, etas[disagreements], shifted)
     resolved = sum(c == sections.find_zeros(space, etas[i], shifted).mult.sum() for i, c in zip(disagreements, recounts))
-    ok = len(disagreements) <= 2 and resolved == len(disagreements)
-    crit.finish(ok, f"{n - len(disagreements)}/{n} agree; {resolved}/{len(disagreements)} resolved by perturbation")
+    failed = int(unresolved.sum() + unresolved_shifted.sum())
+    ok = failed == 0 and len(disagreements) <= 2 and resolved == len(disagreements)
+    crit.finish(ok, f"{n - len(disagreements)}/{n} agree; {resolved}/{len(disagreements)} resolved on radii moved by 1e-6; "
+                    f"{failed} failed windings")
 
 
 def test_criterion_06_expected_measure():

@@ -88,13 +88,17 @@ class TestConfigLoading:
             "seed": 5,
             "params": {
                 "p": 50,
-                "testfunction": {"a": 0.35, "b": 0.65, "amplitude": 2.0},
+                "testfunction": {"a": 0.35, "b": 0.65},
                 "samples": 10,
             },
         }
         cfg = load_config(write_config(tmp_path / "c.yaml", payload))
-        assert cfg.params["testfunction"].amplitude == 2.0
+        assert cfg.params["testfunction"] == TestFunction(0.35, 0.65)
         assert cfg.params["p"] == [50]
+        # a bump's height only scales Y(phi), so it is not a setting
+        payload["params"]["testfunction"]["amplitude"] = 2.0
+        with pytest.raises(ConfigError, match="'testfunction'.*keys a, b$"):
+            load_config(write_config(tmp_path / "c.yaml", payload))
 
 
 class TestRegistry:

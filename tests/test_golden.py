@@ -38,7 +38,10 @@ when that key, set to 2 by every caller, became the constant
 build their own rows and every Monte Carlo kind came to run through one
 pass helper.  Only kernel-decay's `anchor` line moved when it came to read
 "sqrt(24 log p/p)" with k = `FAR_K` = 2 put in; no digest moved then, nor
-when the zero finders came to return `sections.Zeros` arrays.
+when the zero finders came to return `sections.Zeros` arrays.  No digest
+and no listing line moved when a row whose boundary winding fails came to
+be counted by `find_zeros` in place of a recount on perturbed radii, nor
+when the test functions lost their `amplitude` (every bump has height 1).
 """
 
 import hashlib

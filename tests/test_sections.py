@@ -301,7 +301,7 @@ class TestArgumentPrinciple:
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[4] = 2.3
         assert count_zeros_batch(space10, eta[None, :], Annulus(0.2, 0.6)).tolist() == [0]
-        windings, failed = sections._winding(space10, eta[None, :], 0.5, 256)
+        windings, failed = sections._winding(space10, eta[None, :], 0.5)
         assert windings[0] == 5 and not failed[0]
 
     def test_empty_annulus(self, space10):
@@ -309,10 +309,13 @@ class TestArgumentPrinciple:
         assert count_zeros_batch(space10, etas, Annulus(0.5, 0.5 + 1e-12)).tolist() == [0]
 
     def test_agrees_with_companion(self, space10):
+        # the argument principle alone: a failed row would be counted by find_zeros itself
         region = Annulus(0.15, 0.65)
         for i in range(60):
             etas = sample_etas(space10, 99, (i,), 1)
-            assert count_zeros_batch(space10, etas, region).tolist() == [find_zeros(space10, etas[0], region).mult.sum()]
+            counts, unresolved = sections._counts(space10, etas, region)
+            assert not unresolved.any()
+            assert counts.tolist() == [find_zeros(space10, etas[0], region).mult.sum()]
 
     def test_batch_matches_scalar(self, space10):
         region = Annulus(0.2, 0.6)
@@ -326,7 +329,7 @@ class TestArgumentPrinciple:
 
     def test_contour_zero_perturbation(self, space10):
         # place a zero exactly on the outer contour; the count must still
-        # resolve via the documented radius perturbation
+        # resolve, through find_zeros
         w = 0.6
         eta = np.zeros(space10.L, dtype=np.complex128)
         eta[0] = -w / math.exp(0.5 * space10.log_coeffs[0])
@@ -386,20 +389,19 @@ class TestWindingEngine:
         space = make_disc_space(p, truncation_length(p, region.b))
         etas = np.array([sample_etas(space, 8, (i,), 1)[0] for i in range(150)])
         for r in (region.a, region.b):
-            n = sections._initial_points(space, r)
-            windings, failed = sections._winding(space, etas, r, n)
+            windings, failed = sections._winding(space, etas, r)
             assert not failed.any()
+            n = sections._initial_points(space, r)
             assert windings.tolist() == [_reference_winding(space, eta, r, n) for eta in etas]
 
     def test_zero_near_contour_refines_deeply(self, space10):
         # zeros at relative distance 1e-9 outside and inside the contour:
         # the phase jumps by ~pi within an angle of ~1e-9, so only deep
-        # midpoint refinement resolves it; no perturbation is needed
-        n = sections._initial_points(space10, self.R)
+        # midpoint refinement resolves it; no fallback is needed
         w_out = self.R * (1.0 + 1e-9) * np.exp(0.3j)
         w_in = self.R * (1.0 - 1e-9) * np.exp(0.3j)
         etas = np.array([_with_zeros(space10, [w_out]), _with_zeros(space10, [w_in])])
-        windings, failed = sections._winding(space10, etas, self.R, n)
+        windings, failed = sections._winding(space10, etas, self.R)
         assert windings.tolist() == [1, 2]
         assert not failed.any()
 
@@ -408,28 +410,28 @@ class TestWindingEngine:
         # segment's increment is still within ~1e-7 of -pi, so leaving out
         # the second row's two gives a wrong but integer winding; only the
         # segments left in the queue mark that row failed
-        n = sections._initial_points(space10, self.R)
         near = [self.R * (1.0 + 1e-14) * np.exp(1j * t) for t in (0.3, 2.0)]
         etas = np.array([_with_zeros(space10, near[:1]), _with_zeros(space10, near)])
         monkeypatch.setattr(sections, "MAX_ROUNDS", 20)
-        _, failed = sections._winding(space10, etas, self.R, n)
+        _, failed = sections._winding(space10, etas, self.R)
         assert failed.all()
 
-    def test_zero_on_contour_takes_perturbation_path(self, space10):
+    def test_zero_on_contour_takes_oracle_path(self, space10):
         # one zero exactly on a grid angle, one between grid angles
-        n = sections._initial_points(space10, self.R)
+        region = Annulus(0.2, self.R)
         etas = np.array([_with_zeros(space10, [self.R]), _with_zeros(space10, [self.R * np.exp(0.3j)])])
-        _, failed = sections._winding(space10, etas, self.R, n)
+        _, failed = sections._winding(space10, etas, self.R)
         assert failed.all()
-        # the first perturbed radius, R - 1e-6, leaves the zero outside
-        windings, failed = sections._perturbed_windings(space10, etas, self.R)
-        assert windings.tolist() == [1, 1] and not failed.any()
+        assert sections._counts(space10, etas, region)[1].all()
+        oracle = [find_zeros(space10, eta, region).mult.sum() for eta in etas]
+        assert count_zeros_batch(space10, etas, region).tolist() == oracle
 
-    def test_persistent_contour_zero_raises(self, space10):
-        # zeros on the contour and on every perturbed radius
+    def test_contour_zeros_counted_by_oracle(self, space10):
+        # zeros on the contour and 1e-6 to 3e-6 either side of it
+        region = Annulus(0.2, self.R)
         eta = _with_zeros(space10, [self.R + dr for dr in (0.0, -1e-6, 2e-6, -3e-6)])
-        with pytest.raises(sections.ContourError, match="persists"):
-            count_zeros_batch(space10, eta[None, :], Annulus(0.2, self.R))
+        assert sections._counts(space10, eta[None, :], region)[1].tolist() == [True]
+        assert count_zeros_batch(space10, eta[None, :], region).tolist() == [find_zeros(space10, eta, region).mult.sum()]
 
     def test_batch_without_flagged_rows(self, space10, monkeypatch):
         # no zero near the contour: the first pass settles every row, so
@@ -440,21 +442,33 @@ class TestWindingEngine:
         far = np.array([_with_zeros(space10, [0.2j]), _with_zeros(space10, [-0.8])])
         etas = np.concatenate([etas, far])
         monkeypatch.setattr(sections, "MAX_ROUNDS", 1)
-        windings, failed = sections._winding(space10, etas, self.R, sections._initial_points(space10, self.R))
+        windings, failed = sections._winding(space10, etas, self.R)
         assert windings.tolist() == [1, 2, 3, 4, 5, 2, 1]
         assert not failed.any()
 
-    def test_batch_with_every_row_flagged(self, space10, monkeypatch):
+    def _near_contour_rows(self, space):
+        """8 rows, each with one zero 1e-7 relative outside (even rows) or inside (odd rows) |z| = R."""
         angles = np.linspace(0.1, 6.0, 8)
         rel = np.where(np.arange(8) % 2 == 0, 1.0 + 1e-7, 1.0 - 1e-7)
-        etas = np.array([_with_zeros(space10, [self.R * f * np.exp(1j * t)]) for f, t in zip(rel, angles)])
-        n = sections._initial_points(space10, self.R)
-        expected = [1 if f > 1.0 else 2 for f in rel]
-        windings, failed = sections._winding(space10, etas, self.R, n)
-        assert windings.tolist() == expected and not failed.any()
+        return np.array([_with_zeros(space, [self.R * f * np.exp(1j * t)]) for f, t in zip(rel, angles)])
+
+    def test_batch_with_every_row_flagged(self, space10, monkeypatch):
+        etas = self._near_contour_rows(space10)
+        windings, failed = sections._winding(space10, etas, self.R)
+        assert windings.tolist() == [1, 2] * 4 and not failed.any()
         monkeypatch.setattr(sections, "MAX_ROUNDS", 1)
-        _, failed = sections._winding(space10, etas, self.R, n)
+        _, failed = sections._winding(space10, etas, self.R)
         assert failed.all()
+
+    def test_failed_rows_counted_by_oracle(self, space10, monkeypatch):
+        # the rows above with no refinement round: every winding at R fails
+        # and the winding differences read 0, but the counts are the oracle's
+        etas = self._near_contour_rows(space10)
+        region = Annulus(0.2, self.R)
+        monkeypatch.setattr(sections, "MAX_ROUNDS", 1)
+        counts, unresolved = sections._counts(space10, etas, region)
+        assert unresolved.all() and not counts.any()
+        assert count_zeros_batch(space10, etas, region).tolist() == [0, 1] * 4
 
     def test_chunk_independence(self, monkeypatch):
         p, region = 20, Annulus(0.2, 0.7)
@@ -475,7 +489,8 @@ class TestWindingEngine:
     def test_agrees_with_companion_roots(self, p, region):
         space = make_disc_space(p, truncation_length(p, region.b))
         etas = np.array([sample_etas(space, 2024, (p, i), 1)[0] for i in range(200)])
-        counts = count_zeros_batch(space, etas, region)
+        counts, unresolved = sections._counts(space, etas, region)
+        assert not unresolved.any()
         roots = [find_zeros(space, eta, region).mult.sum() for eta in etas]
         assert counts.tolist() == roots
 
@@ -514,7 +529,8 @@ class TestBatchedZeros:
         # scales every root at its own radius
         region = Annulus(0.05, 0.95)
         [(_, space, etas)] = experiments._draw([10], region.b, 64, self.SEED, {})
-        counts = count_zeros_batch(space, etas, region)
+        counts, unresolved = sections._counts(space, etas, region)
+        assert not unresolved.any()
         zsets = [find_zeros(space, row, region) for row in etas]
         assert [zs.mult.sum() for zs in zsets] == counts.tolist()
         assert not any(zs.unconverged[0] for zs in zsets)
@@ -573,17 +589,17 @@ class TestBatchedZeros:
         assert zs.unconverged[1:].tolist() == full.unconverged[1:].tolist()
 
     def test_unresolved_contour_takes_fallback(self, space10):
-        # zeros on the outer circle and on every perturbed radius: the count
-        # raises, the batched finder hands the row to find_zeros
+        # zeros on the outer circle and 1e-6 to 3e-6 either side of it: both
+        # the count and the batched finder hand the row to find_zeros
         region = Annulus(0.2, 0.5)
         stuck = _with_zeros(space10, [region.b + dr for dr in (0.0, -1e-6, 2e-6, -3e-6)])
         etas = np.array([sample_etas(space10, 8, (1,), 1)[0], stuck])
-        with pytest.raises(sections.ContourError):
-            count_zeros_batch(space10, etas, region)
-        assert sections._counts(space10, etas, region)[1].tolist() == [False, True]
+        counts, unresolved = sections._counts(space10, etas, region)
+        assert unresolved.tolist() == [False, True]
+        ref = find_zeros(space10, stuck, region)
+        assert count_zeros_batch(space10, etas, region).tolist() == [counts[0], ref.mult.sum()]
         zs = find_zeros_batch(space10, etas, region)
         assert zs.fallback.tolist() == [False, True]
-        ref = find_zeros(space10, stuck, region)
         assert _row(zs, 1) == _row(ref)
         assert zs.unconverged[0] == 0
 

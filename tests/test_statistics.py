@@ -38,7 +38,7 @@ class TestTestFunction:
         assert phi.value(0.3 + eps) < 1e-10  # all derivatives vanish at the edge
 
     def test_derivatives_by_finite_difference(self):
-        phi = TestFunction(0.3, 0.6, amplitude=1.7)
+        phi = TestFunction(0.3, 0.6)
         h = 1e-6
         for r in (0.38, 0.45, 0.52):
             d1 = (phi.value(r + h) - phi.value(r - h)) / (2 * h)
@@ -73,11 +73,6 @@ class TestLaplacianRatio:
             lap = (4.0 * lap5(h / 2) - lap5(h)) / 3.0
             oracle = 0.5 * math.pi * lap * r * r * math.log(r * r) ** 2
             assert laplacian_ratio(phi, z) == pytest.approx(oracle, abs=1e-6 * max(1.0, abs(oracle)))
-
-    def test_linearity(self):
-        phi1 = TestFunction(0.3, 0.6, amplitude=1.0)
-        phi2 = TestFunction(0.3, 0.6, amplitude=2.0)
-        assert laplacian_ratio(phi2, 0.42) == pytest.approx(2.0 * laplacian_ratio(phi1, 0.42), rel=1e-12)
 
     def test_mean_zero_against_curvature(self):
         # int L(phi) c1 = 0 for compactly supported phi
@@ -117,20 +112,14 @@ class TestGtilde:
 
 
 class TestVariance:
-    def test_zero_for_harmonic_test_function(self, space80):
-        phi = TestFunction(0.35, 0.65, amplitude=0.0)
-        assert variance_bipotential(space80, phi) == 0.0
-
     def test_nonnegative_and_converged(self, space80):
         phi = TestFunction(0.35, 0.65)
         v = variance_bipotential(space80, phi)
         assert v > 0.0
 
     def test_leading_term_scalings(self):
-        phi1 = TestFunction(0.35, 0.65, amplitude=1.0)
-        phi2 = TestFunction(0.35, 0.65, amplitude=2.0)
-        assert variance_leading_term(phi2, 40) == pytest.approx(4.0 * variance_leading_term(phi1, 40), rel=1e-12)
-        assert variance_leading_term(phi1, 80) == pytest.approx(0.5 * variance_leading_term(phi1, 40), rel=1e-12)
+        phi = TestFunction(0.35, 0.65)
+        assert variance_leading_term(phi, 80) == pytest.approx(0.5 * variance_leading_term(phi, 40), rel=1e-12)
 
     def test_apery_constant(self):
         assert APERY == pytest.approx(1.202056903159594, abs=1e-15)
@@ -243,7 +232,8 @@ class TestProxyAndExperiments:
         assert vals[100] < vals[50]
 
     def test_clt_rejects_degenerate_statistic(self):
-        phi = TestFunction(0.35, 0.65, amplitude=0.0)
+        # a support too thin to hold a zero: Y(phi) is 0 on every sample
+        phi = TestFunction(0.5, 0.5 + 1e-9)
         with pytest.raises(RuntimeError):
             experiments.clt_experiment([20], phi, 40, seed=1)
 
