@@ -154,7 +154,8 @@ def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
         if type_name in ("annulus", "testfunction"):
             if not isinstance(value, dict) or set(value) != {"a", "b"}:
                 raise ConfigError(f"key '{name}'{where}: expected mapping with keys a, b")
-            return (Annulus if type_name == "annulus" else TestFunction)(float(value["a"]), float(value["b"]))
+            a, b = (_coerce(name, "float", value[end], text) for end in ("a", "b"))
+            return (Annulus if type_name == "annulus" else TestFunction)(a, b)
         if type_name == "curvature":
             if not isinstance(value, list):
                 raise ConfigError(f"key '{name}'{where}: expected list of [i, j, coefficient] triples")
@@ -162,7 +163,7 @@ def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
             for item in value:
                 if not isinstance(item, (list, tuple)) or len(item) != 3:
                     raise ConfigError(f"key '{name}'{where}: each curvature entry must be [i, j, coefficient]")
-                triples.append((int(item[0]), int(item[1]), float(item[2])))
+                triples.append(tuple(_coerce(name, t, e, text) for t, e in zip(("int", "int", "float"), item)))
             return triples
     except ConfigError:
         raise

@@ -181,7 +181,6 @@ def sup_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     return report
 
 
-PARITY_STEP = 1e-3  # of the central differences giving the jets of B at 0
 PARITY_TOLERANCE = 1e-5  # largest odd jet
 
 
@@ -207,7 +206,7 @@ def model_kernel_experiment(
         None, "model_kernel_at_zero", value,
         prediction=prediction, deviation=None if prediction is None else abs(value - prediction),
     )
-    jets = model.kernel_parity_and_jets(basis, order=4, step=PARITY_STEP)
+    jets = model.kernel_parity_and_jets(basis)
     odd = max(abs(v) for (i, j), v in jets.items() if (i + j) % 2 == 1)
     report.row(None, "parity_max_odd_jet", odd, prediction=0.0, deviation=odd)
     report.check("model_kernel_positive", value > 0.0, f"B(0,0) = {value:.6g}")

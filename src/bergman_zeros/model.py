@@ -14,15 +14,16 @@ matrix of the monomials under the weight e^(-phi):
 B(0,0) = (G^{-1})_{00}.
 
 Convention: psi is the curvature contraction iR(e1, e2).  A (1,1)-form
-written as  rho(x,y) dz ^ dzbar  has psi = 2 rho, see
-``HomogeneousCurvature.from_form_coefficient``.
+written as  rho(x,y) dz ^ dzbar  has psi = 2 rho, because
+dz ^ dzbar = -2i dx ^ dy: a curvature given by its form coefficient is
+entered with every coefficient doubled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -35,11 +36,9 @@ __all__ = [
     "QuadratureError",
     "gram_matrix",
     "kernel_diagonal",
-    "kernel_membership_residual",
     "kernel_parity_and_jets",
     "model_bergman_at_zero",
     "solve_potential",
-    "weight_lower_bound_check",
 ]
 
 
@@ -94,15 +93,6 @@ class HomogeneousCurvature:
             coeffs[i] += c
         return cls(rho_prime=rho_prime, psi_coeffs=coeffs)
 
-    @classmethod
-    def from_form_coefficient(cls, rho_prime: int, triples: Iterable[tuple[int, int, float]]) -> "HomogeneousCurvature":
-        """Build from the dz ^ dzbar coefficient of the curvature form.
-
-        dz ^ dzbar = -2i dx ^ dy, so psi = iR(e1, e2) is twice the form
-        coefficient.
-        """
-        return cls.from_monomials(rho_prime, [(i, j, 2.0 * c) for i, j, c in triples])
-
     def __call__(self, x, y):
         d = self.rho_prime - 2
         x = np.asarray(x, dtype=np.float64)
@@ -112,9 +102,6 @@ class HomogeneousCurvature:
             if c != 0.0:
                 out = out + c * x**i * y ** (d - i)
         return out
-
-    def scaled(self, alpha: float) -> "HomogeneousCurvature":
-        return HomogeneousCurvature(self.rho_prime, alpha * np.asarray(self.psi_coeffs))
 
 
 def _xy_monomial_to_zzbar(i: int, j: int) -> dict[tuple[int, int], complex]:
@@ -154,16 +141,6 @@ class PotentialPair:
     def phi(self, z):
         """Weight exponent phi = Re Psi; homogeneous of degree rho'."""
         return np.real(self.potential(z))
-
-    def dbar_potential(self, z):
-        """d Psi / d zbar, for residual checks."""
-        z = np.asarray(z, dtype=np.complex128)
-        zb = np.conj(z)
-        out = np.zeros(z.shape, dtype=np.complex128)
-        for (a, b), c in self.psi_z_zbar.items():
-            if b > 0 and c != 0.0:
-                out = out + c * b * z**a * zb ** (b - 1)
-        return out
 
     def angular_profile(self, alpha: np.ndarray) -> np.ndarray:
         """g(alpha) = phi on the unit circle, so phi = rho^rho' g(alpha)."""
@@ -228,20 +205,6 @@ def solve_potential(curv: HomogeneousCurvature, gauge: complex | None = None) ->
     return PotentialPair(curvature=curv, psi_z_zbar=psi_coeffs)
 
 
-def weight_lower_bound_check(
-    pp: PotentialPair,
-    lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    points: np.ndarray,
-    scale: float = 1.0,
-    tol: float = 1e-12,
-) -> bool:
-    """True iff scale * phi >= lower(x, y) - tol at every supplied point."""
-    z = np.asarray(points, dtype=np.complex128)
-    lhs = scale * pp.phi(z)
-    rhs = lower(np.real(z), np.imag(z))
-    return bool(np.all(lhs >= rhs - tol))
-
-
 @dataclass(frozen=True)
 class GramBasis:
     """Monomial Gram matrix under e^(-phi) with its Cholesky factorization."""
@@ -250,7 +213,6 @@ class GramBasis:
     max_deg: int
     gram: np.ndarray = field(repr=False)
     chol: tuple = field(repr=False)
-    quad_error: float
 
 
 def _gram_at(pp: PotentialPair, max_deg: int, n_theta: int) -> np.ndarray:
@@ -295,7 +257,7 @@ def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
         chol = cho_factor(G, lower=True)
     except np.linalg.LinAlgError as exc:
         raise QuadratureError(f"Gram matrix not positive definite: {exc}") from exc
-    return GramBasis(pp=pp, max_deg=max_deg, gram=G, chol=chol, quad_error=err)
+    return GramBasis(pp=pp, max_deg=max_deg, gram=G, chol=chol)
 
 
 def model_bergman_at_zero(basis: GramBasis) -> float:
@@ -320,7 +282,8 @@ def kernel_diagonal(basis: GramBasis, z) -> np.ndarray:
 
 
 # central finite-difference weights of the derivative of order 0..4 (the
-# row) on the offsets -2..2 (the column), in units of the step
+# row) on the offsets -2..2 (the column), in units of the step JET_STEP
+JET_STEP = 1e-3
 JET_STENCIL = np.array(
     [
         [0.0, 0.0, 1.0, 0.0, 0.0],
@@ -332,47 +295,18 @@ JET_STENCIL = np.array(
 )
 
 
-def kernel_parity_and_jets(
-    basis: GramBasis, order: int = 4, step: float = 1e-3
-) -> dict[tuple[int, int], float]:
-    """Finite-difference partials of K(Z, Z) at 0 up to the given total order.
+def kernel_parity_and_jets(basis: GramBasis) -> dict[tuple[int, int], float]:
+    """Finite-difference partials of K(Z, Z) at 0 up to total order 4.
 
     Returns {(i, j): d^(i+j) K / dx^i dy^j (0)}.  Odd total orders vanish
     for any even weight (the Gram matrix is checkerboard), so their
     finite differences sit at the roundoff floor.
     """
-    if order > 4:
-        raise ValueError("jets supported up to order 4")
-    xs = np.arange(-2, 3) * step
+    xs = np.arange(-2, 3) * JET_STEP
     K = kernel_diagonal(basis, xs[:, None] + 1j * xs[None, :])
     return {
-        (i, j): float(JET_STENCIL[i] @ K @ JET_STENCIL[j]) / step ** (i + j)
-        for i in range(order + 1)
-        for j in range(order + 1 - i)
+        (i, j): float(JET_STENCIL[i] @ K @ JET_STENCIL[j]) / JET_STEP ** (i + j)
+        for i in range(5)
+        for j in range(5 - i)
     }
 
-
-def kernel_membership_residual(
-    pp: PotentialPair,
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    f_dbar: Callable[[np.ndarray], np.ndarray] | None = None,
-    fd_step: float = 1e-6,
-) -> float:
-    """max over the grid of |b+ f| / (1 + |f|) with b+ = 2 d/dzbar + (psi/rho') z.
-
-    If no analytic dzbar-derivative is supplied it is estimated by central
-    differences in x and y (d/dzbar = (d/dx + i d/dy)/2).
-    """
-    z = np.asarray(grid, dtype=np.complex128).ravel()
-    fz = np.asarray(f(z), dtype=np.complex128)
-    if f_dbar is not None:
-        dbar = np.asarray(f_dbar(z), dtype=np.complex128)
-    else:
-        h = fd_step
-        fx = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2.0 * h)
-        fy = (np.asarray(f(z + 1j * h)) - np.asarray(f(z - 1j * h))) / (2.0 * h)
-        dbar = 0.5 * (fx + 1j * fy)
-    psi = pp.curvature(np.real(z), np.imag(z))
-    bp = 2.0 * dbar + (psi / pp.rho_prime) * z * fz
-    return float(np.max(np.abs(bp) / (1.0 + np.abs(fz))))

@@ -154,9 +154,9 @@ def _circle_table(space: DiscSpace, n: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.exp(1j * thetas)[np.outer(np.arange(1, space.L + 1), np.arange(n)) % n]
 
 
-def truncation_length(p: int, b: float, eps: float = ZERO_TAIL_EPS) -> int:
-    """Smallest L with relative tail variance of the field on |z| <= b below eps^2."""
-    return adaptive_truncation(p, b, rel_tol=eps * eps)
+def truncation_length(p: int, b: float) -> int:
+    """Smallest L with relative tail variance of the field on |z| <= b below ZERO_TAIL_EPS^2."""
+    return adaptive_truncation(p, b, rel_tol=ZERO_TAIL_EPS**2)
 
 
 # ---------------------------------------------------------------------------

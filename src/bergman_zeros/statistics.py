@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import spence
 
 from . import sections
-from .disc import Annulus, DiscSpace, _legendre_rule, _log_diag, zero_counting_function
+from .disc import Annulus, DiscSpace, _legendre_rule, _log_diag, _scalar_or_array, zero_counting_function
 
 __all__ = [
     "APERY",
@@ -112,15 +112,13 @@ def laplacian_ratio(phi: TestFunction, z) -> float | np.ndarray:
 
         L(phi)(z) = (pi / 2) (phi'' + phi'/r) r^2 log^2(r^2).
     """
-    r = np.abs(np.asarray(z))
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(np.float64)
+    r = np.abs(np.asarray(z)).astype(np.float64)
     out = np.zeros(r.shape)
     mask = (r > 0.0) & (r < 1.0)
     rm = r[mask]
     lap = phi.d2(rm) + phi.d1(rm) / rm
     out[mask] = 0.5 * math.pi * lap * rm**2 * np.log(rm**2) ** 2
-    return float(out[0]) if scalar else out
+    return _scalar_or_array(out)
 
 
 def _gtilde_fast(t: np.ndarray) -> np.ndarray:

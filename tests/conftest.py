@@ -14,7 +14,7 @@ def quartic_potential():
     """The degree-4 curvature example (form coefficient y^2, so psi = 2 y^2)."""
     from bergman_zeros import model
 
-    curv = model.HomogeneousCurvature.from_form_coefficient(4, [(0, 2, 1.0)])
+    curv = model.HomogeneousCurvature.from_monomials(4, [(0, 2, 2.0)])
     return model.solve_potential(curv)
 
 

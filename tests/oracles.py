@@ -1,9 +1,11 @@
-"""Scalar reference implementations that the tests compare the library against.
+"""Reference implementations that the tests compare the library against.
 
-Each takes one point (or one argument) and is written for clarity, not
-speed; the library's batch and array paths are checked against them.
-Section and kernel values are (log_modulus, phase) pairs, with
-log_modulus = -inf, phase = 0 for an exact zero.
+The scalar ones take one point (or one argument) and are written for
+clarity, not speed; the library's batch and array paths are checked
+against them.  Section and kernel values are (log_modulus, phase) pairs,
+with log_modulus = -inf, phase = 0 for an exact zero.  The model-kernel
+ones check a solved potential and a candidate kernel element against the
+defining equations.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from bergman_zeros.disc import DiscSpace, DomainError, _off_diag
+from bergman_zeros.model import PotentialPair
 from bergman_zeros.sections import _scaled_coefficients
 
 
@@ -84,3 +87,34 @@ def Gtilde(t: float) -> float:
     if t * t <= 0.9:
         return _gtilde_series(t)
     return _gtilde_integral(t)
+
+
+def dbar_potential(pp: PotentialPair, z) -> np.ndarray:
+    """d Psi / d zbar of the solved potential, term by term."""
+    z = np.asarray(z, dtype=np.complex128)
+    zb = np.conj(z)
+    out = np.zeros(z.shape, dtype=np.complex128)
+    for (a, b), c in pp.psi_z_zbar.items():
+        if b > 0 and c != 0.0:
+            out = out + c * b * z**a * zb ** (b - 1)
+    return out
+
+
+def kernel_membership_residual(pp: PotentialPair, f, grid, f_dbar=None, fd_step: float = 1e-6) -> float:
+    """max over the grid of |b+ f| / (1 + |f|) with b+ = 2 d/dzbar + (psi/rho') z.
+
+    If no analytic dzbar-derivative is supplied it is estimated by central
+    differences in x and y (d/dzbar = (d/dx + i d/dy)/2).
+    """
+    z = np.asarray(grid, dtype=np.complex128).ravel()
+    fz = np.asarray(f(z), dtype=np.complex128)
+    if f_dbar is not None:
+        dbar = np.asarray(f_dbar(z), dtype=np.complex128)
+    else:
+        h = fd_step
+        fx = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2.0 * h)
+        fy = (np.asarray(f(z + 1j * h)) - np.asarray(f(z - 1j * h))) / (2.0 * h)
+        dbar = 0.5 * (fx + 1j * fy)
+    psi = pp.curvature(np.real(z), np.imag(z))
+    bp = 2.0 * dbar + (psi / pp.rho_prime) * z * fz
+    return float(np.max(np.abs(bp) / (1.0 + np.abs(fz))))

@@ -100,6 +100,23 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="'testfunction'.*keys a, b$"):
             load_config(write_config(tmp_path / "c.yaml", payload))
 
+    # curvature exponents are checked as ints, coefficients and radii as floats: an exponent of
+    # 2.9 or true is not truncated to 2 or 1, and a quoted radius is not parsed
+    @pytest.mark.parametrize("kind, params, key, got", [
+        ("model-kernel", {"rho_prime": 4, "curvature": [[2.9, 0, 1.0]]}, "curvature", "expected integer, got 2.9"),
+        ("model-kernel", {"rho_prime": 4, "curvature": [[1, True, 1.0]]}, "curvature", "expected integer, got True"),
+        ("model-kernel", {"rho_prime": 2, "curvature": [[0, 0, "1.0"]]}, "curvature", "expected number, got '1.0'"),
+        ("model-kernel", {"rho_prime": 2, "curvature": [[0, 0, False]]}, "curvature", "expected number, got False"),
+        ("holes", {"p": [10], "annulus": {"a": "0.25", "b": 0.45}, "samples": 10}, "annulus", "expected number, got '0.25'"),
+        ("clt", {"p": [30], "testfunction": {"a": 0.35, "b": True}, "samples": 10}, "testfunction", "expected number, got True"),
+    ], ids=["exponent-float", "exponent-bool", "coefficient-str", "coefficient-bool", "radius-str", "radius-bool"])
+    def test_nested_values_type_checked(self, tmp_path, capsys, kind, params, key, got):
+        cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 1, "params": params})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"key '{key}' (line " in err
+        assert got in err
+
 
 class TestRegistry:
     # one valid value per parameter type, for configs built from the schema

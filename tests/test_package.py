@@ -1,5 +1,6 @@
 """Package surface: the names each module exports, and the README's library example."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import bergman_zeros
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(bergman_zeros.__file__).resolve().parent
 
 
 def test_all_names_resolve():
@@ -16,6 +18,44 @@ def test_all_names_resolve():
         module = importlib.import_module(f"bergman_zeros.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"bergman_zeros.{info.name}.__all__ names missing attributes: {missing}"
+
+
+def _library_uses(name: str) -> list[str]:
+    """Places in the library that refer to name, outside its own definition and the __all__ lists.
+
+    A reference is a name or attribute read, an import, or a string equal
+    to the name: the experiment drivers are named by their strings in
+    `config.EXPERIMENTS`.
+    """
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        listed, own = set(), []
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                listed.update(id(n) for n in ast.walk(node.value))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+                own.append(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if (
+                (isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+                or (isinstance(node, ast.Constant) and node.value == name and id(node) not in listed)
+            ) and not any(node.lineno in lines for lines in own):
+                uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def test_exported_names_used_by_library():
+    # an export that only the tests call belongs in tests/oracles.py, not in the library
+    unused = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(bergman_zeros.__path__)
+        for name in getattr(importlib.import_module(f"bergman_zeros.{info.name}"), "__all__", ())
+        if not _library_uses(name)
+    ]
+    assert not unused, f"exported but used nowhere in the library: {unused}"
 
 
 def test_top_level_exports_only_version():

@@ -163,14 +163,14 @@ class TestEvaluate:
 
 class TestTruncationLength:
     def test_monotone_in_tolerance(self):
-        l_loose = truncation_length(100, 0.7, 1e-4)
-        l_tight = truncation_length(100, 0.7, 1e-10)
+        l_loose = disc.adaptive_truncation(100, 0.7, 1e-4**2)
+        l_tight = disc.adaptive_truncation(100, 0.7, 1e-10**2)
         assert l_loose <= l_tight
 
     def test_extended_precision_tail_oracle(self):
         # smallest L with true tail <= eps^2 * head, computed at 80 digits
-        p, b, eps = 10, 0.5, 1e-8
-        ours = truncation_length(p, b, eps)
+        p, b, eps = 10, 0.5, sections.ZERO_TAIL_EPS
+        ours = truncation_length(p, b)
         with mp.workdps(80):
             x = mp.mpf(str(b)) ** 2
             total = mp.polylog(1 - p, x)  # sum_ell ell^(p-1) x^ell, closed form
