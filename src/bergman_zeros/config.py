@@ -11,6 +11,7 @@ required exactly when it has no default.  No key or type is written here.
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -172,10 +173,21 @@ def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
     raise ConfigError(f"internal: unknown parameter type {type_name}")
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats (1e-1, 2E3, -5e-2), which YAML 1.1 leaves strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

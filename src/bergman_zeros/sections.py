@@ -16,18 +16,22 @@ Newton and Aberth step evaluates the terms scaled by its point's radius.
 Both return one `Zeros` of flat arrays: the row, point and multiplicity
 of every zero, and per row its unconverged iterates and its fallback.
 
+Every evaluation on n equispaced angles of a circle goes through
+`_circle_values`: a GEMM with the table of n-th roots of unity below
+FFT_MIN_POINTS angles, a fold of ell mod n and one inverse FFT from there.
+
 The winding numbers of a whole batch come from one vectorized engine.
 A first pass evaluates every section on a shared grid of the circle
-(one GEMM) and sums the small phase increments of all rows at once.
+(`_circle_values`) and sums the small phase increments of all rows at once.
 The few large increments, almost always caused by a zero close to the
 circle, form one flat queue of segments that is bisected for all rows
 together.  A row on which the section vanishes on the circle, or whose
 segments do not settle, fails; every job hands it to `find_zeros`.
 
 `log_sup_batch` gives the log sup of |s|_{h_p} over an annulus for a
-whole batch: a coarse polar grid on the circle table of the winding
-engine, then zoom rounds on the power table of the Newton and Aberth
-steps, all on scaled terms, so that nothing overflows at large p.
+whole batch: a coarse polar grid through `_circle_values`, then zoom
+rounds on the power table of the Newton and Aberth steps, all on scaled
+terms, so that nothing overflows at large p.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, path).  `sample_etas` draws a whole batch of coefficient
@@ -39,6 +43,7 @@ largest truncation length, so every p sees the same leading coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -89,6 +94,15 @@ MAX_ASPECT = 8.0
 # 0.60 s in blocks of 2^21 entries, 0.42 s at 2^17, 0.44 s at 2^18 and
 # 0.49 s at 2^16 (2 vCPUs, OpenBLAS 0.3.31, serial, median of 5).
 BLOCK_ENTRIES = 1 << 17
+# `_circle_values` folds and takes one FFT from this many angles up, and a
+# GEMM below.  Selected by angles, not by L.  `_winding`, GEMM -> FFT:
+# n = 4096 (p = 200, r = 0.7, 200 rows) 249 -> 45 ms; n = 1024 (p = 200,
+# r = 0.2) 23 -> 9.5 ms; n = 512 (p = 100, 500 rows) 19 -> 13 ms; n = 256
+# (p = 40 and 50, 1000 rows) 14-16 -> 13-14 ms; n = 128 (4096 rows, L = 32,
+# 35 and 114) the FFT is 2-25 % slower, and so it is on the log-sup coarse
+# pass (n = 72, L = 114, 4096 rows: 407 -> 440 ms).  2 vCPUs, OpenBLAS
+# 0.3.31 with 2 threads, medians of 15 interleaved pairs (7 for log-sup).
+FFT_MIN_POINTS = 256
 
 
 class Zeros(NamedTuple):
@@ -144,14 +158,30 @@ def _powers(w: np.ndarray, L: int) -> np.ndarray:
     return np.cumprod(np.broadcast_to(w[..., None], (*w.shape, L)), axis=-1)
 
 
-def _circle_table(space: DiscSpace, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n angles 2 pi j / n and the L x n table of e^{i ell theta_j}.
+@functools.lru_cache(maxsize=8)
+def _roots_table(L: int, n: int) -> np.ndarray:
+    """The L x n table of e^{i ell 2 pi j / n}, read-only: n-th roots of unity, exact in the argument."""
+    roots = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    table = roots[np.outer(np.arange(1, L + 1), np.arange(n)) % n]
+    table.flags.writeable = False
+    return table
 
-    On the equispaced grid the table holds n-th roots of unity: cheaper
-    than L x n complex exponentials, and exact in the argument.
+
+def _circle_values(coeff: np.ndarray, n: int) -> np.ndarray:
+    """sum_ell coeff_ell e^{i ell theta_j} at the n angles theta_j = 2 pi j / n, ell = 1 .. L, per row.
+
+    Unnormalised: the values of the section itself.  Below FFT_MIN_POINTS
+    angles, a GEMM with `_roots_table` (cached per (L, n), and cheaper than
+    L x n complex exponentials); from there, ell folded mod n into a
+    zero-padded array and one inverse FFT.
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return thetas, np.exp(1j * thetas)[np.outer(np.arange(1, space.L + 1), np.arange(n)) % n]
+    m, L = coeff.shape
+    if n < FFT_MIN_POINTS:
+        return coeff @ _roots_table(L, n)
+    width = -(-(L + 1) // n) * n
+    folded = np.zeros((m, width), dtype=np.complex128)
+    folded[:, 1 : L + 1] = coeff
+    return np.fft.ifft(folded.reshape(m, width // n, n).sum(axis=1), axis=1, norm="forward")
 
 
 def truncation_length(p: int, b: float) -> int:
@@ -295,8 +325,9 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
     """Winding numbers of the rows of etas along |z| = r, and the rows that failed.
 
     Pass one evaluates every row on a shared grid of `_initial_points`
-    angles (one GEMM per row block).  The phase increment of a segment is
-    the angle of v1 * conj(v0), already wrapped into (-pi, pi].
+    angles (`_circle_values` per row block, each block scaled on its
+    own).  The phase increment of a segment is the angle of
+    v1 * conj(v0), already wrapped into (-pi, pi].
     Increments below pi/2 in size are final and summed per row at once.
     The others go into one flat queue of segments (owner row, theta0,
     theta1, v0, v1).  Each round evaluates every queued midpoint with one
@@ -312,16 +343,21 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     n_init = _initial_points(space, r)
-    coeff, _ = _scaled_coefficients(space, etas, math.log(r))
-    thetas, basis = _circle_table(space, n_init)
+    log_r = math.log(r)
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
     ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
     total = np.empty(m)
     lo_mag = np.empty(m)
     hi_mag = np.empty(m)
     queue: list[tuple[np.ndarray, ...]] = []
-    step = max(1, BLOCK_ENTRIES // n_init)
+    # a block holds about four (row, angle) temporaries at once, together
+    # within BLOCK_ENTRIES; freed, they stay below glibc's trim threshold and
+    # the next block reuses their pages.  A holes run alone (4000 rows at
+    # p = 4, 6, 8, n = 128) took 17 174 page faults with the whole batch
+    # scaled at once and BLOCK_ENTRIES per temporary, and 1 468 as here.
+    step = max(1, BLOCK_ENTRIES // (4 * n_init))
     for lo in range(0, m, step):
-        vals = coeff[lo : lo + step] @ basis
+        vals = _circle_values(_scaled_coefficients(space, etas[lo : lo + step], log_r)[0], n_init)
         mags = np.abs(vals)
         lo_mag[lo : lo + step] = mags.min(axis=1)
         hi_mag[lo : lo + step] = mags.max(axis=1)
@@ -340,7 +376,8 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
         if own.size == 0:
             break
         tm = 0.5 * (t0 + t1)
-        vm = np.einsum("ql,ql->q", coeff[own], np.exp(1j * np.outer(tm, space.ells)))
+        coeff, _ = _scaled_coefficients(space, etas[own], log_r)
+        vm = np.einsum("ql,ql->q", coeff, np.exp(1j * np.outer(tm, space.ells)))
         np.minimum.at(lo_mag, own, np.abs(vm))
         np.maximum.at(hi_mag, own, np.abs(vm))
         own, t0, t1 = np.concatenate([own, own]), np.concatenate([t0, tm]), np.concatenate([tm, t1])
@@ -407,19 +444,20 @@ def log_sup_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.nda
 
     The coarse pass takes every row on LOG_SUP_RADIAL_POINTS circles of
     LOG_SUP_ANGULAR_POINTS angles: the terms scaled at each radius
-    (`_scaled_coefficients`) times the circle table of `_winding`.  Each
+    (`_scaled_coefficients`), evaluated by `_circle_values`.  Each
     of LOG_SUP_REFINE_ROUNDS zoom rounds scales a row's terms at its best
     radius rho and evaluates the 5 x 5 points around its best point, radii
     clipped to [a, b], from the powers of z / rho; rows go in blocks of at
     most BLOCK_ENTRIES (row, point, ell) entries.  A zoom round never lowers a value.
     """
     m = etas.shape[0]
-    thetas, basis = _circle_table(space, LOG_SUP_ANGULAR_POINTS)
+    thetas = np.linspace(0.0, 2.0 * math.pi, LOG_SUP_ANGULAR_POINTS, endpoint=False)
     best, best_r, best_t = np.full(m, -np.inf), np.empty(m), np.empty(m)
     for r in np.linspace(region.a, region.b, LOG_SUP_RADIAL_POINTS):
         coeff, shift = _scaled_coefficients(space, etas, math.log(r))
         weight = 0.5 * space.p * math.log(-2.0 * math.log(r))
-        _keep_best(best, best_r, best_t, np.log(np.abs(coeff @ basis)) + (shift + weight), r, thetas)
+        vals = _circle_values(coeff, LOG_SUP_ANGULAR_POINTS)
+        _keep_best(best, best_r, best_t, np.log(np.abs(vals)) + (shift + weight), r, thetas)
 
     dr = (region.b - region.a) / (LOG_SUP_RADIAL_POINTS - 1)
     dt = 2.0 * math.pi / LOG_SUP_ANGULAR_POINTS
@@ -471,27 +509,22 @@ def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np
     """Newton starting points from the cells of a polar grid over the annulus.
 
     The angles are the n_a = `_initial_points(space, b)` of `_winding`,
-    the circles those of `_grid_radii`.  Each circle is evaluated with
-    one FFT per row, scaled as in `_winding`.  The winding of a cell is
+    the circles those of `_grid_radii`.  Each circle is evaluated by
+    `_circle_values`, scaled as in `_winding`.  The winding of a cell is
     the sum of its four phase increments, each wrapped into (-pi, pi]; a
     cell of winding k >= 1 gives k points, spread along its diagonal.
     Returns (owner row, point).
     """
-    m = etas.shape[0]
     n_a = _initial_points(space, region.b)
     two_pi = 2.0 * math.pi
     radii = _grid_radii(space, region, two_pi / n_a)
-    width = -(-(space.L + 1) // n_a) * n_a
 
     def wrap(x: np.ndarray) -> np.ndarray:
         return x - two_pi * np.rint(x / two_pi)
 
     owners, points = [], []
     for i, r in enumerate(radii):
-        folded = np.zeros((m, width), dtype=np.complex128)
-        folded[:, 1 : space.L + 1] = _scaled_coefficients(space, etas, math.log(r))[0]
-        # sum_ell c_ell e^{i ell theta_j}: fold ell mod n_a, then one inverse FFT
-        phase = np.angle(np.fft.ifft(folded.reshape(m, width // n_a, n_a).sum(axis=1), axis=1))
+        phase = np.angle(_circle_values(_scaled_coefficients(space, etas, math.log(r))[0], n_a))
         arc = wrap(np.roll(phase, -1, axis=1) - phase)
         if i:
             radial = wrap(phase - prev_phase)

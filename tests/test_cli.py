@@ -100,6 +100,34 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="'testfunction'.*keys a, b$"):
             load_config(write_config(tmp_path / "c.yaml", payload))
 
+    # YAML 1.1 reads an exponent without a dot (1e-1) as a string; the loader reads it as YAML 1.2 does
+    DEVIATION_YAML = "experiment: deviation\nseed: 3\nparams:\n  p: [15]\n  annulus: {a: %s, b: %s}\n  delta: %s\n  samples: %s\n"
+
+    def test_exponent_float_runs(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(self.DEVIATION_YAML % ("0.25", "0.6", "1e-1", "200"), encoding="utf-8")
+        assert load_config(cfg).params["delta"] == 0.1
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "results.csv").is_file()
+
+    @pytest.mark.parametrize("a, b, expected", [("2e-1", "7e-1", (0.2, 0.7)), ("2E-1", "+7.0e-1", (0.2, 0.7))])
+    def test_exponent_radii_load_as_floats(self, tmp_path, a, b, expected):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(self.DEVIATION_YAML % (a, b, "-5e-2", "2E3"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"key 'samples' \(line 7\): expected integer, got 2000.0"):
+            load_config(cfg)
+        cfg.write_text(self.DEVIATION_YAML % (a, b, "-5e-2", "200"), encoding="utf-8")
+        params = load_config(cfg).params
+        assert (params["annulus"].a, params["annulus"].b) == expected
+        assert all(type(v) is float for v in (params["annulus"].a, params["annulus"].b, params["delta"]))
+
+    def test_exponent_int_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(self.DEVIATION_YAML % ("0.25", "0.6", "0.4", "1e3"), encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "key 'samples' (line 7): expected integer, got 1000.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # curvature exponents are checked as ints, coefficients and radii as floats: an exponent of
     # 2.9 or true is not truncated to 2 or 1, and a quoted radius is not parsed
     @pytest.mark.parametrize("kind, params, key, got", [

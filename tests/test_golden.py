@@ -42,6 +42,10 @@ when the zero finders came to return `sections.Zeros` arrays.  No digest
 and no listing line moved when a row whose boundary winding fails came to
 be counted by `find_zeros` in place of a recount on perturbed radii, nor
 when the test functions lost their `amplitude` (every bump has height 1).
+No digest moved when the circle values came to be one evaluator
+(`sections._circle_values`: the GEMM below 256 angles, a fold and one
+inverse FFT from there), though the first winding pass of the
+equidistribution and deviation counts went from the GEMM to the FFT.
 """
 
 import hashlib

@@ -381,6 +381,35 @@ def _reference_winding(space, eta, r, n_init, max_rounds=40):
     raise AssertionError("refinement did not settle")
 
 
+class TestCircleValues:
+    # (L, n): L < n on the GEMM side (128, the holes windings) and on the
+    # FFT side (256); the fold L > n on both sides; n = 72, the log-sup
+    # coarse pass, is not a power of two
+    SHAPES = [(35, 128), (300, 128), (185, 256), (700, 256), (114, 72), (476, 1024)]
+
+    @staticmethod
+    def _direct(coeff: np.ndarray, n: int) -> np.ndarray:
+        """sum_ell coeff_ell e^{2 pi i ell j / n}, term by term in long double."""
+        ell = np.arange(1, coeff.shape[1] + 1)
+        angle = 2.0 * np.pi * np.longdouble(1) * (np.outer(ell, np.arange(n)) % n) / n
+        c = coeff.astype(np.clongdouble)
+        return np.einsum("ml,lj->mj", c, np.cos(angle)) + 1j * np.einsum("ml,lj->mj", c, np.sin(angle))
+
+    @pytest.mark.parametrize("L, n", SHAPES)
+    @pytest.mark.parametrize("path", ["default", "gemm", "fft"])
+    def test_matches_direct_sum(self, monkeypatch, L, n, path):
+        rng = np.random.default_rng(L * n)
+        coeff = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+        coeff[2] *= np.exp(-0.05 * np.arange(L))  # terms that decay, as the scaled coefficients do
+        if path != "default":
+            monkeypatch.setattr(sections, "FFT_MIN_POINTS", n + 1 if path == "gemm" else n)
+        got = sections._circle_values(coeff, n)
+        ref = self._direct(coeff, n)
+        assert got.shape == (3, n)
+        # unnormalised: the values themselves, magnitudes included
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=1, keepdims=True))
+
+
 class TestWindingEngine:
     R = 0.5
 
