@@ -505,40 +505,74 @@ def _grid_radii(space: DiscSpace, region: Annulus, dtheta: float) -> np.ndarray:
     return np.array(radii)
 
 
+def _quadrants(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrant codes of a circle's values, and the quarter turns of its arcs, both int8.
+
+    vals holds rows of values on n equispaced angles.  A code counts
+    counterclockwise, 0..3, from the sign bit of Im and from Re < 0, so the
+    closed quadrant of every code holds np.angle of its value: (x, -0.0) is
+    3 at angle -0.0, (-x, -0.0) is 2 at -pi, and (+-0.0, y) is 0 at pi/2,
+    never 1.  Arc j runs from angle j to angle j + 1, the last back to 0.
+    """
+    im_neg = np.signbit(vals.imag).view(np.int8)
+    quad = 2 * im_neg + (im_neg ^ (vals.real < 0.0).view(np.int8))
+    return quad, _quarter_turns(np.roll(quad, -1, axis=1) - quad, vals, vals, 1)
+
+
+def _quarter_turns(dq: np.ndarray, v0: np.ndarray, v1: np.ndarray, shift: int) -> np.ndarray:
+    """Signed quarter turns of the edges from v0[i, j] to v1[i, j + shift mod n], whose codes differ by dq (int8).
+
+    A code difference of 1 or 3 mod 4 is one turn either way.  One of 2 is
+    two turns, signed as the edge's phase increment np.angle(v1) -
+    np.angle(v0) wrapped into [-pi, pi]: only those few edges take an angle.
+    The turns of a closed path of edges are then 4 x the sum of its wrapped
+    increments over 2 pi, bit for bit, as long as no value is exactly 0.
+    """
+    turns = ((dq + 1) & 3) - 1
+    two = np.flatnonzero(turns == 2)
+    rows, cols = np.divmod(two, turns.shape[1])
+    d = np.angle(v1[rows, (cols + shift) % turns.shape[1]]) - np.angle(v0[rows, cols])
+    turns.ravel()[two] = np.where(d - 2.0 * math.pi * np.rint(d / (2.0 * math.pi)) > 0.0, 2, -2)
+    return turns
+
+
+def _cell_windings(inner: tuple, outer: tuple) -> np.ndarray:
+    """Winding numbers (int8) of the cells between two circles, each (vals, *`_quadrants`(vals)).
+
+    Cell j spans angles j to j + 1.  Its edges, counterclockwise: the outer
+    arc forward, inward at angle j + 1, the inner arc backward, outward at
+    angle j; a quarter of their quarter turns.
+    """
+    radial = _quarter_turns(outer[1] - inner[1], inner[0], outer[0], 0)
+    return (outer[2] - np.roll(radial, -1, axis=1) - inner[2] + radial) >> 2
+
+
 def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray]:
     """Newton starting points from the cells of a polar grid over the annulus.
 
     The angles are the n_a = `_initial_points(space, b)` of `_winding`,
     the circles those of `_grid_radii`.  Each circle is evaluated by
-    `_circle_values`, scaled as in `_winding`.  The winding of a cell is
-    the sum of its four phase increments, each wrapped into (-pi, pi]; a
-    cell of winding k >= 1 gives k points, spread along its diagonal.
-    Returns (owner row, point).
+    `_circle_values`, scaled as in `_winding`, and kept as int8 quadrant
+    codes (`_quadrants`); a cell of winding k >= 1 (`_cell_windings`)
+    gives k points, spread along its diagonal.  Returns (owner row, point).
     """
     n_a = _initial_points(space, region.b)
-    two_pi = 2.0 * math.pi
-    radii = _grid_radii(space, region, two_pi / n_a)
-
-    def wrap(x: np.ndarray) -> np.ndarray:
-        return x - two_pi * np.rint(x / two_pi)
-
+    radii = _grid_radii(space, region, 2.0 * math.pi / n_a)
     owners, points = [], []
     for i, r in enumerate(radii):
-        phase = np.angle(_circle_values(_scaled_coefficients(space, etas, math.log(r))[0], n_a))
-        arc = wrap(np.roll(phase, -1, axis=1) - phase)
+        vals = _circle_values(_scaled_coefficients(space, etas, math.log(r))[0], n_a)
+        circle = (vals, *_quadrants(vals))
         if i:
-            radial = wrap(phase - prev_phase)
-            # counterclockwise: outer arc forward, inward at theta_{j+1},
-            # inner arc backward, outward at theta_j
-            k = np.rint((arc - np.roll(radial, -1, axis=1) - prev_arc + radial) / two_pi)
-            rows, cols = np.nonzero(k >= 1.0)
-            reps = k[rows, cols].astype(np.int64)
+            k = _cell_windings(prev, circle)
+            cells = np.flatnonzero(k >= 1)
+            rows, cols = np.divmod(cells, n_a)
+            reps = k.ravel()[cells].astype(np.int64)
             first = np.repeat(np.cumsum(reps) - reps, reps)
             frac = (np.arange(first.size) - first + 0.5) / np.repeat(reps, reps)
             owners.append(np.repeat(rows, reps))
-            angle = (np.repeat(cols, reps) + frac) * (two_pi / n_a)
+            angle = (np.repeat(cols, reps) + frac) * (2.0 * math.pi / n_a)
             points.append(radii[i - 1] * (r / radii[i - 1]) ** frac * np.exp(1j * angle))
-        prev_phase, prev_arc = phase, arc
+        prev = circle
     return np.concatenate(owners), np.concatenate(points)
 
 

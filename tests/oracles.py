@@ -2,7 +2,8 @@
 
 The scalar ones take one point (or one argument) and are written for
 clarity, not speed; the library's batch and array paths are checked
-against them.  Section and kernel values are (log_modulus, phase) pairs,
+against them, and the seed grid's int8 cell windings against the phase
+path they replaced.  Section and kernel values are (log_modulus, phase) pairs,
 with log_modulus = -inf, phase = 0 for an exact zero.  The model-kernel
 ones check a solved potential and a candidate kernel element against the
 defining equations.
@@ -34,6 +35,25 @@ def evaluate(space: DiscSpace, eta: np.ndarray, z: complex) -> tuple[float, floa
     if s == 0.0:
         return -math.inf, 0.0
     return weight + float(m) + math.log(abs(s)), math.atan2(s.imag, s.real)
+
+
+def cell_windings(inner: tuple, outer: tuple) -> np.ndarray:
+    """Winding numbers of the cells between two circles, as float integers, by their phases.
+
+    inner and outer are taken as `sections._cell_windings` takes them; only
+    their values (the first entry) are read.  Each of a cell's four phase
+    increments, from np.angle, is wrapped into [-pi, pi], and the rint of
+    their sum over 2 pi is the winding.
+    """
+    two_pi = 2.0 * math.pi
+
+    def wrap(x: np.ndarray) -> np.ndarray:
+        return x - two_pi * np.rint(x / two_pi)
+
+    phase, prev_phase = np.angle(outer[0]), np.angle(inner[0])
+    arc, prev_arc = wrap(np.roll(phase, -1, axis=1) - phase), wrap(np.roll(prev_phase, -1, axis=1) - prev_phase)
+    radial = wrap(phase - prev_phase)
+    return np.rint((arc - np.roll(radial, -1, axis=1) - prev_arc + radial) / two_pi)
 
 
 def kernel(space: DiscSpace, z: complex, zp: complex) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from bergman_zeros.sections import (
     section_stream,
     truncation_length,
 )
+import oracles
 from oracles import evaluate
 
 
@@ -522,6 +523,47 @@ class TestWindingEngine:
         assert not unresolved.any()
         roots = [find_zeros(space, eta, region).mult.sum() for eta in etas]
         assert counts.tolist() == roots
+
+
+class TestGridSeeds:
+    SEED = 20260811
+
+    @staticmethod
+    def _circle(vals):
+        return (vals, *sections._quadrants(vals))
+
+    @pytest.mark.parametrize("p", [40, 100, 200])
+    def test_quadrant_windings_match_phases(self, p, monkeypatch):
+        # the int8 cell windings against np.angle + wrap + rint, cell by
+        # cell on every ring, then the seeds they place
+        phi = TestFunction(0.35, 0.65)
+        [(_, space, etas)] = experiments._draw([p], phi.b, 16, self.SEED, {})
+        n_a = sections._initial_points(space, phi.b)
+        prev = None
+        for r in sections._grid_radii(space, phi.support, 2.0 * math.pi / n_a):
+            circle = self._circle(sections._circle_values(sections._scaled_coefficients(space, etas, math.log(r))[0], n_a))
+            if prev is not None:
+                assert np.array_equal(sections._cell_windings(prev, circle), oracles.cell_windings(prev, circle))
+            prev = circle
+        own, z = sections._grid_seeds(space, etas, phi.support)
+        monkeypatch.setattr(sections, "_cell_windings", oracles.cell_windings)
+        ref_own, ref_z = sections._grid_seeds(space, etas, phi.support)
+        assert own.size >= 16 and np.array_equal(own, ref_own) and np.array_equal(z, ref_z)
+
+    def test_quadrant_windings_on_the_axes(self):
+        # values on both axes with either sign of zero, and on the diagonals:
+        # edges of two quadrants either way, exact half turns among them
+        values = np.array([complex(re, im) for re, im in [
+            (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (2.0, -0.0), (-0.5, 0.0),
+            (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (-0.0, 3.0), (0.0, -0.5),
+            (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (0.5, -2.0), (-2.0, 0.5),
+        ]])
+        rng = np.random.default_rng(5)
+        inner, outer = (self._circle(values[rng.integers(0, values.size, (4000, 4))]) for _ in range(2))
+        got = sections._cell_windings(inner, outer)
+        assert np.array_equal(got, oracles.cell_windings(inner, outer))
+        assert (got == 1).any() and (got == -1).any()
+        assert {2, -2} <= set(inner[2].ravel().tolist())
 
 
 class TestBatchedZeros:
