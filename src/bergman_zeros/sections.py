@@ -10,7 +10,10 @@ phase (argument principle, `count_zeros_batch`).
 `find_zeros_batch` finds the zeros of a whole batch without eigensolves.
 Cells of nonzero winding on a polar grid over the annulus seed Newton's
 method for every row at once; a row is certified when its distinct zeros
-number its argument-principle count.  `find_zeros` is the oracle of this
+number its argument-principle count.  The grid has the angles of the
+winding count at b and one ring per expected zero.  A cell's winding is a
+quarter of the quarter turns of its four edges, read from int8 quadrant
+codes of the values; only an edge of two quadrants takes an angle.  `find_zeros` is the oracle of this
 path and its fallback: it solves every row that is not certified.  Every
 Newton and Aberth step evaluates the terms scaled by its point's radius.
 Both return one `Zeros` of flat arrays: the row, point and multiplicity
@@ -512,7 +515,9 @@ def _quadrants(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counterclockwise, 0..3, from the sign bit of Im and from Re < 0, so the
     closed quadrant of every code holds np.angle of its value: (x, -0.0) is
     3 at angle -0.0, (-x, -0.0) is 2 at -pi, and (+-0.0, y) is 0 at pi/2,
-    never 1.  Arc j runs from angle j to angle j + 1, the last back to 0.
+    never 1 (by the sign bit of Re, (-0.0, y) and (-0.0, -y) would be three
+    turns apart, a half turn by np.angle).  Arc j runs from angle j to
+    angle j + 1, the last back to 0.
     """
     im_neg = np.signbit(vals.imag).view(np.int8)
     quad = 2 * im_neg + (im_neg ^ (vals.real < 0.0).view(np.int8))
@@ -524,7 +529,8 @@ def _quarter_turns(dq: np.ndarray, v0: np.ndarray, v1: np.ndarray, shift: int) -
 
     A code difference of 1 or 3 mod 4 is one turn either way.  One of 2 is
     two turns, signed as the edge's phase increment np.angle(v1) -
-    np.angle(v0) wrapped into [-pi, pi]: only those few edges take an angle.
+    np.angle(v0) wrapped into [-pi, pi]: only those few edges take an angle
+    (the sign of Im(v1 conj v0) is that of a signed zero at a half turn).
     The turns of a closed path of edges are then 4 x the sum of its wrapped
     increments over 2 pi, bit for bit, as long as no value is exactly 0.
     """

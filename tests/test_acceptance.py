@@ -142,6 +142,14 @@ def test_criterion_07_equidistribution():
     crit.finish(report.all_passed, detail)
 
 
+def _root_counters(report) -> str:
+    """The zero finder's fallback rows and unconverged roots per p, from the run's diagnostics."""
+    return ", ".join(
+        f"p={p}: {d['fallback_rows']} fallback rows, {d['newton_nonconvergence']} unconverged"
+        for p, d in report.diagnostics.items()
+    )
+
+
 def test_criterion_08_number_variance():
     crit = Criterion(8, "number variance: MC vs bipotential vs zeta(3) term", budget_s=40.0)
     phi = TestFunction(0.35, 0.65)
@@ -150,6 +158,7 @@ def test_criterion_08_number_variance():
     detail = (
         f"p=80: MC {mc_rows[80].estimate:.4f} vs bipotential {mc_rows[80].prediction:.4f}; "
         + "; ".join(c.detail for c in report.checks if "shrinks" in c.name)
+        + f"; {_root_counters(report)}"
     )
     crit.finish(report.all_passed, detail)
 
@@ -159,7 +168,7 @@ def test_criterion_09_clt():
     phi = TestFunction(0.35, 0.65)
     report = experiments.clt_experiment([100], phi, 1000, seed=SEED, threads=2)
     pval = [r for r in report.rows if r.statistic == "ks_pvalue"][0].estimate
-    crit.finish(report.all_passed, f"KS p-value {pval:.4f} at level 0.01")
+    crit.finish(report.all_passed, f"KS p-value {pval:.4f} at level 0.01; {_root_counters(report)}")
 
 
 def test_criterion_10_normalized_kernel_decay():
