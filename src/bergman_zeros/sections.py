@@ -13,11 +13,12 @@ method for every row at once; a row is certified when its distinct zeros
 number its argument-principle count.  The grid has the angles of the
 winding count at b and one ring per expected zero.  A cell's winding is a
 quarter of the quarter turns of its four edges, read from int8 quadrant
-codes of the values; only an edge of two quadrants takes an angle.  `find_zeros` is the oracle of this
-path and its fallback: it solves every row that is not certified.  Every
-Newton and Aberth step evaluates the terms scaled by its point's radius.
-Both return one `Zeros` of flat arrays: the row, point and multiplicity
-of every zero, and per row its unconverged iterates and its fallback.
+codes of the values; only an edge of two quadrants takes an angle.
+`find_zeros` is the oracle of this path and its fallback: it solves every
+row that is not certified.  Every Newton and Aberth step evaluates the
+terms scaled by its point's radius.  Both return one `Zeros` of flat
+arrays: the row, point and multiplicity of every zero, and per row its
+unconverged iterates and its fallback.
 
 Every evaluation on n equispaced angles of a circle goes through
 `_circle_values`: a GEMM with the table of n-th roots of unity below

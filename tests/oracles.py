@@ -3,10 +3,10 @@
 The scalar ones take one point (or one argument) and are written for
 clarity, not speed; the library's batch and array paths are checked
 against them, and the seed grid's int8 cell windings against the phase
-path they replaced.  Section and kernel values are (log_modulus, phase) pairs,
-with log_modulus = -inf, phase = 0 for an exact zero.  The model-kernel
-ones check a solved potential and a candidate kernel element against the
-defining equations.
+path they replaced.  Section and kernel values are (log_modulus, phase)
+pairs, with log_modulus = -inf, phase = 0 for an exact zero.  The
+model-kernel ones check a solved potential and a candidate kernel element
+against the defining equations.
 """
 
 import math
