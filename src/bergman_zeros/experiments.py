@@ -12,10 +12,12 @@ through `_monte_carlo` and records the truncation length of each p in
 The driver signatures are the experiment table: every parameter but
 `seed` and `threads` is a config key of the same name, its annotation
 gives the key's type and its default the key's default
-(`config.EXPERIMENTS` reads them from here).  The threshold each law is
-checked at is a module constant beside its driver, not a config key.  In
-the multi-p drivers `p` is the ascending list of tensor powers; the loop
-over it rebinds `p` to one power.
+(`config.EXPERIMENTS` reads them from here).  A Monte Carlo estimate with
+an exact prediction is checked within 3 of its own standard errors
+(`StatsReport.check_within_se`); any other threshold is a module constant
+beside its driver, not a config key.  In the multi-p drivers `p` is the
+ascending list of tensor powers; the loop over it rebinds `p` to one
+power.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def plateau_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
         space = disc.make_disc_space(p, disc.adaptive_truncation(p, PLATEAU_R_MAX))
         plateau = (p - 1) / (2.0 * math.pi)
         sup_err = float(np.max(np.abs(disc.kernel_function(space, radii) / plateau - 1.0)))
-        report.row(p, "plateau_sup_relative_error", sup_err, prediction=0.0, deviation=sup_err)
+        report.row(p, "plateau_sup_relative_error", sup_err, prediction=0.0)
         report.check(
             f"plateau_error_p{p}",
             sup_err <= PLATEAU_TOLERANCE,
@@ -174,7 +176,7 @@ def sup_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
         r_star, value = disc.sup_kernel(space)
         ratio = value * (2.0 * math.pi / p) ** 1.5
         errors[p] = abs(ratio - 1.0)
-        report.row(p, "sup_ratio_to_power_law", ratio, prediction=1.0, deviation=abs(ratio - 1.0))
+        report.row(p, "sup_ratio_to_power_law", ratio, prediction=1.0)
         report.row(p, "sup_maximizer_neg_log_radius", -math.log(r_star))
         report.check(f"sup_ratio_p{p}", errors[p] <= SUP_TOLERANCE, f"|ratio - 1| = {errors[p]:.4f} vs {SUP_TOLERANCE}")
     _falls(report, "sup_ratio_improves", errors, ".4f", label="|ratio-1|: ")
@@ -202,13 +204,10 @@ def model_kernel_experiment(
     if rho_prime == 2:
         c = float(curv.psi_coeffs[0])
         prediction = c / (2.0 * math.pi)
-    report.row(
-        None, "model_kernel_at_zero", value,
-        prediction=prediction, deviation=None if prediction is None else abs(value - prediction),
-    )
+    report.row(None, "model_kernel_at_zero", value, prediction=prediction)
     jets = model.kernel_parity_and_jets(basis)
     odd = max(abs(v) for (i, j), v in jets.items() if (i + j) % 2 == 1)
-    report.row(None, "parity_max_odd_jet", odd, prediction=0.0, deviation=odd)
+    report.row(None, "parity_max_odd_jet", odd, prediction=0.0)
     report.check("model_kernel_positive", value > 0.0, f"B(0,0) = {value:.6g}")
     if prediction is not None:
         rel = abs(value / prediction - 1.0)
@@ -228,7 +227,7 @@ def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> Stats
         val = disc.log_bergman_l1(space, annulus)
         values[p] = val
         pred = abs(math.log((p - 1) / (2.0 * math.pi))) * area
-        report.row(p, "log_kernel_l1", val, prediction=pred, deviation=abs(val - pred))
+        report.row(p, "log_kernel_l1", val, prediction=pred)
     # C log p bound with the natural constant: the plateau value is
     # |log((p-1)/2pi)| * area, so area * (1 + slack) dominates value/log p
     for p in ps:
@@ -306,10 +305,8 @@ def kernel_decay_experiment(
         )
     slope = float(np.polyfit(xs, ys, 1)[0])
     far_max = float(np.max(far_vals))
-    report.row(p, "near_regime_slope", slope, prediction=1.0, deviation=abs(slope - 1.0), n_samples=len(xs))
-    report.row(
-        p, "far_regime_max_normalized_kernel", far_max, prediction=0.0, deviation=far_max, n_samples=len(far_vals)
-    )
+    report.row(p, "near_regime_slope", slope, prediction=1.0, n_samples=len(xs))
+    report.row(p, "far_regime_max_normalized_kernel", far_max, prediction=0.0, n_samples=len(far_vals))
     report.check("decay_slope_window", bool(0.9 <= slope <= 1.1), f"slope {slope:.4f}")
     report.check("decay_far_bound", far_max <= FAR_TOLERANCE, f"max far N_p {far_max:.3e}")
     return report
@@ -317,9 +314,6 @@ def kernel_decay_experiment(
 
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments
-
-
-EQUIDISTRIBUTION_SLACK = 0.05  # what |mean/p - area| may exceed 3 SE/p by
 
 
 def equidistribution_experiment(
@@ -332,45 +326,24 @@ def equidistribution_experiment(
 ) -> StatsReport:
     """Zero-count equidistribution against the curvature measure of the annulus.
 
-    Also checks the mean count against the exact expected zero measure of
-    the truncated section, within 3 standard errors.
+    Reports the mean count over p against the c1 area, and checks the
+    mean count against the exact expected zero measure of the truncated
+    section within 3 standard errors.  That measure is p times the area
+    up to a finite-p bias (below 2e-15 on (0.2, 0.7) at p = 50 to 200), so
+    the check holds the area law too.
     """
     report = StatsReport("equidistribution", seed)
     area = disc.c1_area(annulus)
-    deviations: dict[int, float] = {}
-    ps = list(p)
     rows_fn = _batched(annulus, sections.count_zeros_batch)
-    for p, space, counts in _monte_carlo(report, ps, annulus.b, samples, threads, rows_fn, COUNT_CHUNK, paired_seeds):
+    for p, space, counts in _monte_carlo(
+        report, list(p), annulus.b, samples, threads, rows_fn, COUNT_CHUNK, paired_seeds
+    ):
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(samples))
+        report.row(p, "mean_count_over_p", mean / p, stderr=se / p, prediction=area, n_samples=samples)
         exact = disc.expected_zero_measure(space, annulus)
-        dev = abs(mean / p - area)
-        deviations[p] = dev
-        report.row(
-            p, "mean_count_over_p", mean / p,
-            stderr=se / p, prediction=area, deviation=dev, n_samples=samples,
-        )
-        report.row(
-            p, "mean_count", mean,
-            stderr=se, prediction=exact, deviation=abs(mean - exact), n_samples=samples,
-        )
-        bound = 3.0 * se / p + EQUIDISTRIBUTION_SLACK
-        report.check(
-            f"equidistribution_p{p}",
-            dev <= bound,
-            f"|mean/p - area| = {dev:.4f} vs 3 SE/p + {EQUIDISTRIBUTION_SLACK} = {bound:.4f}",
-        )
-        report.check(
-            f"expected_measure_p{p}",
-            abs(mean - exact) <= 3.0 * se,
-            f"|mean - expected| = {abs(mean - exact):.4f} vs 3 SE = {3.0 * se:.4f}",
-        )
-    if len(ps) >= 2:
-        report.check(
-            f"equidistribution_speed_p{ps[0]}_to_p{ps[-1]}",
-            deviations[ps[-1]] < deviations[ps[0]],
-            f"deviation {deviations[ps[0]]:.4f} -> {deviations[ps[-1]]:.4f}",
-        )
+        row = report.row(p, "mean_count", mean, stderr=se, prediction=exact, n_samples=samples)
+        report.check_within_se(f"expected_measure_p{p}", row)
     return report
 
 
@@ -411,8 +384,10 @@ def clt_experiment(
 
     Standardization uses the sample mean and variance (the limit theorem
     normalizes by the true variance, which is what the sample estimates).
-    Also reports sup_z int N_p(z, w) c1(w), the correlation-summability
-    diagnostic behind the theorem, which must decrease in p.
+    The sample mean is checked against the exact expectation within 3
+    standard errors.  Also reports sup_z int N_p(z, w) c1(w), the
+    correlation-summability diagnostic behind the theorem, which must
+    decrease in p.
     """
     report = StatsReport("clt", seed)
     proxies: dict[int, float] = {}
@@ -430,21 +405,29 @@ def clt_experiment(
         proxy = sodin_tsirelson_proxy(space, testfunction.support)
         proxies[p] = proxy
         mean_pred = expected_linear_statistic(space, testfunction)
-        report.row(
+        mean_row = report.row(
             p, "linstat_mean", float(np.mean(ys)),
-            stderr=sd / math.sqrt(samples), prediction=mean_pred,
-            deviation=abs(float(np.mean(ys)) - mean_pred), n_samples=samples,
+            stderr=sd / math.sqrt(samples), prediction=mean_pred, n_samples=samples,
         )
         report.row(p, "ks_statistic", float(ks_stat), n_samples=samples)
-        report.row(p, "ks_pvalue", float(ks_p), prediction=KS_LEVEL, n_samples=samples)
+        report.row(p, "ks_pvalue", float(ks_p), n_samples=samples)
         report.row(p, "correlation_sum_diagnostic", proxy)
+        report.check_within_se(f"linstat_mean_p{p}", mean_row)
         report.check(f"clt_ks_p{p}", bool(ks_p >= KS_LEVEL), f"KS p-value {ks_p:.4f} vs level {KS_LEVEL}")
     _falls(report, "correlation_diagnostic_decreases", proxies, ".5f")
     return report
 
 
-VARIANCE_REL_TOLERANCE = 0.15  # share of the bipotential |MC - bipotential| may reach (or 3 bootstrap SE)
-BOOTSTRAP_RESAMPLES = 500
+def _variance_with_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample variance s^2 of x and its standard error from the fourth central moment m4.
+
+    se^2 = (m4 - (n - 3) / (n - 1) s^4) / n, the variance of s^2 with the
+    moments put in; by Cauchy-Schwarz it is never negative for n >= 2.
+    """
+    n = x.size
+    var = float(np.var(x, ddof=1))
+    m4 = float(np.mean((x - np.mean(x)) ** 4))
+    return var, math.sqrt((m4 - (n - 3) / (n - 1) * var * var) / n)
 
 
 def variance_experiment(
@@ -454,32 +437,19 @@ def variance_experiment(
     seed: int,
     threads: int = 1,
 ) -> StatsReport:
-    """Number variance: Monte Carlo vs bipotential vs the zeta(3) leading term."""
+    """Number variance: Monte Carlo vs bipotential (within 3 SE) vs the zeta(3) leading term."""
     report = StatsReport("variance", seed)
     lead_gaps: dict[int, float] = {}
     for p, space, ys, notes in _monte_carlo(
         report, list(p), testfunction.b, samples, threads, _linear_statistics(testfunction), ROOT_CHUNK
     ):
         report.diagnostics[p].update(zip(_ROOT_NOTES, notes.sum(axis=0).tolist()))
-        var_mc = float(np.var(ys, ddof=1))
-        boot_rng = sections.section_stream(seed, (p, 1_000_003))
-        idx = boot_rng.integers(0, samples, size=(BOOTSTRAP_RESAMPLES, samples))
-        boot_vars = np.var(ys[idx], axis=1, ddof=1)
-        boot_se = float(np.std(boot_vars, ddof=1))
+        var_mc, se = _variance_with_se(ys)
         bip = variance_bipotential(space, testfunction, report.diagnostics[p])
+        mc_row = report.row(p, "linstat_variance_mc", var_mc, stderr=se, prediction=bip, n_samples=samples)
         lead = variance_leading_term(testfunction, p)
-        lead_gaps[p] = abs(p * bip - p * lead)
-        report.row(
-            p, "linstat_variance_mc", var_mc,
-            stderr=boot_se, prediction=bip, deviation=abs(var_mc - bip), n_samples=samples,
-        )
-        report.row(p, "scaled_variance_vs_leading_term", p * bip, prediction=p * lead, deviation=lead_gaps[p])
-        tol = max(VARIANCE_REL_TOLERANCE * bip, 3.0 * boot_se)
-        report.check(
-            f"variance_mc_matches_bipotential_p{p}",
-            abs(var_mc - bip) <= tol,
-            f"|MC - bipotential| = {abs(var_mc - bip):.3e} vs {tol:.3e}",
-        )
+        lead_gaps[p] = report.row(p, "scaled_variance_vs_leading_term", p * bip, prediction=p * lead).deviation
+        report.check_within_se(f"variance_mc_matches_bipotential_p{p}", mc_row)
     _falls(report, "variance_leading_term_gap_shrinks", lead_gaps, ".3e", label="|p Var - leading| ")
     return report
 

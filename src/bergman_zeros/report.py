@@ -73,12 +73,28 @@ class StatsReport:
     checks: list[CheckResult] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    def row(self, p: int | None, statistic: str, estimate: float, **fields) -> None:
-        """Append a row of this run; fields are the optional ReportRow columns."""
-        self.rows.append(ReportRow(self.experiment, p, statistic, estimate, seed=self.seed, **fields))
+    def row(
+        self,
+        p: int | None,
+        statistic: str,
+        estimate: float,
+        stderr: float | None = None,
+        prediction: float | None = None,
+        n_samples: int | None = None,
+    ) -> ReportRow:
+        """Append a row of this run and return it; its deviation is |estimate - prediction| when it has a prediction."""
+        deviation = None if prediction is None else abs(estimate - prediction)
+        row = ReportRow(self.experiment, p, statistic, estimate, stderr, prediction, deviation, n_samples, self.seed)
+        self.rows.append(row)
+        return row
 
     def check(self, name: str, passed: bool, detail: str) -> None:
         self.checks.append(CheckResult(name, passed, detail))
+
+    def check_within_se(self, name: str, row: ReportRow) -> None:
+        """Check that a Monte Carlo row lies within 3 of its own standard errors of its prediction."""
+        bound = 3.0 * row.stderr
+        self.check(name, row.deviation <= bound, f"|estimate - prediction| = {row.deviation:.4g} vs 3 SE = {bound:.4g}")
 
     @property
     def all_passed(self) -> bool:

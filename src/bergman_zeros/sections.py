@@ -369,7 +369,7 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
         dphi = np.angle(inc)
         bad = np.abs(dphi) >= math.pi / 2.0
         total[lo : lo + step] = np.sum(dphi, axis=1, where=~bad)
-        rows, cols = np.nonzero(bad)
+        rows, cols = np.divmod(np.flatnonzero(bad), n_init)
         queue.append((rows + lo, thetas[cols], ends[cols], vals[rows, cols], vals[rows, (cols + 1) % n_init]))
     own, t0, t1, v0, v1 = (np.concatenate(parts) for parts in zip(*queue))
 

@@ -138,7 +138,7 @@ def test_criterion_07_equidistribution():
     report = experiments.equidistribution_experiment(
         [50, 100, 200], Annulus(0.2, 0.7), 500, seed=SEED, paired_seeds=True, threads=2
     )
-    detail = "; ".join(c.detail for c in report.checks if "speed" in c.name)
+    detail = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if c.name.startswith("expected_measure_"))
     crit.finish(report.all_passed, detail)
 
 

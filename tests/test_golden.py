@@ -1,4 +1,4 @@
-"""Golden digests: one small config per experiment kind must reproduce stored results.csv bytes.
+"""Golden digests: one small config per experiment kind must pass its checks and reproduce stored results.csv bytes.
 
 The SHA-256 digests in tests/golden/digests.json were taken before the
 refactors they guard: the three count configs from the per-row winding
@@ -53,6 +53,15 @@ again when that grid went from two rings per expected zero to one, a
 declared output change: the zeros moved by at most 1.8e-12, every value
 by at most 4.1e-11 relative (the clt KS p-value), and no other digest or
 listing line moved.
+The clt and variance digests were taken again when the Monte Carlo checks
+came to take their tolerance from each row's own standard error, a
+declared output change of two kinds of cell: the clt `ks_pvalue` row lost
+its prediction (the KS level 0.01 is a test level, not a prediction), and
+the `linstat_variance_mc` stderr became the fourth-moment SE of the sample
+variance in place of a 500-resample bootstrap (0.5324 -> 0.5347 at p = 30,
+0.3062 -> 0.2983 at p = 40).  Every other cell, each deviation included,
+kept its bytes, and no other digest or listing line moved.  Since then
+every golden config also runs with --check and must pass its checks.
 """
 
 import hashlib
@@ -70,7 +79,8 @@ DIGESTS = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_results_csv_digest(name, tmp_path, capsys):
     out = tmp_path / name
-    assert main(["run", str(GOLDEN / f"{name}.yaml"), "--out", str(out)]) == 0
+    code = main(["run", str(GOLDEN / f"{name}.yaml"), "--out", str(out), "--check"])
+    assert code == 0, f"golden config '{name}' exited {code}"
     capsys.readouterr()
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert digest == DIGESTS[name], f"results.csv of golden config '{name}' changed"

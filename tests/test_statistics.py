@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bergman_zeros import disc, sections, experiments
+from bergman_zeros.config import EXPERIMENTS
 from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.statistics import (
     APERY,
@@ -292,3 +293,53 @@ class TestProxyAndExperiments:
         dn = np.gradient([disc.zero_counting_function(space80, ri) for ri in r], r)
         direct = float(np.dot(0.15 * w, phi.value(r) * dn))
         assert pred == pytest.approx(direct, rel=1e-4)
+
+
+# one small run of every kind; model-kernel at rho' = 4 has no prediction for B(0, 0)
+SMALL_RUNS = [
+    ("plateau", {"p": [20]}),
+    ("sup", {"p": [50]}),
+    ("model-kernel", {"rho_prime": 4, "curvature": [(0, 2, 2.0)], "max_deg": 6}),
+    ("l1log", {"p": [18], "annulus": Annulus(0.3, 0.9)}),
+    ("kernel-decay", {"p": 100, "annulus": Annulus(0.3, 0.7), "n_pairs": 120}),
+    ("equidistribution", {"p": [20, 30], "annulus": Annulus(0.3, 0.6), "samples": 50}),
+    ("holes", {"p": [4, 6], "annulus": Annulus(0.25, 0.45), "samples": 200}),
+    ("deviation", {"p": [15], "annulus": Annulus(0.25, 0.6), "delta": 0.4, "samples": 200}),
+    ("clt", {"p": [30], "testfunction": TestFunction(0.35, 0.65), "samples": 60}),
+    ("variance", {"p": [30], "testfunction": TestFunction(0.35, 0.65), "samples": 60}),
+]
+
+
+class TestStandardErrorChecks:
+    def test_small_runs_cover_every_kind(self):
+        assert sorted(kind for kind, _ in SMALL_RUNS) == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize("kind, params", SMALL_RUNS, ids=[kind for kind, _ in SMALL_RUNS])
+    def test_deviation_is_distance_to_prediction(self, kind, params):
+        report = getattr(experiments, EXPERIMENTS[kind].driver)(**params, seed=3)
+        for row in report.rows:
+            if row.prediction is None:
+                assert row.deviation is None, row
+            else:
+                assert row.deviation == abs(row.estimate - row.prediction), row
+
+    def test_variance_se_of_standard_normals(self):
+        # the variance of s^2 for N(0, 1) samples is 2 / (n - 1)
+        n = 100_000
+        var, se = experiments._variance_with_se(np.random.default_rng(5).standard_normal(n))
+        assert var == pytest.approx(1.0, abs=0.02)
+        assert se == pytest.approx(math.sqrt(2.0 / (n - 1)), rel=0.03)
+
+    def test_variance_check_fails_a_bipotential_ten_percent_high(self, monkeypatch):
+        # criterion 08's run: |MC - bipotential| is 0.189 and 0.162 against 3 SE = 0.164 and 0.138;
+        # a tolerance of 15 % of the bipotential (0.292 and 0.248) would pass it
+        bipotential = experiments.variance_bipotential
+
+        def high(space, phi, diagnostics=None):
+            return 1.1 * bipotential(space, phi, diagnostics)
+
+        monkeypatch.setattr(experiments, "variance_bipotential", high)
+        report = experiments.variance_experiment([40, 80], TestFunction(0.35, 0.65), 2000, seed=20260811, threads=2)
+        passed = {c.name: c.passed for c in report.checks}
+        assert not passed["variance_mc_matches_bipotential_p40"]
+        assert not passed["variance_mc_matches_bipotential_p80"]
