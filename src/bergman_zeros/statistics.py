@@ -11,8 +11,8 @@ i d dbar phi against c1, and Gt(t) = (1/4 pi^2) sum_j t^(2j) / j^2 is a
 rescaled dilogarithm.  For radial phi, rotation invariance of N_p
 collapses the double surface integral to three dimensions (r, r',
 relative angle); only radial test functions are supported here.  The
-angle integral of each radius pair takes the t^2 part of Gt exactly
-(Parseval) and the rest from one folded FFT, near the diagonal only.
+t^2 part of Gt is one GEMM of unit coefficient rows (Parseval), the rest
+one folded FFT per radius pair where N_p at angle 0, a GEMM, is not small.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ VARIANCE_RTOL = 5e-4
 VARIANCE_MAX_REFINEMENTS = 3
 # Gt(t) = t^2 / 4 pi^2 + R(t), 0 <= R(t) <= t^4 (pi^2/6 - 1) / 4 pi^2: R is summed only
 # where N_p^2 > VARIANCE_TAU, which drops at most 0.65 VARIANCE_TAU of the N_p^2 term.
-# The arrays of the radius-pair loop hold at most sections.BLOCK_ENTRIES entries.
+# Beside the n_r x L unit rows, the arrays of the pair loop hold at most sections.BLOCK_ENTRIES entries.
 VARIANCE_TAU = 1e-4
 # Gauss-Legendre nodes of the leading-term integral and of the expected
 # linear statistic; radial and angular nodes of the correlation proxy.
@@ -121,10 +121,10 @@ def laplacian_ratio(phi: TestFunction, z) -> float | np.ndarray:
     return _scalar_or_array(out)
 
 
-def _gtilde_fast(t: np.ndarray) -> np.ndarray:
-    # the bipotential profile Gt(t) = Li2(t^2) / (4 pi^2), through scipy's spence; agrees to
+def _gtilde_fast(t2: np.ndarray) -> np.ndarray:
+    # the bipotential profile Gt(t) = Li2(t^2) / (4 pi^2) from t2 = t^2, through scipy's spence; agrees to
     # 1e-12 with the series and integral forms of the scalar oracle in tests/oracles.py
-    return spence(1.0 - np.square(t)) / (4.0 * math.pi**2)
+    return spence(1.0 - t2) / (4.0 * math.pi**2)
 
 
 def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,61 +133,61 @@ def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return r, w / (2.0 * r * np.log(r) ** 2)
 
 
-def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
-    """Yield (slice, d, shift) over the radius pairs (r[i], r[j]), in blocks of at most sections.BLOCK_ENTRIES.
-
-    N_p(r_i, r_j e^(i theta)) = e^shift |sum_ell d_ell e^(i ell theta)|, d_ell = c_ell^2 (r_i r_j)^ell / max >= 0.
-    """
+def _unit_rows(space: DiscSpace, log_r: np.ndarray) -> np.ndarray:
+    """Unit rows c_ell r^ell / sqrt(K(r^2)), one per radius, in place after log K in row blocks of BLOCK_ENTRIES."""
     rows = max(1, sections.BLOCK_ENTRIES // space.L)
     logd = np.concatenate([_log_diag(space, log_r[lo : lo + rows]) for lo in range(0, log_r.size, rows)])
-    step = max(1, sections.BLOCK_ENTRIES // (-(-space.L // n_t) * n_t))
-    for lo in range(0, i.size, step):
-        bi, bj = i[lo : lo + step], j[lo : lo + step]
-        log_terms = space.log_coeffs + np.multiply.outer(log_r[bi] + log_r[bj], space.ells)
-        m = np.max(log_terms, axis=1)
-        yield slice(lo, lo + step), np.exp(log_terms - m[:, None]), m - 0.5 * (logd[bi] + logd[bj])
+    u = np.multiply.outer(log_r, space.ells)
+    u += 0.5 * space.log_coeffs
+    u -= 0.5 * logd[:, None]
+    return np.exp(u, out=u)
 
 
-def _angular_values(d: np.ndarray, shift: np.ndarray, n_t: int) -> np.ndarray:
-    """N_p at the angles 2 pi k / n_t, k = 0 .. n_t/2 (N_p is even in theta), for a `_pair_blocks` block.
+def _angular_squares(u: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
+    """Yield (slice, t2) over the radius pairs (r[i], r[j]) in blocks of at most sections.BLOCK_ENTRIES entries.
 
-    On that grid e^(i ell theta) depends on ell mod n_t only: fold if L > n_t, then one real FFT.
+    t2 = min(N_p^2, 1) at the angles 2 pi k / n_t, k = 0 .. n_t/2 (N_p is even in theta), N_p = |sum_ell d_ell e^(i ell
+    theta)| with d = u[i] u[j]: folded mod n_t if L > n_t, as e^(i ell theta) depends on ell mod n_t, then one real FFT.
     """
-    k = -(-d.shape[1] // n_t)
-    if k > 1:
-        d = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
-    return np.minimum(np.abs(np.fft.rfft(d, n=n_t, axis=1)) * np.exp(shift)[:, None], 1.0)
+    k = -(-u.shape[1] // n_t)
+    step = max(1, sections.BLOCK_ENTRIES // (k * n_t))
+    for lo in range(0, i.size, step):
+        d = u[i[lo : lo + step]] * u[j[lo : lo + step]]
+        if k > 1:
+            d = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
+        f = np.fft.rfft(d, n=n_t, axis=1)
+        yield slice(lo, lo + step), np.minimum(np.square(f.real) + np.square(f.imag), 1.0)
 
 
 def _theta_mean(values: np.ndarray, n_t: int) -> np.ndarray:
-    """Mean over all n_t angles (n_t even) from the half grid of `_angular_values`."""
+    """Mean over all n_t angles (n_t even) from the half grid of `_angular_squares`."""
     return (2.0 * np.sum(values, axis=1) - values[:, 0] - values[:, -1]) / n_t
 
 
-def _bipotential_means(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int) -> np.ndarray:
-    """Mean of Gt(N_p) over n_t angles for each radius pair (r[i], r[j]).
+def _bipotential_means(u: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int) -> tuple[np.ndarray, int]:
+    """Mean of Gt(N_p) over n_t angles for each radius pair (r[i], r[j]), and the number of near pairs; squares u.
 
-    The N_p^2 / 4 pi^2 part is Parseval's sum, exact.  R = Gt(t) - t^2 / 4 pi^2 comes from the angle grid,
-    for the pairs with N_p(theta = 0)^2 > VARIANCE_TAU (the peak, as d_ell >= 0), where N_p^2 > VARIANCE_TAU.
+    N_p^2 / 4 pi^2 is Parseval's sum, exact: the Gram matrix of u * u.  R = Gt(t) - t^2 / 4 pi^2 comes from the angle
+    grid where N_p^2 > VARIANCE_TAU, for the near pairs: those whose peak N_p(theta = 0) = (u u^T)[i, j] (u >= 0) is.
     """
-    out = np.empty(i.size)
-    for sl, d, shift in _pair_blocks(space, log_r, i, j, n_t):
-        scale = np.exp(shift)
-        out[sl] = np.sum(d * d, axis=1) * scale**2 / (4.0 * math.pi**2)
-        near = np.flatnonzero(np.square(np.sum(d, axis=1) * scale) > VARIANCE_TAU)
-        t = _angular_values(d[near], shift[near], n_t)
-        hot = t * t > VARIANCE_TAU
-        rem = np.zeros(t.shape)
-        rem[hot] = _gtilde_fast(t[hot]) - np.square(t[hot]) / (4.0 * math.pi**2)
-        out[sl.start + near] += _theta_mean(rem, n_t)
-    return out
+    near = np.flatnonzero(np.square((u @ u.T)[i, j]) > VARIANCE_TAU)
+    rem_mean = np.empty(near.size)
+    for sl, t2 in _angular_squares(u, i[near], j[near], n_t):
+        hot = t2 > VARIANCE_TAU
+        rem, t2_hot = np.zeros(t2.shape), t2[hot]
+        rem[hot] = _gtilde_fast(t2_hot) - t2_hot / (4.0 * math.pi**2)
+        rem_mean[sl] = _theta_mean(rem, n_t)
+    out = (np.square(u, out=u) @ u.T)[i, j] / (4.0 * math.pi**2)
+    out[near] += rem_mean
+    return out, near.size
 
 
-def _variance_pass(space: DiscSpace, phi: TestFunction, n_r: int, n_t: int) -> float:
+def _variance_pass(space: DiscSpace, phi: TestFunction, n_r: int, n_t: int) -> tuple[float, int]:
     r, meas = _c1_rule(phi.a, phi.b, n_r)
     vec = laplacian_ratio(phi, r) * meas
     i, j = np.triu_indices(n_r)
-    return float((np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]) @ _bipotential_means(space, np.log(r), i, j, n_t))
+    means, near = _bipotential_means(_unit_rows(space, np.log(r)), i, j, n_t)
+    return float((np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]) @ means), near
 
 
 def variance_bipotential(space: DiscSpace, phi: TestFunction, diagnostics: dict | None = None) -> float:
@@ -195,16 +195,16 @@ def variance_bipotential(space: DiscSpace, phi: TestFunction, diagnostics: dict 
 
     Adaptive: node counts double until successive values agree to
     VARIANCE_RTOL (relative); RuntimeError if the refinement cap is hit.
-    Sets diagnostics["bipotential_radial_nodes"], if given, to the final radial node count.
+    Sets diagnostics["bipotential_radial_nodes"] and ["bipotential_near_pairs"], if given, from the final pass.
     """
     n_r, n_t = VARIANCE_RADIAL_NODES, VARIANCE_ANGULAR_NODES
-    prev = _variance_pass(space, phi, n_r, n_t)
+    prev, _ = _variance_pass(space, phi, n_r, n_t)
     for _ in range(VARIANCE_MAX_REFINEMENTS):
         n_r, n_t = 2 * n_r, 2 * n_t
-        cur = _variance_pass(space, phi, n_r, n_t)
+        cur, near = _variance_pass(space, phi, n_r, n_t)
         if abs(cur - prev) <= VARIANCE_RTOL * max(abs(cur), 1e-300):
             if diagnostics is not None:
-                diagnostics["bipotential_radial_nodes"] = n_r
+                diagnostics.update(bipotential_radial_nodes=n_r, bipotential_near_pairs=near)
             return max(cur, 0.0)
         prev = cur
     raise RuntimeError("variance quadrature did not converge under refinement")
@@ -231,6 +231,6 @@ def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
     """
     r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
     i, j = np.indices((r.size, r.size)).reshape(2, -1)
-    blocks = _pair_blocks(space, np.log(r), i, j, PROXY_ANGULAR_NODES)
-    mean_n = [_theta_mean(_angular_values(d, s, PROXY_ANGULAR_NODES), PROXY_ANGULAR_NODES) for _, d, s in blocks]
+    blocks = _angular_squares(_unit_rows(space, np.log(r)), i, j, PROXY_ANGULAR_NODES)
+    mean_n = [_theta_mean(np.sqrt(t2), PROXY_ANGULAR_NODES) for _, t2 in blocks]
     return float(np.max(np.concatenate(mean_n).reshape(r.size, r.size) @ meas))

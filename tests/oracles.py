@@ -5,8 +5,9 @@ clarity, not speed; the library's batch and array paths are checked
 against them, and the seed grid's int8 cell windings against the phase
 path they replaced.  Section and kernel values are (log_modulus, phase)
 pairs, with log_modulus = -inf, phase = 0 for an exact zero.  The
-model-kernel ones check a solved potential and a candidate kernel element
-against the defining equations.
+bipotential ones are the per-pair exponential path that the unit rows of
+`statistics` replaced.  The model-kernel ones check a solved potential and
+a candidate kernel element against the defining equations.
 """
 
 import math
@@ -14,9 +15,18 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bergman_zeros.disc import DiscSpace, DomainError, _off_diag
+from bergman_zeros import sections
+from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _log_diag, _off_diag
 from bergman_zeros.model import PotentialPair
 from bergman_zeros.sections import _scaled_coefficients
+from bergman_zeros.statistics import (
+    PROXY_ANGULAR_NODES,
+    PROXY_RADIAL_NODES,
+    VARIANCE_TAU,
+    _c1_rule,
+    _gtilde_fast,
+    _theta_mean,
+)
 
 
 def evaluate(space: DiscSpace, eta: np.ndarray, z: complex) -> tuple[float, float]:
@@ -107,6 +117,58 @@ def Gtilde(t: float) -> float:
     if t * t <= 0.9:
         return _gtilde_series(t)
     return _gtilde_integral(t)
+
+
+def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
+    """Yield (slice, d, shift) over the radius pairs (r[i], r[j]), in blocks of at most sections.BLOCK_ENTRIES.
+
+    N_p(r_i, r_j e^(i theta)) = e^shift |sum_ell d_ell e^(i ell theta)|, d_ell = c_ell^2 (r_i r_j)^ell / max >= 0:
+    one exponential per pair and ell.
+    """
+    rows = max(1, sections.BLOCK_ENTRIES // space.L)
+    logd = np.concatenate([_log_diag(space, log_r[lo : lo + rows]) for lo in range(0, log_r.size, rows)])
+    step = max(1, sections.BLOCK_ENTRIES // (-(-space.L // n_t) * n_t))
+    for lo in range(0, i.size, step):
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        log_terms = space.log_coeffs + np.multiply.outer(log_r[bi] + log_r[bj], space.ells)
+        m = np.max(log_terms, axis=1)
+        yield slice(lo, lo + step), np.exp(log_terms - m[:, None]), m - 0.5 * (logd[bi] + logd[bj])
+
+
+def _angular_values(d: np.ndarray, shift: np.ndarray, n_t: int) -> np.ndarray:
+    """N_p at the angles 2 pi k / n_t, k = 0 .. n_t/2, for a `_pair_blocks` block: fold, one real FFT, abs."""
+    k = -(-d.shape[1] // n_t)
+    if k > 1:
+        d = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
+    return np.minimum(np.abs(np.fft.rfft(d, n=n_t, axis=1)) * np.exp(shift)[:, None], 1.0)
+
+
+def bipotential_means(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int) -> np.ndarray:
+    """Mean of Gt(N_p) over n_t angles for each radius pair (r[i], r[j]), pair by pair from the log coefficients.
+
+    Parseval's sum of d^2 for the N_p^2 / 4 pi^2 part; R = Gt(t) - t^2 / 4 pi^2 from the angle grid for the
+    pairs with N_p(theta = 0)^2 > VARIANCE_TAU, where N_p^2 > VARIANCE_TAU.
+    """
+    out = np.empty(i.size)
+    for sl, d, shift in _pair_blocks(space, log_r, i, j, n_t):
+        scale = np.exp(shift)
+        out[sl] = np.sum(d * d, axis=1) * scale**2 / (4.0 * math.pi**2)
+        near = np.flatnonzero(np.square(np.sum(d, axis=1) * scale) > VARIANCE_TAU)
+        t = _angular_values(d[near], shift[near], n_t)
+        hot = t * t > VARIANCE_TAU
+        rem = np.zeros(t.shape)
+        rem[hot] = _gtilde_fast(np.square(t[hot])) - np.square(t[hot]) / (4.0 * math.pi**2)
+        out[sl.start + near] += _theta_mean(rem, n_t)
+    return out
+
+
+def correlation_proxy(space: DiscSpace, region: Annulus) -> float:
+    """`statistics.sodin_tsirelson_proxy` on the angle grid of `_angular_values`."""
+    r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
+    i, j = np.indices((r.size, r.size)).reshape(2, -1)
+    blocks = _pair_blocks(space, np.log(r), i, j, PROXY_ANGULAR_NODES)
+    mean_n = [_theta_mean(_angular_values(d, s, PROXY_ANGULAR_NODES), PROXY_ANGULAR_NODES) for _, d, s in blocks]
+    return float(np.max(np.concatenate(mean_n).reshape(r.size, r.size) @ meas))
 
 
 def dbar_potential(pp: PotentialPair, z) -> np.ndarray:

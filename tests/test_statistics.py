@@ -12,18 +12,19 @@ from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.statistics import (
     APERY,
     TestFunction,
-    _angular_values,
+    _angular_squares,
     _bipotential_means,
     _c1_rule,
     _gtilde_fast,
-    _pair_blocks,
     _theta_mean,
+    _unit_rows,
     expected_linear_statistic,
     laplacian_ratio,
     sodin_tsirelson_proxy,
     variance_bipotential,
     variance_leading_term,
 )
+import oracles
 from oracles import Gtilde, _gtilde_integral, _gtilde_series
 
 
@@ -101,7 +102,7 @@ class TestGtilde:
 
     def test_fast_path_agreement(self):
         ts = np.linspace(0.0, 1.0, 200)
-        fast = _gtilde_fast(ts)
+        fast = _gtilde_fast(np.square(ts))
         slow = np.array([Gtilde(t) for t in ts])
         assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -131,23 +132,39 @@ class TestVariance:
         r = np.array([0.4, 0.5, 0.6])
         i, j = np.indices((3, 3)).reshape(2, -1)
         for n_t in (16, 64, 512):  # folded (n_t < L) and zero-padded (n_t > L)
-            [(_, d, shift)] = _pair_blocks(space80, np.log(r), i, j, n_t)
-            grid = _angular_values(d, shift, n_t)
+            [(_, t2)] = _angular_squares(_unit_rows(space80, np.log(r)), i, j, n_t)
             thetas = 2.0 * np.pi * np.arange(n_t // 2 + 1) / n_t
             direct = disc.normalized_kernel(space80, r[i, None], r[j, None] * np.exp(1j * thetas))
-            assert np.max(np.abs(grid - direct)) < 1e-12
+            assert np.max(np.abs(np.sqrt(t2) - direct)) < 1e-12
 
     @pytest.mark.parametrize("p", [40, 200])
     def test_parseval_term_is_the_theta_mean(self, p):
-        # the grid mean of N_p^2 over n_t >= 4L angles has no aliasing: it is sum_l d_l^2
+        # the grid mean of N_p^2 over n_t >= 4L angles has no aliasing: it is sum_l (u_l(r) u_l(r'))^2
         space = make_disc_space(p, sections.truncation_length(p, 0.9))
         r = np.array([0.2, 0.45, 0.5, 0.9])
         i, j = np.triu_indices(r.size)
         n_t = 1 << (4 * space.L - 1).bit_length()
-        [(_, d, shift)] = _pair_blocks(space, np.log(r), i, j, n_t)
-        grid_mean = _theta_mean(_angular_values(d, shift, n_t) ** 2, n_t)
-        parseval = np.sum(d * d, axis=1) * np.exp(2.0 * shift)
-        assert np.max(np.abs(grid_mean / parseval - 1.0)) < 1e-12
+        u = _unit_rows(space, np.log(r))
+        [(_, t2)] = _angular_squares(u, i, j, n_t)
+        parseval = (np.square(u) @ np.square(u).T)[i, j]
+        assert np.max(np.abs(_theta_mean(t2, n_t) / parseval - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("p", [40, 200])
+    def test_unit_rows_have_unit_norm(self, p):
+        # the error grows with the exponents c_ell r^ell / sqrt(K) is taken from: 2.4e-14 at p = 200, 8.7e-14 at p = 640
+        space = make_disc_space(p, sections.truncation_length(p, 0.9))
+        u = _unit_rows(space, np.log(np.linspace(0.05, 0.9, 40)))
+        assert np.max(np.abs(np.sum(u * u, axis=1) - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("p", [40, 200])
+    def test_gram_value_is_the_first_angle(self, p):
+        # N_p at theta = 0, the near test, is the Gram matrix u u^T; the angle grid starts at theta = 0
+        space = make_disc_space(p, sections.truncation_length(p, 0.9))
+        r = np.linspace(0.2, 0.9, 12)
+        i, j = np.triu_indices(r.size)
+        u = _unit_rows(space, np.log(r))
+        t2 = np.concatenate([t2 for _, t2 in _angular_squares(u, i, j, 64)])
+        assert np.max(np.abs(np.sqrt(t2[:, 0]) - (u @ u.T)[i, j])) < 1e-13
 
     @pytest.mark.parametrize(
         "p, a, b, dense_grid_value",
@@ -176,17 +193,17 @@ class TestVariance:
             tracemalloc.stop()
         assert peak < 40 * 2**20
         assert value == pytest.approx(0.07822989228457813, rel=1e-9)
-        assert diagnostics == {"bipotential_radial_nodes": 256}
+        assert diagnostics == {"bipotential_radial_nodes": 256, "bipotential_near_pairs": 9151}
 
     def test_log_diagonal_in_row_blocks(self):
         # the log diagonal of all 512 radial nodes in one array peaks at 104 MB traced here (L = 4132);
-        # in row blocks of sections.BLOCK_ENTRIES the first pair block peaks at 6 MB
+        # in row blocks of sections.BLOCK_ENTRIES, then the unit rows in place, the peak is the 16 MB of the rows
         phi = TestFunction(0.1, 0.9)
         space = make_disc_space(640, sections.truncation_length(640, phi.b))
         r, _ = _c1_rule(phi.a, phi.b, 512)
         tracemalloc.start()
         try:
-            next(_pair_blocks(space, np.log(r), *np.triu_indices(r.size), 2048))
+            _unit_rows(space, np.log(r))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,9 +221,28 @@ class TestVariance:
 
         default = values()
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
-        blocks = _pair_blocks(spaces[1], np.log([0.4, 0.5, 0.6]), *np.triu_indices(3), 1024)
-        assert [len(d) for _, d, _ in blocks] == [4, 2]
+        blocks = _angular_squares(_unit_rows(spaces[1], np.log([0.4, 0.5, 0.6])), *np.triu_indices(3), 1024)
+        assert [len(t2) for _, t2 in blocks] == [4, 2]
         assert values() == default
+
+    @pytest.mark.parametrize("p, a, b, n_r", [(40, 0.35, 0.65, 128), (200, 0.35, 0.65, 256), (160, 0.1, 0.9, 256)])
+    def test_matches_per_pair_exponential_oracle(self, p, a, b, n_r):
+        # the final pass of variance_bipotential, from the unit rows and from one exponential per pair and ell;
+        # single pair means differ by up to 1.7e-13 relative, as much as the oracle's own error against a
+        # 40-digit evaluation of the same inputs (1.8e-13 at p = 200, the unit rows 3.6e-14)
+        phi = TestFunction(a, b)
+        space = make_disc_space(p, sections.truncation_length(p, b))
+        r, meas = _c1_rule(a, b, n_r)
+        vec = laplacian_ratio(phi, r) * meas
+        i, j = np.triu_indices(n_r)
+        weights = np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]
+        means, _ = _bipotential_means(_unit_rows(space, np.log(r)), i, j, 4 * n_r)
+        assert weights @ means == pytest.approx(weights @ oracles.bipotential_means(space, np.log(r), i, j, 4 * n_r), rel=1e-13)
+
+    def test_proxy_matches_per_pair_exponential_oracle(self):
+        region = Annulus(0.2, 0.7)
+        space = make_disc_space(100, sections.truncation_length(100, region.b))
+        assert sodin_tsirelson_proxy(space, region) == pytest.approx(oracles.correlation_proxy(space, region), rel=1e-13)
 
     @pytest.mark.parametrize("p", [50, 200, 800])
     @pytest.mark.parametrize("r0", [0.4, 0.5, 0.6])
@@ -219,7 +255,7 @@ class TestVariance:
         space = make_disc_space(p, sections.truncation_length(p, r.max()))
         n_t = 1 << (4 * space.L - 1).bit_length()
         log_r = np.log(np.concatenate([[r0], r]))
-        means = _bipotential_means(space, log_r, np.zeros(r.size, dtype=int), np.arange(1, r.size + 1), n_t)
+        means, _ = _bipotential_means(_unit_rows(space, log_r), np.zeros(r.size, dtype=int), np.arange(1, r.size + 1), n_t)
         assert abs(p * float(meas @ means) / (APERY / (4.0 * math.pi**2)) - 1.0) <= 2.0 / p
 
 
