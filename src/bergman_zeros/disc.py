@@ -1,25 +1,27 @@
 """Weighted Bergman space of the Poincare punctured unit disc.
 
 The space at tensor power p has the orthonormal basis
-``(ell^(p-1) / (2 pi (p-2)!))^(1/2) z^ell`` for ell = 1, 2, ... and the
-diagonal kernel function
+``(ell^(p-1) / (2 pi (p-2)!))^(1/2) z^ell`` for ell = 1, 2, ...  With
+y = -2 log|z| and x = e^(-y), the diagonal kernel function is
 
-    B_p(z) = |log|z|^2|^p / (2 pi (p-2)!) * sum_ell ell^(p-1) |z|^(2 ell).
+    B_p(z) = y^p / (2 pi (p-2)!) * sum_ell ell^(p-1) x^ell = (p-1) / (2 pi) * x E(x) * (y / (1 - x))^p,
 
-Every series here is evaluated in the log domain (log-gamma plus
-log-sum-exp): at p ~ 200 the terms span far more than 300 orders of
-magnitude, so direct summation is impossible in double precision.
+E = A_(p-1) / (p-1)! the Eulerian polynomial (Petersen, *Eulerian Numbers*,
+2015): p - 1 positive terms, no truncation.  The two-point kernel and the
+zero counting function sum the basis truncated at L in the log domain
+(log-gamma plus max-shifted sums): at p ~ 200 the terms span far more
+than 300 orders of magnitude.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 __all__ = [
@@ -44,10 +46,10 @@ __all__ = [
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Relative tail mass below which a truncated basis is considered exact
-# for kernel evaluation purposes.
+# for the two-point kernel and the zero counting function.
 KERNEL_TAIL_RTOL = 1e-14
-# Coarse grid of sup_kernel in t = log(-log r), and Gauss-Legendre nodes
-# of log_bergman_l1.
+# Coarse grid of sup_kernel in t = log y, and Gauss-Legendre nodes of
+# log_bergman_l1.
 SUP_GRID_POINTS = 256
 L1_QUAD_NODES = 512
 
@@ -160,8 +162,8 @@ def _require_adequate(space: DiscSpace, r: float, rel_tol: float = KERNEL_TAIL_R
         )
 
 
-def _checked_radii(space: DiscSpace, r) -> np.ndarray:
-    """r (a scalar or an array) as a float array, after the domain check and a truncation check.
+def _checked_radii(r, space: DiscSpace | None = None) -> np.ndarray:
+    """r (a scalar or an array) as a float array, after the domain check and, given a space, a truncation check.
 
     The truncation is checked once, at the largest radius: that covers
     every entry, because the required length is nondecreasing in r.
@@ -170,7 +172,8 @@ def _checked_radii(space: DiscSpace, r) -> np.ndarray:
     inside = (r > 0.0) & (r < 1.0)
     if not inside.all():
         raise DomainError(f"radius must lie in (0, 1), got {r[~inside].flat[0]}")
-    _require_adequate(space, float(r.max()))
+    if space is not None:
+        _require_adequate(space, float(r.max()))
     return r
 
 
@@ -179,30 +182,48 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _log_diag(space: DiscSpace, log_r):
-    """log of sum_ell c_ell^2 r^(2 ell), the unweighted diagonal series, from log r (a scalar or an array)."""
-    return logsumexp(space.log_coeffs + 2.0 * np.multiply.outer(log_r, space.ells), axis=-1)
+@functools.cache
+def _log_eulerian(p: int) -> np.ndarray:
+    """log of the coefficients A(p-1, k) / (p-1)! of E, k = 0 .. p-2; read only.
+
+    By A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1), over n at each step, on mantissas and exponents (the row
+    spans far beyond the double range): every term is positive, so each step costs a few roundings, relative.
+    """
+    if p < 2:
+        raise ValueError(f"tensor power p must be >= 2 (basis needs (p-2)!), got {p}")
+    m, e = np.ones(1), np.zeros(1, dtype=int)
+    for n in range(2, p):
+        w, ea, eb = np.arange(1, n + 1) / n, np.append(e, e[-1]), np.append(e[0], e)
+        e = np.maximum(ea, eb)  # neighbours can differ by 2^n: the smaller may underflow, never the larger
+        m, de = np.frexp(np.ldexp(w * np.append(m, 0.0), ea - e) + np.ldexp(w[::-1] * np.append(0.0, m), eb - e))
+        e += de
+    return np.log(m) + e * math.log(2.0)  # never handed out
 
 
-def log_kernel_function(space: DiscSpace, r):
+def _log_diag(p: int, y):
+    """log B_p at y = -2 log r (a scalar or an array), by the closed form."""
+    log_xe = logsumexp(_log_eulerian(p) - np.multiply.outer(y, np.arange(p - 1)), axis=-1) - y
+    return math.log(p - 1) - LOG_2PI + log_xe - p * np.log(-np.expm1(-y) / y)
+
+
+def log_kernel_function(p: int, r):
     """log B_p(z) for |z| = r, in the natural log; elementwise for an array of radii."""
-    log_r = np.log(_checked_radii(space, r))
-    return _scalar_or_array(space.p * np.log(-2.0 * log_r) + _log_diag(space, log_r))
+    return _scalar_or_array(_log_diag(p, -2.0 * np.log(_checked_radii(r))))
 
 
-def kernel_function(space: DiscSpace, r):
+def kernel_function(p: int, r):
     """Diagonal Bergman kernel function B_p(z) at |z| = r; strictly positive; elementwise for an array."""
-    return _scalar_or_array(np.exp(log_kernel_function(space, r)))
+    return _scalar_or_array(np.exp(log_kernel_function(p, r)))
 
 
 def _off_diag(space: DiscSpace, z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(|z|, |z'|, m, s) with sum_ell c_ell^2 (z zbar')^ell = e^m s, elementwise over the broadcast points.
+    """(y, y', m, s), y = -2 log|z|, with sum_ell c_ell^2 (z zbar')^ell = e^m s, elementwise over the broadcast points.
 
     One domain and truncation check covers both point sets.
     """
     z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
     rz, rp = np.abs(z), np.abs(zp)
-    _checked_radii(space, np.append(rz, rp))
+    _checked_radii(np.append(rz, rp), space)
     # z zbar' in real arithmetic, unfused: swapping the points then
     # conjugates it exactly, which numpy's complex product does not promise
     re = z.real * zp.real + z.imag * zp.imag
@@ -210,68 +231,43 @@ def _off_diag(space: DiscSpace, z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarr
     log_terms = space.log_coeffs + np.multiply.outer(np.log(np.hypot(re, im)), space.ells)
     m = np.max(log_terms, axis=-1)
     phases = np.exp(1j * np.multiply.outer(np.arctan2(im, re), space.ells))
-    return rz, rp, m, np.sum(np.exp(log_terms - m[..., None]) * phases, axis=-1)
+    return -2.0 * np.log(rz), -2.0 * np.log(rp), m, np.sum(np.exp(log_terms - m[..., None]) * phases, axis=-1)
 
 
 def normalized_kernel(space: DiscSpace, z, zp):
     """N_p(z, z') = |B_p(z,z')| / sqrt(B_p(z) B_p(z')) in [0, 1]; elementwise over broadcast arrays of points.
 
-    Computed entirely in the log domain; the h_p weight factors cancel.
-    Underflow of the off-diagonal sum returns exactly 0.0.
+    Computed entirely in the log domain: the numerator sums the truncated
+    basis, the diagonals are the closed form.  Underflow of the
+    off-diagonal sum returns exactly 0.0.
     """
-    rz, rp, m, s = _off_diag(space, z, zp)
+    y, yp, m, s = _off_diag(space, z, zp)
+    # the diagonals without their weight (y y')^p
+    log_diags = _log_diag(space.p, y) + _log_diag(space.p, yp) - space.p * np.log(y * yp)
     with np.errstate(divide="ignore"):
-        log_n = m + np.log(np.abs(s)) - 0.5 * (_log_diag(space, np.log(rz)) + _log_diag(space, np.log(rp)))
+        log_n = m + np.log(np.abs(s)) - 0.5 * log_diags
     return _scalar_or_array(np.exp(log_n))
 
 
-# log(-log r) of the smallest positive normal double r
-_T_NORMAL_MIN = math.log(-math.log(sys.float_info.min))
+def sup_kernel(p: int) -> tuple[float, float]:
+    """Maximize B_p over the punctured disc; returns (-log r*, max value).
 
-
-def sup_kernel(space: DiscSpace) -> tuple[float, float]:
-    """Maximize B_p over the punctured disc.
-
-    The maximizer has exponentially small |z| (its -log r grows like p/2),
-    so the search runs in the doubly logarithmic coordinate
-    t = log(-log r): a coarse grid bracket (one array call) followed by
-    golden-section refinement.  Returns (r_star, max value).
+    The maximizer's -log r* tends to p/2, so r* underflows to 0.0 from
+    p ~ 1490 on: the search runs in t = log y and never forms r.  A coarse
+    grid from r = 0.95 to r = e^(-e p) brackets the peak (one array call),
+    then bounded Brent refines it.
     """
-    if space.p < 3:
+    if p < 3:
         raise ValueError("sup search requires p >= 3")
-    # r from 0.95 down to exp(-e * p): covers plateau through the peak.
-    # From p = 275 on, exp(-e * p) underflows to 0.0; the range then stops
-    # at the smallest normal double instead (the peak, at -log r ~ p/2,
-    # stays well inside it up to p ~ 1400).
-    t_lo = math.log(-math.log(0.95))
-    t_hi = math.log(space.p) + 1.0
-    if math.exp(-math.exp(t_hi)) == 0.0:
-        t_hi = _T_NORMAL_MIN
-
-    def f(t):
-        return log_kernel_function(space, np.exp(-np.exp(t)))
-
-    ts = np.linspace(t_lo, t_hi, SUP_GRID_POINTS)
-    k = int(np.argmax(f(ts)))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, SUP_GRID_POINTS - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-11:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t_star = 0.5 * (a + b)
-    r_star = math.exp(-math.exp(t_star))
-    return r_star, kernel_function(space, r_star)
+    ts = np.linspace(math.log(-2.0 * math.log(0.95)), math.log(2.0 * p) + 1.0, SUP_GRID_POINTS)
+    k = int(np.argmax(_log_diag(p, np.exp(ts))))
+    best = minimize_scalar(
+        lambda t: -_log_diag(p, math.exp(t)),
+        bounds=(ts[max(k - 1, 0)], ts[min(k + 1, SUP_GRID_POINTS - 1)]),
+        method="bounded",
+        options={"xatol": 1e-11},
+    )
+    return 0.5 * math.exp(best.x), math.exp(-best.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +277,7 @@ def sup_kernel(space: DiscSpace) -> tuple[float, float]:
 def _to_half_plane(z) -> tuple[np.ndarray, np.ndarray]:
     """Covering coordinate tau = theta/2pi + i(-log r)/2pi of the cusp, as (Re tau, Im tau), elementwise."""
     z = np.asarray(z, dtype=np.complex128)
-    r = np.abs(z)
-    inside = (r > 0.0) & (r < 1.0)
-    if not inside.all():
-        raise DomainError(f"point with |z| = {r[~inside].flat[0]:.6g} outside the punctured disc")
-    return np.arctan2(z.imag, z.real) / (2.0 * math.pi), -np.log(r) / (2.0 * math.pi)
+    return np.arctan2(z.imag, z.real) / (2.0 * math.pi), -np.log(_checked_radii(np.abs(z))) / (2.0 * math.pi)
 
 
 def poincare_distance(z, zp):
@@ -329,7 +321,7 @@ def zero_counting_function(space: DiscSpace, r):
     The h_p weight contributes -p c_1 which cancels the p c_1 term of the
     expected measure, so only the unweighted covariance enters.
     """
-    log_w = space.log_coeffs + 2.0 * np.multiply.outer(np.log(_checked_radii(space, r)), space.ells)
+    log_w = space.log_coeffs + 2.0 * np.multiply.outer(np.log(_checked_radii(r, space)), space.ells)
     w = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True))
     return _scalar_or_array(np.sum(space.ells * w, axis=-1) / np.sum(w, axis=-1))
 
@@ -349,7 +341,7 @@ def _legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def log_bergman_l1(space: DiscSpace, region: Annulus) -> float:
+def log_bergman_l1(p: int, region: Annulus) -> float:
     """Integral of |log B_p| against the cusp form omega over the annulus.
 
     Radially, omega reduces to pi * dr / (r log^2 r); Gauss-Legendre in
@@ -359,7 +351,7 @@ def log_bergman_l1(space: DiscSpace, region: Annulus) -> float:
     t_hi = math.log(-math.log(region.a))
     x, w = _leggauss(L1_QUAD_NODES)  # read only
     t = 0.5 * (t_hi - t_lo) * x + 0.5 * (t_hi + t_lo)
-    vals = np.abs(log_kernel_function(space, np.exp(-np.exp(t)))) * np.exp(-t)
+    vals = np.abs(_log_diag(p, 2.0 * np.exp(t))) * np.exp(-t)
     # the weights are scaled after the sum: scaling them first, as _legendre_rule does, moves the value
     # by 1e-16 relative and the l1log deviation column, a difference of close values, in its 6th digit
     return math.pi * 0.5 * (t_hi - t_lo) * float(np.dot(w, vals))

@@ -152,9 +152,8 @@ def plateau_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     t = np.linspace(math.log(-math.log(PLATEAU_R_MAX)), math.log(-math.log(PLATEAU_R_MIN)), PLATEAU_N_GRID)
     radii = np.exp(-np.exp(t))
     for p in list(p):
-        space = disc.make_disc_space(p, disc.adaptive_truncation(p, PLATEAU_R_MAX))
         plateau = (p - 1) / (2.0 * math.pi)
-        sup_err = float(np.max(np.abs(disc.kernel_function(space, radii) / plateau - 1.0)))
+        sup_err = float(np.max(np.abs(disc.kernel_function(p, radii) / plateau - 1.0)))
         report.row(p, "plateau_sup_relative_error", sup_err, prediction=0.0)
         report.check(
             f"plateau_error_p{p}",
@@ -172,12 +171,11 @@ def sup_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     report = StatsReport("sup", seed)
     errors: dict[int, float] = {}
     for p in list(p):
-        space = disc.make_disc_space(p, disc.adaptive_truncation(p, 0.95))
-        r_star, value = disc.sup_kernel(space)
+        neg_log_r, value = disc.sup_kernel(p)
         ratio = value * (2.0 * math.pi / p) ** 1.5
         errors[p] = abs(ratio - 1.0)
         report.row(p, "sup_ratio_to_power_law", ratio, prediction=1.0)
-        report.row(p, "sup_maximizer_neg_log_radius", -math.log(r_star))
+        report.row(p, "sup_maximizer_neg_log_radius", neg_log_r)
         report.check(f"sup_ratio_p{p}", errors[p] <= SUP_TOLERANCE, f"|ratio - 1| = {errors[p]:.4f} vs {SUP_TOLERANCE}")
     _falls(report, "sup_ratio_improves", errors, ".4f", label="|ratio-1|: ")
     return report
@@ -223,8 +221,7 @@ def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> Stats
     area = disc.hyperbolic_area(annulus)
     ps = list(p)
     for p in ps:
-        space = disc.make_disc_space(p, disc.adaptive_truncation(p, annulus.b))
-        val = disc.log_bergman_l1(space, annulus)
+        val = disc.log_bergman_l1(p, annulus)
         values[p] = val
         pred = abs(math.log((p - 1) / (2.0 * math.pi))) * area
         report.row(p, "log_kernel_l1", val, prediction=pred)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import spence
 
 from . import sections
-from .disc import Annulus, DiscSpace, _legendre_rule, _log_diag, _scalar_or_array, zero_counting_function
+from .disc import Annulus, DiscSpace, _legendre_rule, _scalar_or_array, zero_counting_function
 
 __all__ = [
     "APERY",
@@ -134,13 +134,13 @@ def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_rows(space: DiscSpace, log_r: np.ndarray) -> np.ndarray:
-    """Unit rows c_ell r^ell / sqrt(K(r^2)), one per radius, in place after log K in row blocks of BLOCK_ENTRIES."""
-    rows = max(1, sections.BLOCK_ENTRIES // space.L)
-    logd = np.concatenate([_log_diag(space, log_r[lo : lo + rows]) for lo in range(0, log_r.size, rows)])
+    """Unit rows c_ell r^ell / sqrt(K(r^2)), one per radius, in place: each row over its largest term, then its norm."""
     u = np.multiply.outer(log_r, space.ells)
     u += 0.5 * space.log_coeffs
-    u -= 0.5 * logd[:, None]
-    return np.exp(u, out=u)
+    u -= np.max(u, axis=1, keepdims=True)
+    np.exp(u, out=u)
+    u /= np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    return u
 
 
 def _angular_squares(u: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):

@@ -6,17 +6,19 @@ against them, and the seed grid's int8 cell windings against the phase
 path they replaced.  Section and kernel values are (log_modulus, phase)
 pairs, with log_modulus = -inf, phase = 0 for an exact zero.  The
 bipotential ones are the per-pair exponential path that the unit rows of
-`statistics` replaced.  The model-kernel ones check a solved potential and
-a candidate kernel element against the defining equations.
+`statistics` replaced, normalized by the L-term log diagonal that the
+closed form of `disc` replaced.  The model-kernel ones check a solved
+potential and a candidate kernel element against the defining equations.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from bergman_zeros import sections
-from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _log_diag, _off_diag
+from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _off_diag
 from bergman_zeros.model import PotentialPair
 from bergman_zeros.sections import _scaled_coefficients
 from bergman_zeros.statistics import (
@@ -72,8 +74,8 @@ def kernel(space: DiscSpace, z: complex, zp: complex) -> tuple[float, float]:
     The value is ``|log|z|^2|^(p/2) |log|z'|^2|^(p/2) sum_ell c_ell^2 (z zbar')^ell``.
     Hermitian: swapping arguments keeps the log-magnitude and flips the phase.
     """
-    rz, rp, m, s = _off_diag(space, z, zp)
-    weight = 0.5 * space.p * (math.log(-2.0 * math.log(rz)) + math.log(-2.0 * math.log(rp)))
+    y, yp, m, s = _off_diag(space, z, zp)
+    weight = 0.5 * space.p * (math.log(y) + math.log(yp))
     if s == 0.0:
         return -math.inf, 0.0
     return float(weight + m + math.log(abs(s))), math.atan2(s.imag, s.real)
@@ -117,6 +119,11 @@ def Gtilde(t: float) -> float:
     if t * t <= 0.9:
         return _gtilde_series(t)
     return _gtilde_integral(t)
+
+
+def _log_diag(space: DiscSpace, log_r: np.ndarray) -> np.ndarray:
+    """log of sum_{ell <= L} c_ell^2 r^(2 ell), the truncated unweighted diagonal series, from log r (an array)."""
+    return logsumexp(space.log_coeffs + 2.0 * np.multiply.outer(log_r, space.ells), axis=-1)
 
 
 def _pair_blocks(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):

@@ -15,7 +15,7 @@ import yaml
 
 from bergman_zeros import disc, experiments, model, sections
 from bergman_zeros.cli import main as cli_main
-from bergman_zeros.disc import Annulus, adaptive_truncation, make_disc_space
+from bergman_zeros.disc import Annulus, make_disc_space
 from bergman_zeros.statistics import TestFunction
 from oracles import kernel_membership_residual
 
@@ -39,8 +39,7 @@ class Criterion:
 
 def test_criterion_01_plateau():
     crit = Criterion(1, "kernel plateau on [0.3, 0.9]", budget_s=4.5)
-    space = make_disc_space(60, adaptive_truncation(60, 0.9, 1e-14))
-    errs = [abs(2 * math.pi * disc.kernel_function(space, r) / 59 - 1) for r in np.linspace(0.3, 0.9, 121)]
+    errs = [abs(2 * math.pi * disc.kernel_function(60, r) / 59 - 1) for r in np.linspace(0.3, 0.9, 121)]
     sup60 = max(errs)
     # float64 sits at its rounding floor beyond p ~ 40, so the strict
     # decrease is certified on the exact values (closed polylog form)
@@ -62,8 +61,7 @@ def test_criterion_02_sup_law():
     crit = Criterion(2, "sup B_p ~ (p/2pi)^(3/2)", budget_s=0.5)
     ratios = {}
     for p in (100, 200):
-        space = make_disc_space(p, adaptive_truncation(p, 0.95, 1e-14))
-        _, value = disc.sup_kernel(space)
+        _, value = disc.sup_kernel(p)
         ratios[p] = value * (2 * math.pi / p) ** 1.5
     ok = abs(ratios[100] - 1) <= 0.25 and abs(ratios[200] - 1) < abs(ratios[100] - 1)
     crit.finish(ok, f"ratios {ratios[100]:.4f} (p=100), {ratios[200]:.4f} (p=200)")

@@ -290,6 +290,19 @@ class TestRunCommand:
         assert "key 'p' (line " in err
         assert "strictly ascending" in err
 
+    @pytest.mark.parametrize(
+        "kind,params,message",
+        [
+            ("plateau", {"p": [1]}, "p must be >= 2"),
+            ("sup", {"p": [2]}, "requires p >= 3"),
+            ("l1log", {"p": [1], "annulus": {"a": 0.3, "b": 0.9}}, "p must be >= 2"),
+        ],
+    )
+    def test_too_small_p_exit_code(self, tmp_path, capsys, kind, params, message):
+        cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 1, "params": params})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": [20], "oops": 1}))
         assert main(["run", str(cfg)]) == 1

@@ -1,6 +1,7 @@
 """Punctured-disc kernel: basis amplitudes, kernel laws, geometry."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -77,50 +78,72 @@ class TestBasisAmplitudes:
 
 class TestKernelFunction:
     def test_plateau_at_p60(self):
-        space = make_disc_space(60, adaptive_truncation(60, 0.9))
         plateau = 59.0 / (2.0 * math.pi)
         for r in np.linspace(0.3, 0.9, 25):
-            assert kernel_function(space, r) == pytest.approx(plateau, rel=1e-3)
+            assert kernel_function(60, r) == pytest.approx(plateau, rel=1e-3)
 
     def test_vanishes_toward_puncture(self):
-        space = make_disc_space(10, 64)
-        assert kernel_function(space, 1e-9) < 1e-6
+        assert kernel_function(10, 1e-9) < 1e-6
 
     def test_matches_polylog_closed_form(self):
         for p, r in [(12, 0.35), (25, 0.6), (60, 0.85), (150, 0.5)]:
-            space = make_disc_space(p, adaptive_truncation(p, r))
-            assert kernel_function(space, r) == pytest.approx(float(mp_kernel_function(p, r)), rel=1e-12)
+            assert kernel_function(p, r) == pytest.approx(float(mp_kernel_function(p, r)), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(p=hst.integers(3, 20), r=hst.floats(0.05, 0.95))
     def test_equals_direct_summation_when_it_fits(self, p, r):
-        L = adaptive_truncation(p, r)
-        space = make_disc_space(p, L)
-        ells = np.arange(1, L + 1, dtype=float)
+        ells = np.arange(1, adaptive_truncation(p, r) + 1, dtype=float)
         direct = (
             abs(math.log(r * r)) ** p
             / (2.0 * math.pi * math.factorial(p - 2))
             * math.fsum(ells ** (p - 1) * r ** (2 * ells))
         )
-        assert kernel_function(space, r) == pytest.approx(direct, rel=1e-10)
+        assert kernel_function(p, r) == pytest.approx(direct, rel=1e-10)
 
     def test_domain_and_truncation_errors(self):
         # L = 8 is adequate at p = 40 up to |z| = 0.001; an array fails on
-        # its one bad entry
+        # its one bad entry.  The diagonal has no truncation to fall short.
         space = make_disc_space(40, 8)
 
-        def at_points(space, r):
+        def at_points(r):
             return normalized_kernel(space, r, 1j * np.asarray(r))
 
-        for fn in (kernel_function, zero_counting_function, at_points):
+        truncated = (partial(zero_counting_function, space), at_points)
+        for fn in (partial(kernel_function, 40),) + truncated:
             for r in (1.5, [1e-4, 1.5], [0.0, 1e-4], [1e-4, np.nan]):
                 with pytest.raises(DomainError):
-                    fn(space, r)
+                    fn(r)
+        for fn in truncated:
             for r in (0.9, [1e-4, 0.9, 1e-3]):
                 with pytest.raises(TruncationError) as exc:
-                    fn(space, r)
+                    fn(r)
                 assert exc.value.required_length > 8
-            fn(space, [1e-4, 1e-3])
+            fn([1e-4, 1e-3])
+
+
+class TestClosedFormDiagonal:
+    @staticmethod
+    def mp_log_kernel(p, y, dps=50):
+        """log B_p at y from the direct sum of ell^(p-1) e^(-ell y), to 1e-25 of the sum past its peak term."""
+        with mp.workdps(dps):
+            y = mp.mpf(y)
+            total, ell = mp.mpf(0), 1
+            while True:
+                term = mp.exp((p - 1) * mp.log(ell) - ell * y)
+                total += term
+                if ell * y > p - 1 and term < total * mp.mpf("1e-25"):
+                    break
+                ell += 1
+            return p * mp.log(y) + mp.log(total) - mp.log(2 * mp.pi) - mp.loggamma(p - 1)
+
+    @pytest.mark.parametrize("p, bound", [(3, 2e-12), (20, 2e-12), (100, 2e-12), (200, 2e-12), (240, 2e-12), (1000, 5e-11)])
+    def test_matches_direct_sum(self, p, bound):
+        # from r = 0.95 (y = 0.1026) through the plateau to the sup (y = p) and past it; r = e^(-y/2)
+        # underflows to 0.0 from y = 1490 on
+        ys = np.array([0.1026, 0.21, 0.5, 1.0, 2.4, p / 4, p / 2, p, 2 * p, 5 * p])
+        got = disc._log_diag(p, ys)
+        errors = [abs(float(g - self.mp_log_kernel(p, y))) for g, y in zip(got, ys)]
+        assert max(errors) <= bound
 
 
 class TestArrayCalls:
@@ -139,10 +162,10 @@ class TestArrayCalls:
 
     def test_radial_functions_match_scalar_calls(self, space80):
         radii = np.linspace(0.02, 0.7, 6 * 7).reshape(6, 7)
-        for fn in (disc.log_kernel_function, kernel_function, zero_counting_function):
-            got = fn(space80, radii)
+        for fn in (partial(disc.log_kernel_function, 80), partial(kernel_function, 80), partial(zero_counting_function, space80)):
+            got = fn(radii)
             assert isinstance(got, np.ndarray) and got.shape == radii.shape
-            scalar = [fn(space80, float(r)) for r in radii.flat]
+            scalar = [fn(float(r)) for r in radii.flat]
             assert all(type(v) is float for v in scalar)
             np.testing.assert_allclose(got, np.reshape(scalar, radii.shape), rtol=1e-13, atol=0.0)
 
@@ -164,7 +187,7 @@ class TestTwoPointKernel:
     def test_diagonal_consistency(self, space80):
         for z in (0.4 + 0.2j, -0.1 + 0.55j):
             log_modulus, phase = kernel(space80, z, z)
-            assert log_modulus == pytest.approx(math.log(kernel_function(space80, abs(z))), abs=1e-12)
+            assert log_modulus == pytest.approx(math.log(kernel_function(80, abs(z))), abs=1e-12)
             assert phase == pytest.approx(0.0, abs=1e-12)
 
     def test_hermitian_symmetry(self, space80):
@@ -245,41 +268,47 @@ class TestNormalizedKernel:
 
 class TestSupKernel:
     def test_power_law_window(self):
-        space = make_disc_space(100, adaptive_truncation(100, 0.95))
-        r_star, value = sup_kernel(space)
+        neg_log_r, value = sup_kernel(100)
         ratio = value * (2 * math.pi / 100) ** 1.5
         assert 0.75 <= ratio <= 1.25
         # maximizer has exponentially small modulus: -log r* grows like p/2
-        assert -math.log(r_star) == pytest.approx(50.0, rel=0.05)
+        assert neg_log_r == pytest.approx(50.0, rel=0.05)
 
     def test_ratio_improves_with_p(self):
         ratios = {}
         for p in (100, 200):
-            space = make_disc_space(p, adaptive_truncation(p, 0.95))
-            _, value = sup_kernel(space)
+            _, value = sup_kernel(p)
             ratios[p] = value * (2 * math.pi / p) ** 1.5
         assert abs(ratios[200] - 1) < abs(ratios[100] - 1)
 
     def test_dominates_plateau(self):
-        space = make_disc_space(50, adaptive_truncation(50, 0.95))
-        _, value = sup_kernel(space)
+        _, value = sup_kernel(50)
         assert value >= 49.0 / (2.0 * math.pi)
 
     def test_requires_p_at_least_3(self):
         with pytest.raises(ValueError):
-            sup_kernel(make_disc_space(2, 32))
+            sup_kernel(2)
 
     def test_large_p_search_range_stays_positive(self):
-        # exp(-e * p) underflows to 0.0 from p = 275 on; the search must
-        # still find the peak, checked against a dense-grid maximum
+        # the search runs in y = -2 log r up to 2 e p and never forms r,
+        # which underflows to 0.0 at that end from p = 275 on; checked
+        # against a dense-grid maximum
         p = 300
-        space = make_disc_space(p, adaptive_truncation(p, 0.95))
-        r_star, value = sup_kernel(space)
+        neg_log_r, value = sup_kernel(p)
         ts = np.linspace(math.log(p / 2.0) - 1.0, math.log(p / 2.0) + 1.0, 4001)
-        dense = max(kernel_function(space, math.exp(-math.exp(t))) for t in ts)
+        dense = max(kernel_function(p, math.exp(-math.exp(t))) for t in ts)
         assert value >= dense * (1.0 - 1e-12)
         assert value == pytest.approx(dense, rel=1e-6)
-        assert -math.log(r_star) == pytest.approx(p / 2.0, rel=0.05)
+        assert neg_log_r == pytest.approx(p / 2.0, rel=0.05)
+
+    @pytest.mark.parametrize("p", [1500, 1600])
+    def test_maximizer_below_the_smallest_double(self, p):
+        # r* = e^(-p/2) underflows to 0.0 here.  A search that stopped at the
+        # smallest normal r (-log r = 708.4) found the next bump of B_p, at
+        # -log r = p/4, half as high
+        neg_log_r, value = sup_kernel(p)
+        assert neg_log_r == pytest.approx(p / 2.0, rel=1e-6)
+        assert value * (2 * math.pi / p) ** 1.5 > 0.99
 
 
 class TestPlateauDecreasing:
@@ -291,8 +320,7 @@ class TestPlateauDecreasing:
             sups.append(max(mp_plateau_error(p, r) for r in np.linspace(0.3, 0.9, 41)))
         assert sups[0] > sups[1] > sups[2]
         # the float64 path agrees with the oracle wherever it is above the floor
-        space = make_disc_space(20, adaptive_truncation(20, 0.9))
-        got = max(abs(2 * math.pi * kernel_function(space, r) / 19 - 1) for r in np.linspace(0.3, 0.9, 41))
+        got = max(abs(2 * math.pi * kernel_function(20, r) / 19 - 1) for r in np.linspace(0.3, 0.9, 41))
         assert got == pytest.approx(sups[0], rel=1e-4)
 
 
@@ -371,19 +399,17 @@ class TestLogBergmanL1:
     def test_plateau_substitution(self):
         p = 18
         region = Annulus(0.3, 0.9)
-        space = make_disc_space(p, adaptive_truncation(p, 0.9))
         expected = abs(math.log((p - 1) / (2 * math.pi))) * hyperbolic_area(region)
-        assert log_bergman_l1(space, region) == pytest.approx(expected, rel=0.05)
+        assert log_bergman_l1(p, region) == pytest.approx(expected, rel=0.05)
 
-    def test_empty_region(self, space80):
-        assert log_bergman_l1(space80, Annulus(0.4, 0.4)) == 0.0
+    def test_empty_region(self):
+        assert log_bergman_l1(80, Annulus(0.4, 0.4)) == 0.0
 
     def test_log_p_growth(self):
         region = Annulus(0.3, 0.9)
         vals = {}
         for p in (18, 36):
-            space = make_disc_space(p, adaptive_truncation(p, 0.9))
-            vals[p] = log_bergman_l1(space, region)
+            vals[p] = log_bergman_l1(p, region)
         # C log p bound with the plateau constant
         area = hyperbolic_area(region)
         assert vals[36] <= 1.05 * area * math.log(36)
@@ -400,5 +426,22 @@ class TestLogBergmanL1:
         x, w = disc._legendre_rule(-1.0, 1.0, disc.L1_QUAD_NODES)
         assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
         builds = disc._leggauss.cache_info().misses
-        log_bergman_l1(make_disc_space(18, adaptive_truncation(18, 0.9)), Annulus(0.3, 0.9))
+        log_bergman_l1(18, Annulus(0.3, 0.9))
         assert disc._leggauss.cache_info().misses == builds
+
+
+def test_kernel_laws_need_no_truncation(monkeypatch):
+    # the plateau, sup and l1log drivers read the closed-form diagonal only
+    from bergman_zeros import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel law built a truncated space")
+
+    monkeypatch.setattr(disc, "adaptive_truncation", refuse)
+    monkeypatch.setattr(disc, "make_disc_space", refuse)
+    for report in (
+        experiments.plateau_experiment([20, 40]),
+        experiments.sup_experiment([50, 100]),
+        experiments.l1log_experiment([18, 36], Annulus(0.3, 0.9)),
+    ):
+        assert report.rows and all(c.passed for c in report.checks)

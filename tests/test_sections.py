@@ -154,7 +154,7 @@ class TestEvaluate:
             basis = np.exp(log_amp - shift) * np.exp(1j * space10.ells * np.angle(z))
             weight = 2.0 * (shift + 0.5 * space10.p * math.log(-2.0 * math.log(abs(z))))
             sq = np.abs(etas @ basis) ** 2 * math.exp(weight)
-            ratio = sq / disc.kernel_function(space10, abs(z))
+            ratio = sq / disc.kernel_function(space10.p, abs(z))
             se = np.std(ratio, ddof=1) / math.sqrt(m)
             assert abs(np.mean(ratio) - 1.0) <= 3.0 * se
 
