@@ -48,6 +48,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Relative tail mass below which a truncated basis is considered exact
 # for the two-point kernel and the zero counting function.
 KERNEL_TAIL_RTOL = 1e-14
+# Bound on the omitted deck terms of `_log_deck`, relative to its k = 0 term on the real axis.
+DECK_RTOL = 1e-16
 # Coarse grid of sup_kernel in t = log y, and Gauss-Legendre nodes of
 # log_bergman_l1.
 SUP_GRID_POINTS = 256
@@ -204,6 +206,29 @@ def _log_diag(p: int, y):
     """log B_p at y = -2 log r (a scalar or an array), by the closed form."""
     log_xe = logsumexp(_log_eulerian(p) - np.multiply.outer(y, np.arange(p - 1)), axis=-1) - y
     return math.log(p - 1) - LOG_2PI + log_xe - p * np.log(-np.expm1(-y) / y)
+
+
+def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
+    """log |sum_{|k| <= K} (1 + 2 pi i k / s)^(-q)| over an array s (q >= 2, Re s > 0, |Im s| <= pi), and K.
+
+    The sum over the cusp's deck group: by the Lipschitz formula, F(s) = sum_ell ell^(q-1) e^(-s ell) is
+    Gamma(q) s^(-q) times the full sum.  K is the smallest with (2 + |w|) (A / |w|)^q <= DECK_RTOL, w = A + i (2 pi
+    (K+1) - B), A and B the largest Re s and |Im s|; the bound rises with both, so it puts the omitted terms
+    sum_{|k| > K} |s + 2 pi i k|^(-q) of every entry below DECK_RTOL (Re s)^(-q), its k = 0 term at Im s = 0.  In the
+    bulk K = 0.  Where K would reach q (small q), F is the closed form x E(x) / (1 - x)^q of `_log_diag` at x = e^(-s).
+    """
+    a, im, k = s.real.max(initial=0.0), abs(s.imag).max(initial=0.0), 0
+    while a and k < q:
+        w = math.hypot(a, 2.0 * math.pi * (k + 1) - im)
+        if (2.0 + w) * (a / w) ** q <= DECK_RTOL:
+            break
+        k += 1
+    if k == q:
+        f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q), 1))
+        return np.log(np.abs(f * (s / -np.expm1(-s)) ** q)), k
+    z = 2j * math.pi / s
+    terms = ((1.0 + n * z) ** -q + (1.0 - n * z) ** -q for n in range(1, k + 1))
+    return np.log(np.abs(sum(terms, np.ones(s.shape)))), k
 
 
 def log_kernel_function(p: int, r):

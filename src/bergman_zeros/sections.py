@@ -91,11 +91,11 @@ ABERTH_ANGLE = 0.7
 # next to an arc, whose increment then aliases; much thicker ones have long
 # radial edges, whose increments alias too.
 MAX_ASPECT = 8.0
-# Every blocked array pass (winding rows, log-sup zooms, bipotential radius
-# pairs) holds at most this many entries per temporary: 1 MB of float64,
-# 2 MB of complex128, sized to a 2 MiB L2.  The p = 200 bipotential took
-# 0.60 s in blocks of 2^21 entries, 0.42 s at 2^17, 0.44 s at 2^18 and
-# 0.49 s at 2^16 (2 vCPUs, OpenBLAS 0.3.31, serial, median of 5).
+# Every blocked array pass (winding rows, log-sup zooms, the bipotential's
+# hot windows) holds at most this many entries per temporary: 1 MB of
+# float64, 2 MB of complex128, sized to a 2 MiB L2.  The bipotential takes
+# 8-14 ms at p = 200 and 41-59 ms at p = 1 280 on (0.1, 0.9) from 2^15 to
+# 2^19 entries alike (2 vCPUs, median of 7).
 BLOCK_ENTRIES = 1 << 17
 # `_circle_values` folds and takes one FFT from this many angles up, and a
 # GEMM below.  Selected by angles, not by L.  `_winding`, GEMM -> FFT:

@@ -10,9 +10,11 @@ where N_p is the normalized kernel, L(phi) is the density of
 i d dbar phi against c1, and Gt(t) = (1/4 pi^2) sum_j t^(2j) / j^2 is a
 rescaled dilogarithm.  For radial phi, rotation invariance of N_p
 collapses the double surface integral to three dimensions (r, r',
-relative angle); only radial test functions are supported here.  The
-t^2 part of Gt is one GEMM of unit coefficient rows (Parseval), the rest
-one folded FFT per radius pair where N_p at angle 0, a GEMM, is not small.
+relative angle); only radial test functions are supported here.  In
+y = -2 log r, N_p^2 is a closed form in (y, y', angle) by the Lipschitz
+formula (a deck sum over the cusp, 1 to rounding in the bulk), so the
+angular mean of the t^2 part of Gt is a Beta integral, exact, and the rest
+a Gauss rule on the window of angles where N_p is not small.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spence
+from scipy.special import betaln, spence
 
 from . import sections
-from .disc import Annulus, DiscSpace, _legendre_rule, _scalar_or_array, zero_counting_function
+from .disc import LOG_2PI, Annulus, DiscSpace, _legendre_rule, _log_deck, _scalar_or_array, zero_counting_function
 
 __all__ = [
     "APERY",
@@ -37,23 +39,22 @@ __all__ = [
 ]
 
 APERY = 1.202056903159594  # zeta(3)
-# The 3-d (r, r', relative-angle) variance integral starts from these node
-# counts and doubles both until successive values agree to VARIANCE_RTOL,
+# The 3-d (r, r', relative-angle) variance integral starts from this radial
+# node count and doubles it until successive values agree to VARIANCE_RTOL,
 # at most VARIANCE_MAX_REFINEMENTS times.
 VARIANCE_RADIAL_NODES = 64
-VARIANCE_ANGULAR_NODES = 256
 VARIANCE_RTOL = 5e-4
 VARIANCE_MAX_REFINEMENTS = 3
 # Gt(t) = t^2 / 4 pi^2 + R(t), 0 <= R(t) <= t^4 (pi^2/6 - 1) / 4 pi^2: R is summed only
-# where N_p^2 > VARIANCE_TAU, which drops at most 0.65 VARIANCE_TAU of the N_p^2 term.
-# Beside the n_r x L unit rows, the arrays of the pair loop hold at most sections.BLOCK_ENTRIES entries.
+# where N_p^2 > VARIANCE_TAU, which drops at most 0.65 VARIANCE_TAU of the N_p^2 term,
+# by WINDOW_NODES Gauss nodes per radius pair.
 VARIANCE_TAU = 1e-4
+WINDOW_NODES = 16
 # Gauss-Legendre nodes of the leading-term integral and of the expected
-# linear statistic; radial and angular nodes of the correlation proxy.
+# linear statistic; radial nodes of the correlation proxy.
 LEADING_TERM_NODES = 512
 LINSTAT_QUAD_NODES = 512
 PROXY_RADIAL_NODES = 48
-PROXY_ANGULAR_NODES = 192
 
 
 @dataclass(frozen=True)
@@ -133,78 +134,68 @@ def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return r, w / (2.0 * r * np.log(r) ** 2)
 
 
-def _unit_rows(space: DiscSpace, log_r: np.ndarray) -> np.ndarray:
-    """Unit rows c_ell r^ell / sqrt(K(r^2)), one per radius, in place: each row over its largest term, then its norm."""
-    u = np.multiply.outer(log_r, space.ells)
-    u += 0.5 * space.log_coeffs
-    u -= np.max(u, axis=1, keepdims=True)
-    np.exp(u, out=u)
-    u /= np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
-    return u
+def _log_beta_mean(q: float, y, yp):
+    """log (1 / 2 pi) int_R (y y' / (a^2 + theta^2))^q dtheta, a Beta integral, a = (y + y') / 2 and log(y y' / a^2)."""
+    a, lr = 0.5 * (y + yp), np.log1p(-np.square((y - yp) / (y + yp)))  # exact to rounding for close y, y'
+    return q * lr + np.log(a) + betaln(q - 0.5, 0.5) - LOG_2PI, a, lr
 
 
-def _angular_squares(u: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int):
-    """Yield (slice, t2) over the radius pairs (r[i], r[j]) in blocks of at most sections.BLOCK_ENTRIES entries.
+def _log_n2(p: int, a, lr, dd, theta):
+    """log N_p^2 at relative angle theta, from a, lr = log(y y' / a^2) and dd = log D(p, y) D(p, y'); the deck K."""
+    deck, k = _log_deck(p, a - 1j * theta)
+    return p * (lr - np.log1p(np.square(theta / a))) + 2.0 * deck - dd, k
 
-    t2 = min(N_p^2, 1) at the angles 2 pi k / n_t, k = 0 .. n_t/2 (N_p is even in theta), N_p = |sum_ell d_ell e^(i ell
-    theta)| with d = u[i] u[j]: folded mod n_t if L > n_t, as e^(i ell theta) depends on ell mod n_t, then one real FFT.
+
+def _bipotential_means(p: int, y: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Mean over theta of Gt(N_p) for each radius pair (y[i], y[j]), y = -2 log r; the near pairs; the largest deck K.
+
+    With a = (y + y') / 2 and D the deck sum of `disc._log_deck`, the Lipschitz formula gives N_p^2 = (y y' / (a^2 +
+    theta^2))^p |D(p, a - i theta)|^2 / (D(p, y) D(p, y')), and Parseval's mean of N_p^2 is the Beta integral at p
+    times D(2p - 1, 2a) / (D(p, y) D(p, y')), exact.  R = Gt(t) - t^2 / 4 pi^2 is added for the near pairs,
+    N_p(theta = 0)^2 > VARIANCE_TAU, on the hot window theta^2 <= y y' VARIANCE_TAU^(-1/p) - a^2 (at most pi) by a
+    Gauss rule in theta = theta_max s^2, which resolves the diagonal's theta^2 log theta.  Blocked by BLOCK_ENTRIES.
     """
-    k = -(-u.shape[1] // n_t)
-    step = max(1, sections.BLOCK_ENTRIES // (k * n_t))
+    diag, k_max = _log_deck(p, y)
+    s, w = _legendre_rule(0.0, 1.0, WINDOW_NODES)
+    w *= 2.0 * s / math.pi  # even in theta: the mean is int_0^pi d theta / pi, d theta = 2 theta_max s ds
+    out, near_pairs, step, log_tau = np.empty(i.size), 0, sections.BLOCK_ENTRIES // WINDOW_NODES, math.log(VARIANCE_TAU)
     for lo in range(0, i.size, step):
-        d = u[i[lo : lo + step]] * u[j[lo : lo + step]]
-        if k > 1:
-            d = np.pad(d, ((0, 0), (0, k * n_t - d.shape[1]))).reshape(len(d), k, n_t).sum(axis=1)
-        f = np.fft.rfft(d, n=n_t, axis=1)
-        yield slice(lo, lo + step), np.minimum(np.square(f.real) + np.square(f.imag), 1.0)
-
-
-def _theta_mean(values: np.ndarray, n_t: int) -> np.ndarray:
-    """Mean over all n_t angles (n_t even) from the half grid of `_angular_squares`."""
-    return (2.0 * np.sum(values, axis=1) - values[:, 0] - values[:, -1]) / n_t
-
-
-def _bipotential_means(u: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int) -> tuple[np.ndarray, int]:
-    """Mean of Gt(N_p) over n_t angles for each radius pair (r[i], r[j]), and the number of near pairs; squares u.
-
-    N_p^2 / 4 pi^2 is Parseval's sum, exact: the Gram matrix of u * u.  R = Gt(t) - t^2 / 4 pi^2 comes from the angle
-    grid where N_p^2 > VARIANCE_TAU, for the near pairs: those whose peak N_p(theta = 0) = (u u^T)[i, j] (u >= 0) is.
-    """
-    near = np.flatnonzero(np.square((u @ u.T)[i, j]) > VARIANCE_TAU)
-    rem_mean = np.empty(near.size)
-    for sl, t2 in _angular_squares(u, i[near], j[near], n_t):
-        hot = t2 > VARIANCE_TAU
-        rem, t2_hot = np.zeros(t2.shape), t2[hot]
-        rem[hot] = _gtilde_fast(t2_hot) - t2_hot / (4.0 * math.pi**2)
-        rem_mean[sl] = _theta_mean(rem, n_t)
-    out = (np.square(u, out=u) @ u.T)[i, j] / (4.0 * math.pi**2)
-    out[near] += rem_mean
-    return out, near.size
-
-
-def _variance_pass(space: DiscSpace, phi: TestFunction, n_r: int, n_t: int) -> tuple[float, int]:
-    r, meas = _c1_rule(phi.a, phi.b, n_r)
-    vec = laplacian_ratio(phi, r) * meas
-    i, j = np.triu_indices(n_r)
-    means, near = _bipotential_means(_unit_rows(space, np.log(r)), i, j, n_t)
-    return float((np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]) @ means), near
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        parseval, a, lr = _log_beta_mean(p, y[bi], y[bj])
+        dd = diag[bi] + diag[bj]
+        (deck, k0), (peak, k1) = _log_deck(2 * p - 1, 2.0 * a), _log_n2(p, a, lr, dd, 0.0)
+        out[lo : lo + step] = np.exp(parseval + deck - dd) / (4.0 * math.pi**2)
+        near = np.flatnonzero(peak > log_tau)
+        a, lr, dd = a[near, None], lr[near, None], dd[near, None]
+        theta_max = np.minimum(a * np.sqrt(np.maximum(np.expm1(lr - log_tau / p), 0.0)), math.pi)
+        t2, k2 = _log_n2(p, a, lr, dd, theta_max * s * s)
+        t2 = np.minimum(np.exp(t2), 1.0)
+        out[lo + near] += theta_max[:, 0] * ((_gtilde_fast(t2) - t2 / (4.0 * math.pi**2)) @ w)
+        near_pairs, k_max = near_pairs + near.size, max(k_max, k0, k1, k2)
+    return out, near_pairs, k_max
 
 
 def variance_bipotential(space: DiscSpace, phi: TestFunction, diagnostics: dict | None = None) -> float:
-    """Var[Y(phi)] from the bipotential double integral; nonnegative.
+    """Var[Y(phi)] from the bipotential double integral at p = space.p; nonnegative.
 
-    Adaptive: node counts double until successive values agree to
-    VARIANCE_RTOL (relative); RuntimeError if the refinement cap is hit.
-    Sets diagnostics["bipotential_radial_nodes"] and ["bipotential_near_pairs"], if given, from the final pass.
+    Adaptive: the radial node count doubles from VARIANCE_RADIAL_NODES until successive values agree to VARIANCE_RTOL
+    (relative); RuntimeError if the refinement cap is hit.  Sets diagnostics["bipotential_radial_nodes"],
+    ["bipotential_near_pairs"] (the pairs whose hot window was integrated) and ["bipotential_deck_terms"] (the
+    largest deck K), if given, from the final pass.
     """
-    n_r, n_t = VARIANCE_RADIAL_NODES, VARIANCE_ANGULAR_NODES
-    prev, _ = _variance_pass(space, phi, n_r, n_t)
-    for _ in range(VARIANCE_MAX_REFINEMENTS):
-        n_r, n_t = 2 * n_r, 2 * n_t
-        cur, near = _variance_pass(space, phi, n_r, n_t)
-        if abs(cur - prev) <= VARIANCE_RTOL * max(abs(cur), 1e-300):
+    prev = None
+    for refinement in range(VARIANCE_MAX_REFINEMENTS + 1):
+        n_r = VARIANCE_RADIAL_NODES << refinement
+        r, meas = _c1_rule(phi.a, phi.b, n_r)
+        vec = laplacian_ratio(phi, r) * meas
+        i, j = np.triu_indices(n_r)
+        means, near, decks = _bipotential_means(space.p, -2.0 * np.log(r), i, j)
+        cur = float((np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]) @ means)
+        if prev is not None and abs(cur - prev) <= VARIANCE_RTOL * max(abs(cur), 1e-300):
             if diagnostics is not None:
-                diagnostics.update(bipotential_radial_nodes=n_r, bipotential_near_pairs=near)
+                diagnostics.update(
+                    bipotential_radial_nodes=n_r, bipotential_near_pairs=near, bipotential_deck_terms=decks
+                )
             return max(cur, 0.0)
         prev = cur
     raise RuntimeError("variance quadrature did not converge under refinement")
@@ -224,13 +215,15 @@ def expected_linear_statistic(space: DiscSpace, phi: TestFunction) -> float:
 
 
 def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
-    """sup_z int N_p(z, w) c1(w) over the region; a normality diagnostic.
+    """sup_z int N_p(z, w) c1(w) over the region, at p = space.p; a normality diagnostic.
 
     Decays with p (the correlation length shrinks like p^(-1/2)), which is
-    the summability hypothesis behind the central limit theorem.
+    the summability hypothesis behind the central limit theorem.  The angular
+    mean of N_p is the Beta integral at p / 2 (`_log_beta_mean`), the k = 0
+    deck term over the whole line: exact but for the deck terms k != 0, which
+    move it by at most 2 (a / pi) sqrt(p) (1 + pi^2 / a^2)^(1 - p/2) relative,
+    a = -2 log region.a: 1.3e-24 at p = 100 on (0.35, 0.65), 5.3e-7 at p = 30.
     """
     r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
-    i, j = np.indices((r.size, r.size)).reshape(2, -1)
-    blocks = _angular_squares(_unit_rows(space, np.log(r)), i, j, PROXY_ANGULAR_NODES)
-    mean_n = [_theta_mean(np.sqrt(t2), PROXY_ANGULAR_NODES) for _, t2 in blocks]
-    return float(np.max(np.concatenate(mean_n).reshape(r.size, r.size) @ meas))
+    y = -2.0 * np.log(r)
+    return float(np.max(np.exp(_log_beta_mean(0.5 * space.p, y[:, None], y)[0]) @ meas))

@@ -5,10 +5,13 @@ clarity, not speed; the library's batch and array paths are checked
 against them, and the seed grid's int8 cell windings against the phase
 path they replaced.  Section and kernel values are (log_modulus, phase)
 pairs, with log_modulus = -inf, phase = 0 for an exact zero.  The
-bipotential ones are the per-pair exponential path that the unit rows of
-`statistics` replaced, normalized by the L-term log diagonal that the
-closed form of `disc` replaced.  The model-kernel ones check a solved
-potential and a candidate kernel element against the defining equations.
+bipotential ones are the per-pair exponential path over an angle grid
+(one exponential per pair and ell, a folded FFT per pair), normalized by
+the L-term log diagonal that the closed form of `disc` replaced: the unit
+rows of `statistics` replaced that path, and the closed form in
+y = -2 log r replaced them; at 8192 angles it is the closed form's
+reference.  The model-kernel ones check a solved potential and a
+candidate kernel element against the defining equations.
 """
 
 import math
@@ -21,14 +24,9 @@ from bergman_zeros import sections
 from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _off_diag
 from bergman_zeros.model import PotentialPair
 from bergman_zeros.sections import _scaled_coefficients
-from bergman_zeros.statistics import (
-    PROXY_ANGULAR_NODES,
-    PROXY_RADIAL_NODES,
-    VARIANCE_TAU,
-    _c1_rule,
-    _gtilde_fast,
-    _theta_mean,
-)
+from bergman_zeros.statistics import PROXY_RADIAL_NODES, VARIANCE_TAU, _c1_rule, _gtilde_fast
+
+PROXY_ANGULAR_NODES = 192  # angles of `correlation_proxy`
 
 
 def evaluate(space: DiscSpace, eta: np.ndarray, z: complex) -> tuple[float, float]:
@@ -150,6 +148,11 @@ def _angular_values(d: np.ndarray, shift: np.ndarray, n_t: int) -> np.ndarray:
     return np.minimum(np.abs(np.fft.rfft(d, n=n_t, axis=1)) * np.exp(shift)[:, None], 1.0)
 
 
+def _theta_mean(values: np.ndarray, n_t: int) -> np.ndarray:
+    """Mean over all n_t angles (n_t even) from the half grid theta = 2 pi k / n_t, k = 0 .. n_t/2."""
+    return (2.0 * np.sum(values, axis=1) - values[:, 0] - values[:, -1]) / n_t
+
+
 def bipotential_means(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.ndarray, n_t: int) -> np.ndarray:
     """Mean of Gt(N_p) over n_t angles for each radius pair (r[i], r[j]), pair by pair from the log coefficients.
 
@@ -170,7 +173,7 @@ def bipotential_means(space: DiscSpace, log_r: np.ndarray, i: np.ndarray, j: np.
 
 
 def correlation_proxy(space: DiscSpace, region: Annulus) -> float:
-    """`statistics.sodin_tsirelson_proxy` on the angle grid of `_angular_values`."""
+    """`statistics.sodin_tsirelson_proxy` from the angular means of `_angular_values` on PROXY_ANGULAR_NODES angles."""
     r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
     i, j = np.indices((r.size, r.size)).reshape(2, -1)
     blocks = _pair_blocks(space, np.log(r), i, j, PROXY_ANGULAR_NODES)

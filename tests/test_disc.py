@@ -146,6 +146,52 @@ class TestClosedFormDiagonal:
         assert max(errors) <= bound
 
 
+class TestDeckSum:
+    """The Lipschitz deck sum D(q, s): sum_ell ell^(q-1) e^(-s ell) = Gamma(q) s^(-q) D(q, s)."""
+
+    @staticmethod
+    def mp_deck(q, s, dps=50):
+        """|D(q, s)| from the direct sum over ell, to 1e-30 of the real-axis scale Gamma(q) (Re s)^(-q)."""
+        with mp.workdps(dps):
+            s = mp.mpc(s.real, s.imag)
+            total, ell, scale = mp.mpc(0), 1, mp.gamma(q) * s.real**-q
+            while True:
+                term = mp.exp((q - 1) * mp.log(ell) - ell * s)
+                total += term
+                if ell * s.real > q - 1 and abs(term) < mp.mpf("1e-30") * scale:
+                    return abs(total * s**q) / mp.gamma(q)
+                ell += 1
+
+    @pytest.mark.parametrize(
+        "q, s, k",
+        [
+            (40, 2.0 - 1.0j, 0),  # the bulk: the k = 0 term alone
+            (200, 4.0 - 3.0j, 0),  # its k = 1 term is 1e-3 of |D| but 3e-23 of the real-axis scale
+            (50, 24.0, 7),  # the cusp
+            (50, 24.0 - 3.1j, 8),
+            (99, 48.0, 8),  # the Parseval term there
+            (2, 2.0, 2),  # small q: past K = q, the closed form of the diagonal
+            (3, 0.3 - 1.0j, 3),
+            (7, 5.0, 7),
+        ],
+    )
+    def test_matches_direct_sum(self, q, s, k):
+        # errors measured relative to the k = 0 term on the real axis, (Re s / |s|)^q of |D|: at most 3e-15
+        log_d, got_k = disc._log_deck(q, np.array([s]))
+        error = abs(math.exp(log_d[0]) - float(self.mp_deck(q, s))) * (s.real / abs(s)) ** q
+        assert error < 1e-14
+        assert got_k == k
+
+    def test_k_is_the_smallest_the_bound_allows(self):
+        # K comes from the largest Re s and |Im s| of the array: one entry deep in the cusp sets it for all
+        s = np.array([1.0, 24.0 - 3.1j, 0.5 + 0.2j])
+        _, k = disc._log_deck(50, s)
+        w = [math.hypot(24.0, 2.0 * math.pi * (n + 1) - 3.1) for n in (k - 1, k)]
+        bound = [(2.0 + x) * (24.0 / x) ** 50 for x in w]
+        assert bound[0] > disc.DECK_RTOL >= bound[1]
+        assert disc._log_deck(50, s[[0, 2]])[1] == 0
+
+
 class TestArrayCalls:
     """A scalar call is the 0-d case of the array call, with one truncation check at the largest radius."""
 

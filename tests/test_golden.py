@@ -73,6 +73,16 @@ bytes, and the deviation of p = 50 moved 5.6e-14, to within 2.5e-16 of a
 40-digit maximum; the l1log values kept their bytes, and the
 deviations, differences of close values, moved 8.2e-14 (p = 18) and
 6.0e-13 (p = 36) absolute.  No other digest or listing line moved.
+The clt and variance digests were taken again when the bipotential and
+the correlation proxy came to be closed forms in y = -2 log r (the
+Lipschitz deck sum, Parseval's term a Beta integral, a Gauss rule on the
+hot window) in place of coefficient rows and an FFT over an angle grid,
+a declared output change.  Largest move per cell: the bipotential
+predictions 3.6e-6 (p = 30) and 4.9e-6 (p = 40) relative, the scaled
+variance estimates the same, their deviations 2.8e-7 and 5.1e-7, the
+|MC - bipotential| deviations 8.7e-6 and 3.5e-5 (differences of close
+values); the clt `correlation_sum_diagnostic` 1.1e-11 relative.  No other
+cell, digest or listing line moved.
 """
 
 import hashlib

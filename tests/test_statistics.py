@@ -1,30 +1,58 @@
 """Smooth statistics: test functions, bipotential profile, variance, experiments."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bergman_zeros import disc, sections, experiments
+from bergman_zeros import disc, sections, experiments, statistics
 from bergman_zeros.config import EXPERIMENTS
-from bergman_zeros.disc import Annulus, make_disc_space
+from bergman_zeros.disc import Annulus, _legendre_rule, _log_deck, make_disc_space
 from bergman_zeros.statistics import (
     APERY,
+    VARIANCE_TAU,
+    WINDOW_NODES,
     TestFunction,
-    _angular_squares,
     _bipotential_means,
     _c1_rule,
     _gtilde_fast,
-    _theta_mean,
-    _unit_rows,
+    _log_beta_mean,
+    _log_n2,
     expected_linear_statistic,
     laplacian_ratio,
     sodin_tsirelson_proxy,
     variance_bipotential,
     variance_leading_term,
 )
-from oracles import Gtilde, _gtilde_integral, _gtilde_series, bipotential_means, correlation_proxy
+from oracles import Gtilde, _gtilde_integral, _gtilde_series, _pair_blocks, bipotential_means, correlation_proxy
+
+# angles of the per-pair oracle: the closed form is checked against it to 1e-7 relative
+ORACLE_ANGLES = 8192
+CUSP = (math.exp(-12.0), math.exp(-3.0))
+
+
+def _pass_weights(phi: TestFunction, n_r: int):
+    """The radii of a variance pass at n_r nodes, its upper-triangle pairs and their weights."""
+    r, meas = _c1_rule(phi.a, phi.b, n_r)
+    vec = laplacian_ratio(phi, r) * meas
+    i, j = np.triu_indices(n_r)
+    return r, i, j, np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]
+
+
+def library_pass(p: int, a: float, b: float, n_r: int) -> float:
+    """The variance pass of `variance_bipotential` at n_r radial nodes."""
+    r, i, j, weights = _pass_weights(TestFunction(a, b), n_r)
+    return float(weights @ _bipotential_means(p, -2.0 * np.log(r), i, j)[0])
+
+
+@functools.cache
+def oracle_pass(p: int, a: float, b: float, n_r: int) -> float:
+    """The same pass from the per-pair exponential oracle on ORACLE_ANGLES angles."""
+    r, i, j, weights = _pass_weights(TestFunction(a, b), n_r)
+    space = make_disc_space(p, sections.truncation_length(p, b))
+    return float(weights @ bipotential_means(space, np.log(r), i, j, ORACLE_ANGLES))
 
 
 class TestTestFunction:
@@ -127,61 +155,59 @@ class TestVariance:
         # zeta(3) from scratch
         assert APERY == pytest.approx(sum(1.0 / k**3 for k in range(1, 400_000)), rel=1e-10)
 
-    def test_grid_matches_scalar_kernel(self, space80):
-        r = np.array([0.4, 0.5, 0.6])
-        i, j = np.indices((3, 3)).reshape(2, -1)
-        for n_t in (16, 64, 512):  # folded (n_t < L) and zero-padded (n_t > L)
-            [(_, t2)] = _angular_squares(_unit_rows(space80, np.log(r)), i, j, n_t)
-            thetas = 2.0 * np.pi * np.arange(n_t // 2 + 1) / n_t
-            direct = disc.normalized_kernel(space80, r[i, None], r[j, None] * np.exp(1j * thetas))
-            assert np.max(np.abs(np.sqrt(t2) - direct)) < 1e-12
+    def test_grid_matches_scalar_kernel(self):
+        # the closed-form N_p at theta = 0 (the near test; 1 on the diagonal) and at the hot-window nodes, against the
+        # truncated basis sum of disc; the cusp pairs take deck terms
+        for p, r in ((80, np.array([0.4, 0.5, 0.6])), (50, np.exp([-12.0, -9.0, -6.0]))):
+            space = make_disc_space(p, sections.truncation_length(p, r.max()))
+            i, j = np.indices((r.size, r.size)).reshape(2, -1)
+            y = -2.0 * np.log(r)
+            _, a, lr = _log_beta_mean(p, y[i], y[j])
+            diag, _ = _log_deck(p, y)
+            theta_max = np.minimum(a * np.sqrt(np.maximum(np.expm1(lr - math.log(VARIANCE_TAU) / p), 0.0)), math.pi)
+            theta = np.outer(theta_max, np.square(np.append(0.0, _legendre_rule(0.0, 1.0, WINDOW_NODES)[0])))
+            log_n2, k = _log_n2(p, a[:, None], lr[:, None], (diag[i] + diag[j])[:, None], theta)
+            direct = disc.normalized_kernel(space, r[i, None], r[j, None] * np.exp(1j * theta))
+            assert np.max(np.abs(np.sqrt(np.exp(log_n2)) - direct)) < 1e-12
+            assert np.all(log_n2[i == j, 0] == 0.0)
+            assert (k > 0) == (p == 50)
 
     @pytest.mark.parametrize("p", [40, 200])
-    def test_parseval_term_is_the_theta_mean(self, p):
-        # the grid mean of N_p^2 over n_t >= 4L angles has no aliasing: it is sum_l (u_l(r) u_l(r'))^2
+    def test_parseval_term_is_the_theta_mean(self, p, monkeypatch):
+        # with no pair near, a pair mean is its Parseval term alone: the Beta integral times its deck factors against
+        # the oracle's sum of d^2 over the truncated basis; r = e^-10 takes deck terms
         space = make_disc_space(p, sections.truncation_length(p, 0.9))
-        r = np.array([0.2, 0.45, 0.5, 0.9])
+        r = np.array([math.exp(-10.0), 0.2, 0.45, 0.5, 0.9])
         i, j = np.triu_indices(r.size)
-        n_t = 1 << (4 * space.L - 1).bit_length()
-        u = _unit_rows(space, np.log(r))
-        [(_, t2)] = _angular_squares(u, i, j, n_t)
-        parseval = (np.square(u) @ np.square(u).T)[i, j]
-        assert np.max(np.abs(_theta_mean(t2, n_t) / parseval - 1.0)) < 1e-12
-
-    @pytest.mark.parametrize("p", [40, 200])
-    def test_unit_rows_have_unit_norm(self, p):
-        # each row is scaled by its own norm: 4.4e-16 at p = 200 and 1.1e-15 at p = 640, where a norm from the
-        # log diagonal left 2.4e-14 and 8.7e-14
-        space = make_disc_space(p, sections.truncation_length(p, 0.9))
-        u = _unit_rows(space, np.log(np.linspace(0.05, 0.9, 40)))
-        assert np.max(np.abs(np.sum(u * u, axis=1) - 1.0)) < 1e-13
-
-    @pytest.mark.parametrize("p", [40, 200])
-    def test_gram_value_is_the_first_angle(self, p):
-        # N_p at theta = 0, the near test, is the Gram matrix u u^T; the angle grid starts at theta = 0
-        space = make_disc_space(p, sections.truncation_length(p, 0.9))
-        r = np.linspace(0.2, 0.9, 12)
-        i, j = np.triu_indices(r.size)
-        u = _unit_rows(space, np.log(r))
-        t2 = np.concatenate([t2 for _, t2 in _angular_squares(u, i, j, 64)])
-        assert np.max(np.abs(np.sqrt(t2[:, 0]) - (u @ u.T)[i, j])) < 1e-13
+        monkeypatch.setattr(statistics, "VARIANCE_TAU", 2.0)
+        means, near, _ = _bipotential_means(p, -2.0 * np.log(r), i, j)
+        blocks = _pair_blocks(space, np.log(r), i, j, 64)
+        parseval = np.concatenate([np.sum(d * d, axis=1) * np.exp(2.0 * shift) for _, d, shift in blocks])
+        assert near == 0
+        assert np.max(np.abs(4.0 * math.pi**2 * means / parseval - 1.0)) < 1e-12
 
     @pytest.mark.parametrize(
-        "p, a, b, dense_grid_value",
+        "p, a, b, pinned",
         [
-            (40, 0.35, 0.65, 1.7687215252358381),
-            (80, 0.35, 0.65, 1.5005194680720781),
-            (200, 0.35, 0.65, 1.0584760746745427),
+            (40, 0.35, 0.65, 1.768712913658045),
+            (80, 0.35, 0.65, 1.5005022464557902),
+            (200, 0.35, 0.65, 1.0584736837368827),
         ],
     )
-    def test_matches_dense_grid_values(self, p, a, b, dense_grid_value):
-        # pinned from the dense (r, r', theta) evaluation of the same quadrature rule
+    def test_matches_closed_form_pins(self, p, a, b, pinned):
+        # pinned from the closed form, and within 1e-7 of the per-pair oracle at the same radial nodes; the angle grid
+        # of the FFT path gave 1.7687215252358381, 1.5005194680720781 and 1.0584760746745427, up to 1.2e-5 off
         phi = TestFunction(a, b)
         space = make_disc_space(p, sections.truncation_length(p, b))
-        assert variance_bipotential(space, phi) == pytest.approx(dense_grid_value, rel=1e-9)
+        diagnostics = {}
+        value = variance_bipotential(space, phi, diagnostics)
+        assert value == pytest.approx(pinned, rel=1e-9)
+        assert value == pytest.approx(oracle_pass(p, a, b, diagnostics["bipotential_radial_nodes"]), rel=1e-7)
+        assert diagnostics["bipotential_deck_terms"] == 0
 
     def test_wide_support_in_bounded_memory(self):
-        # the dense (r, r', theta) grid took 2.5 GB traced for this case; the value is pinned from it
+        # the dense (r, r', theta) grid took 2.5 GB traced for this case; the value is pinned from the closed form,
+        # within 1e-7 of the per-pair oracle at the same radial nodes (the FFT path gave 0.07822989228457813)
         phi = TestFunction(0.1, 0.9)
         space = make_disc_space(160, sections.truncation_length(160, phi.b))
         diagnostics = {}
@@ -192,26 +218,37 @@ class TestVariance:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
-        assert value == pytest.approx(0.07822989228457813, rel=1e-9)
-        assert diagnostics == {"bipotential_radial_nodes": 256, "bipotential_near_pairs": 9151}
+        assert value == pytest.approx(0.07822961181424809, rel=1e-9)
+        assert value == pytest.approx(oracle_pass(160, 0.1, 0.9, 128), rel=1e-7)
+        assert diagnostics == {
+            "bipotential_radial_nodes": 128,
+            "bipotential_near_pairs": 2320,
+            "bipotential_deck_terms": 0,
+        }
 
-    def test_unit_rows_in_bounded_memory(self):
-        # a log diagonal of all 512 radial nodes in one array peaked at 104 MB traced here (L = 4132); the rows
-        # built in place and scaled by their own largest term and norm peak at their own 16 MB
+    def test_bounded_memory_at_p640(self):
+        # the unit rows of the FFT path peaked at 16 MB here (n_r = 512, L = 4132), a log diagonal of all nodes in one
+        # array at 104 MB; the closed form reads no coefficient row
         phi = TestFunction(0.1, 0.9)
         space = make_disc_space(640, sections.truncation_length(640, phi.b))
-        r, _ = _c1_rule(phi.a, phi.b, 512)
         tracemalloc.start()
         try:
-            _unit_rows(space, np.log(r))
+            variance_bipotential(space, phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    def test_converges_at_large_p(self):
+        # the FFT path raised "did not converge" at p = 1280 (L = 7578); bip / lead measured 0.9401, 0.9672, 0.9827
+        phi = TestFunction(0.1, 0.9)
+        ratios = [variance_bipotential(make_disc_space(p, 1), phi) / variance_leading_term(phi, p)
+                  for p in (640, 1280, 2560)]
+        assert all(0.9 < x < 1.0 for x in ratios)
+        assert ratios[0] < ratios[1] < ratios[2]
+
     def test_pair_block_size_does_not_change_values(self, monkeypatch):
-        # each pair value depends on its own radii only: blocks of 4 to 19 pairs give the
-        # same floats as the default blocks
+        # each pair value depends on its own radii only: blocks of 312 pairs give the same floats as the default blocks
         phi, region = TestFunction(0.35, 0.65), Annulus(0.2, 0.7)
         spaces = [make_disc_space(p, sections.truncation_length(p, phi.b)) for p in (40, 200)]
         proxy_space = make_disc_space(100, sections.truncation_length(100, region.b))
@@ -221,24 +258,45 @@ class TestVariance:
 
         default = values()
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
-        blocks = _angular_squares(_unit_rows(spaces[1], np.log([0.4, 0.5, 0.6])), *np.triu_indices(3), 1024)
-        assert [len(t2) for _, t2 in blocks] == [4, 2]
+        sizes, beta = [], statistics._log_beta_mean
+        monkeypatch.setattr(statistics, "_log_beta_mean", lambda q, y, yp: sizes.append(y.size) or beta(q, y, yp))
         assert values() == default
+        assert max(sizes[:-1]) == 5000 // WINDOW_NODES  # the last call is the proxy's
 
     @pytest.mark.parametrize("p, a, b, n_r", [(40, 0.35, 0.65, 128), (200, 0.35, 0.65, 256), (160, 0.1, 0.9, 256)])
     def test_matches_per_pair_exponential_oracle(self, p, a, b, n_r):
-        # the final pass of variance_bipotential, from the unit rows and from one exponential per pair and ell;
-        # single pair means differ by up to 1.7e-13 relative, as much as the oracle's own error against a
-        # 40-digit evaluation of the same inputs (1.8e-13 at p = 200, the unit rows 3.6e-14)
-        phi = TestFunction(a, b)
-        space = make_disc_space(p, sections.truncation_length(p, b))
-        r, meas = _c1_rule(a, b, n_r)
-        vec = laplacian_ratio(phi, r) * meas
-        i, j = np.triu_indices(n_r)
-        weights = np.where(i == j, 1.0, 2.0) * vec[i] * vec[j]
-        means, _ = _bipotential_means(_unit_rows(space, np.log(r)), i, j, 4 * n_r)
-        oracle = bipotential_means(space, np.log(r), i, j, 4 * n_r)
-        assert weights @ means == pytest.approx(weights @ oracle, rel=1e-13)
+        # one pass of variance_bipotential, from the closed form and from one exponential per pair and ell on
+        # 8192 angles: 7.5e-10, 4.2e-9 and 7.8e-8 apart at the converged passes
+        assert library_pass(p, a, b, n_r) == pytest.approx(oracle_pass(p, a, b, n_r), rel=1e-7)
+
+    def test_cusp_matches_per_pair_oracle(self):
+        # N_p in the cusp needs its deck terms (y up to 24): 4.8e-10 from the oracle with them
+        phi = TestFunction(*CUSP)
+        diagnostics = {}
+        value = variance_bipotential(make_disc_space(50, 1), phi, diagnostics)
+        assert value == pytest.approx(oracle_pass(50, *CUSP, diagnostics["bipotential_radial_nodes"]), rel=1e-7)
+        assert diagnostics["bipotential_deck_terms"] > 0
+
+    def test_cusp_fails_without_the_deck_terms(self, monkeypatch):
+        # the k = 0 term alone is 9.2e-4 off in the cusp
+        monkeypatch.setattr(statistics, "_log_deck", lambda q, s: (np.zeros(np.shape(s)), 0))
+        assert library_pass(50, *CUSP, 128) != pytest.approx(oracle_pass(50, *CUSP, 128), rel=1e-7)
+
+    @pytest.mark.parametrize("p", [40, 80, 120, 200])
+    def test_no_deck_terms_in_the_bulk(self, p):
+        diagnostics = {}
+        variance_bipotential(make_disc_space(p, 1), TestFunction(0.35, 0.65), diagnostics)
+        assert diagnostics["bipotential_deck_terms"] == 0
+
+    @pytest.mark.parametrize("p", [5, 30, 100])
+    def test_proxy_within_its_deck_bound(self, p):
+        # the Beta integral leaves out the deck terms, at most 2 (a / pi) sqrt(p) (1 + pi^2 / a^2)^(1 - p/2) of the
+        # value: 0.51 at p = 5 (3.5e-2 measured), 5.3e-7 at p = 30 (1.1e-11); 1e-13 is the grid oracle's rounding
+        region = Annulus(0.35, 0.65)
+        space = make_disc_space(p, sections.truncation_length(p, region.b))
+        a = -2.0 * math.log(region.a)
+        bound = 2.0 * a / math.pi * math.sqrt(p) * (1.0 + (math.pi / a) ** 2) ** (1.0 - p / 2)
+        assert abs(sodin_tsirelson_proxy(space, region) / correlation_proxy(space, region) - 1.0) <= bound + 1e-13
 
     def test_proxy_matches_per_pair_exponential_oracle(self):
         region = Annulus(0.2, 0.7)
@@ -253,11 +311,9 @@ class TestVariance:
         # so the radii within 14 / sqrt(p) of |z| in s carry all of K.
         s0, half = math.log(-math.log(r0)), 14.0 / math.sqrt(p)
         r, meas = _c1_rule(math.exp(-math.exp(s0 + half)), math.exp(-math.exp(s0 - half)), 256)
-        space = make_disc_space(p, sections.truncation_length(p, r.max()))
-        n_t = 1 << (4 * space.L - 1).bit_length()
-        log_r = np.log(np.concatenate([[r0], r]))
+        y = -2.0 * np.log(np.concatenate([[r0], r]))
         pairs = np.zeros(r.size, dtype=int), np.arange(1, r.size + 1)
-        means, _ = _bipotential_means(_unit_rows(space, log_r), *pairs, n_t)
+        means, _, _ = _bipotential_means(p, y, *pairs)
         assert abs(p * float(meas @ means) / (APERY / (4.0 * math.pi**2)) - 1.0) <= 2.0 / p
 
 
