@@ -222,7 +222,7 @@ def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
     mean of N_p is the Beta integral at p / 2 (`_log_beta_mean`), the k = 0
     deck term over the whole line: exact but for the deck terms k != 0, which
     move it by at most 2 (a / pi) sqrt(p) (1 + pi^2 / a^2)^(1 - p/2) relative,
-    a = -2 log region.a: 1.3e-24 at p = 100 on (0.35, 0.65), 5.3e-7 at p = 30.
+    a = -2 log region.a: 1.3e-24 at p = 100 on (0.35, 0.65), 5.2e-7 at p = 30.
     """
     r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
     y = -2.0 * np.log(r)

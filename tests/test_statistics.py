@@ -291,7 +291,7 @@ class TestVariance:
     @pytest.mark.parametrize("p", [5, 30, 100])
     def test_proxy_within_its_deck_bound(self, p):
         # the Beta integral leaves out the deck terms, at most 2 (a / pi) sqrt(p) (1 + pi^2 / a^2)^(1 - p/2) of the
-        # value: 0.51 at p = 5 (3.5e-2 measured), 5.3e-7 at p = 30 (1.1e-11); 1e-13 is the grid oracle's rounding
+        # value: 0.51 at p = 5 (3.6e-2 measured), 5.2e-7 at p = 30 (1.1e-11); 1e-13 is the grid oracle's rounding
         region = Annulus(0.35, 0.65)
         space = make_disc_space(p, sections.truncation_length(p, region.b))
         a = -2.0 * math.log(region.a)
