@@ -209,26 +209,32 @@ def _log_diag(p: int, y):
 
 
 def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
-    """log |sum_{|k| <= K} (1 + 2 pi i k / s)^(-q)| over an array s (q >= 2, Re s > 0, |Im s| <= pi), and K.
+    """log |D_q(s)| over an array s (q >= 2, Re s > 0, |Im s| <= pi), and K, the most deck terms an entry may take.
 
-    The sum over the cusp's deck group: by the Lipschitz formula, F(s) = sum_ell ell^(q-1) e^(-s ell) is
-    Gamma(q) s^(-q) times the full sum.  K is the smallest with (2 + |w|) (A / |w|)^q <= DECK_RTOL, w = A + i (2 pi
-    (K+1) - B), A and B the largest Re s and |Im s|; the bound rises with both, so it puts the omitted terms
-    sum_{|k| > K} |s + 2 pi i k|^(-q) of every entry below DECK_RTOL (Re s)^(-q), its k = 0 term at Im s = 0.  In the
-    bulk K = 0.  Where K would reach q (small q), F is the closed form x E(x) / (1 - x)^q of `_log_diag` at x = e^(-s).
+    D_q(s) = sum_k (1 + 2 pi i k / s)^(-q) is the sum over the cusp's deck group: by the Lipschitz formula,
+    sum_ell ell^(q-1) e^(-s ell) = Gamma(q) s^(-q) D_q(s).  K is the smallest with (2 + |w|) (A / |w|)^q <= DECK_RTOL,
+    w = A + i (2 pi (K+1) - B), A and B the largest Re s and |Im s| (the bound rises with both); each entry stops at
+    the least K_s <= K with |w_s| >= Re s ((2 + |w|) / DECK_RTOL)^(1/q), w_s its own w at K_s.  That keeps its omitted
+    terms sum_{|k| > K_s} |s + 2 pi i k|^(-q) below DECK_RTOL (Re s)^(-q), its k = 0 term at Im s = 0.  In the bulk
+    K = 0.  Where K would reach q (small q), D_q comes from the closed form x E(x) / (1 - x)^q of `_log_diag`.
     """
-    a, im, k = s.real.max(initial=0.0), abs(s.imag).max(initial=0.0), 0
-    while a and k < q:
-        w = math.hypot(a, 2.0 * math.pi * (k + 1) - im)
-        if (2.0 + w) * (a / w) ** q <= DECK_RTOL:
+    a, im, k = s.real, abs(s.imag), 0
+    while a.size and k < q:
+        w = math.hypot(a.max(), 2.0 * math.pi * (k + 1) - im.max())
+        if (2.0 + w) * (a.max() / w) ** q <= DECK_RTOL:
             break
         k += 1
     if k == q:
         f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q), 1))
         return np.log(np.abs(f * (s / -np.expm1(-s)) ** q)), k
-    z = 2j * math.pi / s
-    terms = ((1.0 + n * z) ** -q + (1.0 - n * z) ** -q for n in range(1, k + 1))
-    return np.log(np.abs(sum(terms, np.ones(s.shape)))), k
+    total = np.ones(s.shape, dtype=np.complex128)
+    if k:
+        w_s, z = a * ((2.0 + w) / DECK_RTOL) ** (1.0 / q), 2j * math.pi / s
+        need = np.ceil((np.sqrt(np.maximum(w_s * w_s - a * a, 0.0)) + im) / (2.0 * math.pi)) - 1.0
+        for n in range(1, k + 1):
+            sel = need >= n
+            total[sel] += (1.0 + n * z[sel]) ** -q + (1.0 - n * z[sel]) ** -q
+    return np.log(np.abs(total)), k
 
 
 def log_kernel_function(p: int, r):

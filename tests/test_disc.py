@@ -183,13 +183,17 @@ class TestDeckSum:
         assert got_k == k
 
     def test_k_is_the_smallest_the_bound_allows(self):
-        # K comes from the largest Re s and |Im s| of the array: one entry deep in the cusp sets it for all
-        s = np.array([1.0, 24.0 - 3.1j, 0.5 + 0.2j])
-        _, k = disc._log_deck(50, s)
+        # K comes from the largest Re s and |Im s| of the array, and each entry stops where its own bound allows:
+        # the bulk entries beside a deep one keep their k = 0 term alone
+        s = np.array([1.0, 24.0 - 3.1j, 0.5 + 0.2j, 12.0 + 1.0j])
+        log_d, k = disc._log_deck(50, s)
         w = [math.hypot(24.0, 2.0 * math.pi * (n + 1) - 3.1) for n in (k - 1, k)]
         bound = [(2.0 + x) * (24.0 / x) ** 50 for x in w]
         assert bound[0] > disc.DECK_RTOL >= bound[1]
         assert disc._log_deck(50, s[[0, 2]])[1] == 0
+        assert log_d[0] == log_d[2] == 0.0
+        for got, entry in zip(log_d, s):
+            assert abs(math.exp(got) - float(self.mp_deck(50, entry))) * (entry.real / abs(entry)) ** 50 < 1e-14
 
 
 class TestArrayCalls:
