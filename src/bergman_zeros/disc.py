@@ -7,10 +7,11 @@ y = -2 log|z| and x = e^(-y), the diagonal kernel function is
     B_p(z) = y^p / (2 pi (p-2)!) * sum_ell ell^(p-1) x^ell = (p-1) / (2 pi) * x E(x) * (y / (1 - x))^p,
 
 E = A_(p-1) / (p-1)! the Eulerian polynomial (Petersen, *Eulerian Numbers*,
-2015): p - 1 positive terms, no truncation.  The two-point kernel and the
-zero counting function sum the basis truncated at L in the log domain
-(log-gamma plus max-shifted sums): at p ~ 200 the terms span far more
-than 300 orders of magnitude.
+2015): p - 1 positive terms, no truncation.  The normalized two-point
+kernel is the Poincare series over the cusp's deck group (`_log_n2`), no
+truncation either.  The zero counting function sums the basis truncated
+at L in the log domain (log-gamma plus max-shifted sums): at p ~ 200 the
+terms span far more than 300 orders of magnitude.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Relative tail mass below which a truncated basis is considered exact
-# for the two-point kernel and the zero counting function.
+# Relative tail mass below which a truncated basis is exact for the zero counting function.
 KERNEL_TAIL_RTOL = 1e-14
 # Bound on the omitted deck terms of `_log_deck`, relative to its k = 0 term on the real axis.
 DECK_RTOL = 1e-16
@@ -225,8 +225,8 @@ def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
             break
         k += 1
     if k == q:
-        f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q), 1))
-        return np.log(np.abs(f * (s / -np.expm1(-s)) ** q)), k
+        f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q)))  # E(x), x = e^(-s): no underflow
+        return np.log(np.abs(f * (s / -np.expm1(-s)) ** q)) - a, k
     total = np.ones(s.shape, dtype=np.complex128)
     if k:
         w_s, z = a * ((2.0 + w) / DECK_RTOL) ** (1.0 / q), 2j * math.pi / s
@@ -247,37 +247,25 @@ def kernel_function(p: int, r):
     return _scalar_or_array(np.exp(log_kernel_function(p, r)))
 
 
-def _off_diag(space: DiscSpace, z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(y, y', m, s), y = -2 log|z|, with sum_ell c_ell^2 (z zbar')^ell = e^m s, elementwise over the broadcast points.
-
-    One domain and truncation check covers both point sets.
-    """
-    z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
-    rz, rp = np.abs(z), np.abs(zp)
-    _checked_radii(np.append(rz, rp), space)
-    # z zbar' in real arithmetic, unfused: swapping the points then
-    # conjugates it exactly, which numpy's complex product does not promise
-    re = z.real * zp.real + z.imag * zp.imag
-    im = z.imag * zp.real - z.real * zp.imag
-    log_terms = space.log_coeffs + np.multiply.outer(np.log(np.hypot(re, im)), space.ells)
-    m = np.max(log_terms, axis=-1)
-    phases = np.exp(1j * np.multiply.outer(np.arctan2(im, re), space.ells))
-    return -2.0 * np.log(rz), -2.0 * np.log(rp), m, np.sum(np.exp(log_terms - m[..., None]) * phases, axis=-1)
+def _log_n2(p: int, a, lr, dd, theta):
+    """log N_p^2 at relative angle theta, from a, lr = log(y y' / a^2) and dd = log D(p, y) D(p, y'); the deck K."""
+    deck, k = _log_deck(p, a - 1j * theta)
+    return p * (lr - np.log1p(np.square(theta / a))) + 2.0 * deck - dd, k
 
 
-def normalized_kernel(space: DiscSpace, z, zp):
+def normalized_kernel(p: int, z, zp):
     """N_p(z, z') = |B_p(z,z')| / sqrt(B_p(z) B_p(z')) in [0, 1]; elementwise over broadcast arrays of points.
 
-    Computed entirely in the log domain: the numerator sums the truncated
-    basis, the diagonals are the closed form.  Underflow of the
-    off-diagonal sum returns exactly 0.0.
+    The Poincare series: with y = -2 log|z|, a = (y + y') / 2, the relative angle theta in [-pi, pi] and D the deck
+    sum of `_log_deck`, the Lipschitz formula gives N_p^2 = (y y' / (a^2 + theta^2))^p |D(p, a - i theta)|^2 /
+    (D(p, y) D(p, y')), no truncation.  The deck terms left out are below DECK_RTOL (Re s)^(-p): N_p is exact to about
+    DECK_RTOL absolute, so at |theta| near pi not relatively.  In the bulk (K = 0) N_p = cosh(d / sqrt 2)^(-p), d the
+    `poincare_distance`.  Underflow returns exactly 0.0.
     """
-    y, yp, m, s = _off_diag(space, z, zp)
-    # the diagonals without their weight (y y')^p
-    log_diags = _log_diag(space.p, y) + _log_diag(space.p, yp) - space.p * np.log(y * yp)
-    with np.errstate(divide="ignore"):
-        log_n = m + np.log(np.abs(s)) - 0.5 * log_diags
-    return _scalar_or_array(np.exp(log_n))
+    y, yp, theta = _cusp_coordinates(z, zp)
+    (deck, _), (deck_p, _) = _log_deck(p, y), _log_deck(p, yp)
+    lr = np.log1p(-np.square((y - yp) / (y + yp)))  # log(y y' / a^2), exact to rounding for close y, y'
+    return _scalar_or_array(np.exp(0.5 * _log_n2(p, 0.5 * (y + yp), lr, deck + deck_p, theta)[0]))
 
 
 def sup_kernel(p: int) -> tuple[float, float]:
@@ -305,29 +293,26 @@ def sup_kernel(p: int) -> tuple[float, float]:
 # hyperbolic geometry of the punctured disc
 
 
-def _to_half_plane(z) -> tuple[np.ndarray, np.ndarray]:
-    """Covering coordinate tau = theta/2pi + i(-log r)/2pi of the cusp, as (Re tau, Im tau), elementwise."""
-    z = np.asarray(z, dtype=np.complex128)
-    return np.arctan2(z.imag, z.real) / (2.0 * math.pi), -np.log(_checked_radii(np.abs(z))) / (2.0 * math.pi)
+def _cusp_coordinates(z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, y', theta), y = -2 log|z| and theta in [-pi, pi] the relative angle (nearest deck shift), elementwise."""
+    z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
+    theta = np.angle(z) - np.angle(zp)
+    y, yp = (-2.0 * np.log(_checked_radii(np.abs(w))) for w in (z, zp))
+    return y, yp, theta - 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
 
 
 def poincare_distance(z, zp):
     """Geodesic distance of the cusp metric on the punctured disc; elementwise over broadcast arrays of points.
 
-    Via the covering map to the upper half-plane the metric pulls back to
-    half the standard hyperbolic metric, so the distance is
-    ``(1/sqrt(2)) * min_n arccosh(1 + |tau - tau' - n|^2 / (2 Im tau Im tau'))``
-    with the minimum over integer deck shifts n.
+    Via the covering map tau = (theta + i y / 2) / 2 pi to the upper
+    half-plane the metric pulls back to half the standard hyperbolic
+    metric, so the distance is
+    ``(1/sqrt(2)) * arccosh(1 + |tau - tau'|^2 / (2 Im tau Im tau'))``
+    at the nearest deck representative, |Re tau - Re tau'| <= 1/2.
     """
-    x, y = _to_half_plane(z)
-    xp, yp = _to_half_plane(zp)
-    dx = x - xp
-    dx -= np.round(dx)  # nearest deck representative
-    best = np.inf
-    for n in (-1.0, 0.0, 1.0):
-        s = ((dx + n) ** 2 + (y - yp) ** 2) / (2.0 * y * yp)
-        best = np.minimum(best, np.log1p(s + np.sqrt(s * (2.0 + s))))  # arccosh(1 + s), stable for small s
-    return _scalar_or_array(best / math.sqrt(2.0))
+    y, yp, theta = _cusp_coordinates(z, zp)
+    s = (4.0 * theta * theta + (y - yp) ** 2) / (2.0 * y * yp)
+    return _scalar_or_array(np.log1p(s + np.sqrt(s * (2.0 + s))) / math.sqrt(2.0))  # arccosh(1 + s), stable at s ~ 0
 
 
 def c1_area(region: Annulus) -> float:

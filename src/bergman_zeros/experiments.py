@@ -249,6 +249,16 @@ def l1log_experiment(p: Sequence[int], annulus: Annulus, seed: int = 0) -> Stats
 
 FAR_K = 2  # far pairs sit beyond sqrt(12 FAR_K log p / p)
 FAR_TOLERANCE = 1e-3  # largest N_p of a far pair
+SECH_ROUNDING = 1e-13  # rounding of log N_p and of p log cosh(d / sqrt 2), relative to |log N_p|
+
+
+def _deck_excess(p: int, a, theta):
+    """Bound on |D(p, s) - 1|, s = a - i theta, rising in a and |theta| < pi.
+
+    On each side of k = 0 the deck terms |s / (s + 2 pi i k)|^p are at most the first plus an integral,
+    (|s| / w)^p (2 + a^2 / 2 pi^2), w^2 = a^2 + (2 pi - |theta|)^2."""
+    b = 2.0 * math.pi - np.abs(theta)
+    return (4.0 + a * a / math.pi**2) * ((a * a + theta * theta) / (a * a + b * b)) ** (0.5 * p)
 
 
 def kernel_decay_experiment(
@@ -257,14 +267,15 @@ def kernel_decay_experiment(
     n_pairs: int = 400,
     seed: int = 0,
 ) -> StatsReport:
-    """Normalized-kernel decay: Gaussian near-regime slope and far-regime bound.
+    """Normalized-kernel decay: Gaussian near-regime slope, far-regime bound and the sech-power identity.
 
     Near pairs have hyperbolic distance below sqrt(12 log p / p); the
     regression of -log N_p on p d^2/4 over them should have slope near 1.
     Far pairs sit beyond sqrt(12 FAR_K log p / p), where N_p must be tiny.
+    Every pair must meet N_p = cosh(d / sqrt 2)^(-p), the k = 0 term of the Poincare series, up to
+    the other deck terms (`_deck_excess` at the pair's larger y) and SECH_ROUNDING.
     """
     report = StatsReport("kernel-decay", seed)
-    space = disc.make_disc_space(p, disc.adaptive_truncation(p, annulus.b * 1.05))
     rng = sections.section_stream(seed, (p, 7001))
     d_near = math.sqrt(12.0) * math.sqrt(math.log(p) / p)
     d_far = math.sqrt(12.0 * FAR_K) * math.sqrt(math.log(p) / p)
@@ -274,7 +285,7 @@ def kernel_decay_experiment(
         if mode == 0:  # angular move
             dtheta = 2.0 * s * math.sinh(d / math.sqrt(2.0))
             return r0 * complex(math.cos(theta0 + sign * dtheta), math.sin(theta0 + sign * dtheta))
-        # radial move, always inward so the truncation stays adequate
+        # radial move, always inward: into the cusp, where the deck terms that the sech-power check allows for grow
         s2 = s * math.exp(math.sqrt(2.0) * d)
         return math.exp(-s2) * complex(math.cos(theta0), math.sin(theta0))
 
@@ -290,11 +301,11 @@ def kernel_decay_experiment(
         d = rng.uniform(0.08, d_near) if i % 2 == 0 else rng.uniform(d_far, 1.5 * d_far)
         z0s[i] = r0 * complex(math.cos(theta0), math.sin(theta0))
         z1s[i] = displaced(r0, theta0, d, mode, sign)
-    npv = disc.normalized_kernel(space, z0s, z1s)
+    npv = disc.normalized_kernel(p, z0s, z1s)
+    dists = disc.poincare_distance(z0s, z1s)
     near = np.arange(0, n_pairs, 2)
     near = near[npv[near] > 0.0]
-    dists = disc.poincare_distance(z0s[near], z1s[near])
-    xs, ys = p * dists * dists / 4.0, -np.log(npv[near])
+    xs, ys = p * dists[near] ** 2 / 4.0, -np.log(npv[near])
     far_vals = npv[1::2]
     if len(xs) < 2:
         raise ValueError(
@@ -306,6 +317,15 @@ def kernel_decay_experiment(
     report.row(p, "far_regime_max_normalized_kernel", far_max, prediction=0.0, n_samples=len(far_vals))
     report.check("decay_slope_window", bool(0.9 <= slope <= 1.1), f"slope {slope:.4f}")
     report.check("decay_far_bound", far_max <= FAR_TOLERANCE, f"max far N_p {far_max:.3e}")
+    # N_p = cosh(d / sqrt 2)^(-p) |D(p, a - i theta)| / sqrt(D(p, y) D(p, y')), each log at most -log(1 - excess)
+    y0, y1, theta = disc._cusp_coordinates(z0s, z1s)
+    excess = _deck_excess(p, np.maximum(y0, y1), theta)
+    with np.errstate(divide="ignore"):  # log 0 where N_p underflows; an excess of 1 or more bounds nothing
+        log_n = np.log(npv)
+        bound = SECH_ROUNDING * np.abs(log_n) - 2.0 * np.log1p(-np.minimum(excess, 1.0))
+    gap = np.abs(log_n + 0.5 * p * np.log1p(np.sinh(dists / math.sqrt(2.0)) ** 2))  # log cosh, exact for small d
+    report.row(p, "max_sech_power_log_gap", float(np.max(gap)), prediction=0.0, n_samples=n_pairs)
+    report.check("decay_sech_power_identity", bool(np.all(gap <= bound)), f"max gap / bound {np.max(gap / bound):.3e}")
     return report
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betaln, spence
 
 from . import sections
-from .disc import LOG_2PI, Annulus, DiscSpace, _legendre_rule, _log_deck, _scalar_or_array, zero_counting_function
+from .disc import LOG_2PI, Annulus, DiscSpace, _legendre_rule, _log_deck, _log_n2, _scalar_or_array, zero_counting_function
 
 __all__ = [
     "APERY",
@@ -138,12 +138,6 @@ def _log_beta_mean(q: float, y, yp):
     """log (1 / 2 pi) int_R (y y' / (a^2 + theta^2))^q dtheta, a Beta integral, a = (y + y') / 2 and log(y y' / a^2)."""
     a, lr = 0.5 * (y + yp), np.log1p(-np.square((y - yp) / (y + yp)))  # exact to rounding for close y, y'
     return q * lr + np.log(a) + betaln(q - 0.5, 0.5) - LOG_2PI, a, lr
-
-
-def _log_n2(p: int, a, lr, dd, theta):
-    """log N_p^2 at relative angle theta, from a, lr = log(y y' / a^2) and dd = log D(p, y) D(p, y'); the deck K."""
-    deck, k = _log_deck(p, a - 1j * theta)
-    return p * (lr - np.log1p(np.square(theta / a))) + 2.0 * deck - dd, k
 
 
 def _bipotential_means(p: int, y: np.ndarray, i: np.ndarray, j: np.ndarray):

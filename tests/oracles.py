@@ -4,8 +4,10 @@ The scalar ones take one point (or one argument) and are written for
 clarity, not speed; the library's batch and array paths are checked
 against them, and the seed grid's int8 cell windings against the phase
 path they replaced.  Section and kernel values are (log_modulus, phase)
-pairs, with log_modulus = -inf, phase = 0 for an exact zero.  The
-bipotential ones are the per-pair exponential path over an angle grid
+pairs, with log_modulus = -inf, phase = 0 for an exact zero; `kernel`
+sums the truncated L-series that the Poincare series of
+`disc.normalized_kernel` replaced, whose phase sum cancels, so it is a
+reference on near pairs only.  The bipotential ones are the per-pair exponential path over an angle grid
 (one exponential per pair and ell, a folded FFT per pair), normalized by
 the L-term log diagonal that the closed form of `disc` replaced: the unit
 rows of `statistics` replaced that path, and the closed form in
@@ -21,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from bergman_zeros import sections
-from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _off_diag
+from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _checked_radii
 from bergman_zeros.model import PotentialPair
 from bergman_zeros.sections import _scaled_coefficients
 from bergman_zeros.statistics import PROXY_RADIAL_NODES, VARIANCE_TAU, _c1_rule, _gtilde_fast
@@ -64,6 +66,24 @@ def cell_windings(inner: tuple, outer: tuple) -> np.ndarray:
     arc, prev_arc = wrap(np.roll(phase, -1, axis=1) - phase), wrap(np.roll(prev_phase, -1, axis=1) - prev_phase)
     radial = wrap(phase - prev_phase)
     return np.rint((arc - np.roll(radial, -1, axis=1) - prev_arc + radial) / two_pi)
+
+
+def _off_diag(space: DiscSpace, z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(y, y', m, s), y = -2 log|z|, with sum_ell c_ell^2 (z zbar')^ell = e^m s, elementwise over the broadcast points.
+
+    One domain and truncation check covers both point sets.
+    """
+    z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
+    rz, rp = np.abs(z), np.abs(zp)
+    _checked_radii(np.append(rz, rp), space)
+    # z zbar' in real arithmetic, unfused: swapping the points then
+    # conjugates it exactly, which numpy's complex product does not promise
+    re = z.real * zp.real + z.imag * zp.imag
+    im = z.imag * zp.real - z.real * zp.imag
+    log_terms = space.log_coeffs + np.multiply.outer(np.log(np.hypot(re, im)), space.ells)
+    m = np.max(log_terms, axis=-1)
+    phases = np.exp(1j * np.multiply.outer(np.arctan2(im, re), space.ells))
+    return -2.0 * np.log(rz), -2.0 * np.log(rp), m, np.sum(np.exp(log_terms - m[..., None]) * phases, axis=-1)
 
 
 def kernel(space: DiscSpace, z: complex, zp: complex) -> tuple[float, float]:

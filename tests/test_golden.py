@@ -83,6 +83,18 @@ variance estimates the same, their deviations 2.8e-7 and 5.1e-7, the
 |MC - bipotential| deviations 8.7e-6 and 3.5e-5 (differences of close
 values); the clt `correlation_sum_diagnostic` 1.1e-11 relative.  No other
 cell, digest or listing line moved.
+The kernel_decay digest was taken again when the normalized kernel came to
+be the Poincare series over the cusp's deck group (no truncation) in place
+of the truncated L-series, whose phase sum cancels on far pairs, and the
+driver came to check every pair against N_p = cosh(d / sqrt 2)^(-p), a
+declared output change.  Largest move per cell: the far-regime max
+5.8845e-12 -> 5.8811e-12 (the Poincare series is within 2.4e-14 of a
+60-digit polylog on such pairs), the near-regime slope 1.0e-11 relative
+and its deviation 2.5e-10 relative; the new row
+`max_sech_power_log_gap` reads 5.2e-3, the deck terms of radial moves
+that reach y = 20.5.  The clt and variance digests kept their bytes
+through the move of `_log_n2` into `disc`, and no other digest or listing
+line moved.
 """
 
 import hashlib

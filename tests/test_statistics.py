@@ -9,7 +9,7 @@ import pytest
 
 from bergman_zeros import disc, sections, experiments, statistics
 from bergman_zeros.config import EXPERIMENTS
-from bergman_zeros.disc import Annulus, _legendre_rule, _log_deck, make_disc_space
+from bergman_zeros.disc import Annulus, _legendre_rule, _log_deck, _log_n2, log_kernel_function, make_disc_space
 from bergman_zeros.statistics import (
     APERY,
     VARIANCE_TAU,
@@ -19,14 +19,13 @@ from bergman_zeros.statistics import (
     _c1_rule,
     _gtilde_fast,
     _log_beta_mean,
-    _log_n2,
     expected_linear_statistic,
     laplacian_ratio,
     sodin_tsirelson_proxy,
     variance_bipotential,
     variance_leading_term,
 )
-from oracles import Gtilde, _gtilde_integral, _gtilde_series, _pair_blocks, bipotential_means, correlation_proxy
+from oracles import Gtilde, _gtilde_integral, _gtilde_series, _pair_blocks, bipotential_means, correlation_proxy, kernel
 
 # angles of the per-pair oracle: the closed form is checked against it to 1e-7 relative
 ORACLE_ANGLES = 8192
@@ -157,7 +156,7 @@ class TestVariance:
 
     def test_grid_matches_scalar_kernel(self):
         # the closed-form N_p at theta = 0 (the near test; 1 on the diagonal) and at the hot-window nodes, against the
-        # truncated basis sum of disc; the cusp pairs take deck terms
+        # truncated basis sum of the oracle over the closed-form diagonals; the cusp pairs take deck terms
         for p, r in ((80, np.array([0.4, 0.5, 0.6])), (50, np.exp([-12.0, -9.0, -6.0]))):
             space = make_disc_space(p, sections.truncation_length(p, r.max()))
             i, j = np.indices((r.size, r.size)).reshape(2, -1)
@@ -167,7 +166,10 @@ class TestVariance:
             theta_max = np.minimum(a * np.sqrt(np.maximum(np.expm1(lr - math.log(VARIANCE_TAU) / p), 0.0)), math.pi)
             theta = np.outer(theta_max, np.square(np.append(0.0, _legendre_rule(0.0, 1.0, WINDOW_NODES)[0])))
             log_n2, k = _log_n2(p, a[:, None], lr[:, None], (diag[i] + diag[j])[:, None], theta)
-            direct = disc.normalized_kernel(space, r[i, None], r[j, None] * np.exp(1j * theta))
+            points = r[j, None] * np.exp(1j * theta)
+            log_b = np.array([[kernel(space, r[n], w)[0] for w in row] for n, row in zip(i, points)])
+            half_diag = 0.5 * log_kernel_function(p, r)
+            direct = np.exp(log_b - (half_diag[i] + half_diag[j])[:, None])
             assert np.max(np.abs(np.sqrt(np.exp(log_n2)) - direct)) < 1e-12
             assert np.all(log_n2[i == j, 0] == 0.0)
             assert (k > 0) == (p == 50)
@@ -279,7 +281,8 @@ class TestVariance:
 
     def test_cusp_fails_without_the_deck_terms(self, monkeypatch):
         # the k = 0 term alone is 9.2e-4 off in the cusp
-        monkeypatch.setattr(statistics, "_log_deck", lambda q, s: (np.zeros(np.shape(s)), 0))
+        for module in (disc, statistics):
+            monkeypatch.setattr(module, "_log_deck", lambda q, s: (np.zeros(np.shape(s)), 0))
         assert library_pass(50, *CUSP, 128) != pytest.approx(oracle_pass(50, *CUSP, 128), rel=1e-7)
 
     @pytest.mark.parametrize("p", [40, 80, 120, 200])
