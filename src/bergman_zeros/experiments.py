@@ -285,7 +285,7 @@ def kernel_decay_experiment(
         if mode == 0:  # angular move
             dtheta = 2.0 * s * math.sinh(d / math.sqrt(2.0))
             return r0 * complex(math.cos(theta0 + sign * dtheta), math.sin(theta0 + sign * dtheta))
-        # radial move, always inward: into the cusp, where the deck terms that the sech-power check allows for grow
+        # radial move, always inward: the draws of earlier versions, and far pairs reach the cusp's deck terms
         s2 = s * math.exp(math.sqrt(2.0) * d)
         return math.exp(-s2) * complex(math.cos(theta0), math.sin(theta0))
 
