@@ -227,13 +227,14 @@ def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
     if k == q:
         f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q)))  # E(x), x = e^(-s): no underflow
         return np.log(np.abs(f * (s / -np.expm1(-s)) ** q)) - a, k
+    if not k:
+        return np.zeros(s.shape), k  # D_q = 1, its k = 0 term, with no complex temporaries
     total = np.ones(s.shape, dtype=np.complex128)
-    if k:
-        w_s, z = a * ((2.0 + w) / DECK_RTOL) ** (1.0 / q), 2j * math.pi / s
-        need = np.ceil((np.sqrt(np.maximum(w_s * w_s - a * a, 0.0)) + im) / (2.0 * math.pi)) - 1.0
-        for n in range(1, k + 1):
-            sel = need >= n
-            total[sel] += (1.0 + n * z[sel]) ** -q + (1.0 - n * z[sel]) ** -q
+    w_s, z = a * ((2.0 + w) / DECK_RTOL) ** (1.0 / q), 2j * math.pi / s
+    need = np.ceil((np.sqrt(np.maximum(w_s * w_s - a * a, 0.0)) + im) / (2.0 * math.pi)) - 1.0
+    for n in range(1, k + 1):
+        sel = need >= n
+        total[sel] += (1.0 + n * z[sel]) ** -q + (1.0 - n * z[sel]) ** -q
     return np.log(np.abs(total)), k
 
 
@@ -295,7 +296,6 @@ def sup_kernel(p: int) -> tuple[float, float]:
 
 def _cusp_coordinates(z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, y', theta), y = -2 log|z| and theta in [-pi, pi] the relative angle (nearest deck shift), elementwise."""
-    z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
     theta = np.angle(z) - np.angle(zp)
     y, yp = (-2.0 * np.log(_checked_radii(np.abs(w))) for w in (z, zp))
     return y, yp, theta - 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
