@@ -7,12 +7,12 @@ path they replaced.  Section and kernel values are (log_modulus, phase)
 pairs, with log_modulus = -inf, phase = 0 for an exact zero; `kernel`
 sums the truncated L-series that the Poincare series of
 `disc.normalized_kernel` replaced, whose phase sum cancels, so it is a
-reference on near pairs only.  The bipotential ones are the per-pair exponential path over an angle grid
-(one exponential per pair and ell, a folded FFT per pair), normalized by
-the L-term log diagonal that the closed form of `disc` replaced: the unit
-rows of `statistics` replaced that path, and the closed form in
-y = -2 log r replaced them; at 8192 angles it is the closed form's
-reference.  The model-kernel ones check a solved potential and a
+reference on near pairs only.  The bipotential ones are the per-pair
+exponential path over an angle grid (one exponential per pair and ell,
+a folded FFT per pair), normalized by the L-term log diagonal that the
+closed form of `disc` replaced: the unit rows of `statistics` replaced
+that path, and the closed form in y = -2 log r replaced them; at 8192
+angles it is the closed form's reference.  The model-kernel ones check a solved potential and a
 candidate kernel element against the defining equations.
 """
 

@@ -304,8 +304,8 @@ class TestNormalizedKernel:
 
     def test_sech_power_identity(self):
         # closed relation between correlation and hyperbolic distance: the
-        # k = 0 term of the Poincare series, all of it in the bulk, so it
-        # holds on every pair, however small N_p
+        # k = 0 term of the Poincare series, all that K = 0 keeps in the
+        # bulk, so it holds on every pair, however small N_p
         rng = np.random.default_rng(29)
         for _ in range(200):
             z = rng.uniform(0.25, 0.6) * np.exp(2j * np.pi * rng.random())
@@ -341,11 +341,10 @@ class TestPoincareSeries:
     def errors(p, pairs, dps=60):
         """Relative errors of normalized_kernel(p, z, z') over the pairs, and the reference values."""
         z, zp = np.array(pairs).T
-        got, ref = normalized_kernel(p, z, zp), []
+        got, ref, li = normalized_kernel(p, z, zp), [], partial(mp.polylog, 1 - p)
         with mp.workdps(dps):
             for a, b in pairs:
                 a, b = mp.mpc(a), mp.mpc(b)
-                li = partial(mp.polylog, 1 - p)
                 ref.append(float(abs(li(a * mp.conj(b))) / mp.sqrt(li(abs(a) ** 2) * li(abs(b) ** 2))))
         return np.abs(got / ref - 1.0), np.array(ref)
 
