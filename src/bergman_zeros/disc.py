@@ -7,11 +7,11 @@ y = -2 log|z| and x = e^(-y), the diagonal kernel function is
     B_p(z) = y^p / (2 pi (p-2)!) * sum_ell ell^(p-1) x^ell = (p-1) / (2 pi) * x E(x) * (y / (1 - x))^p,
 
 E = A_(p-1) / (p-1)! the Eulerian polynomial (Petersen, *Eulerian Numbers*,
-2015): p - 1 positive terms, no truncation.  The normalized two-point
-kernel is the Poincare series over the cusp's deck group (`_log_n2`), no
-truncation either.  The zero counting function sums the basis truncated
-at L in the log domain (log-gamma plus max-shifted sums): at p ~ 200 the
-terms span far more than 300 orders of magnitude.
+2015): p - 1 positive terms, no truncation.  The zero counting function is
+its logarithmic derivative, from the same coefficients, and the normalized
+two-point kernel the Poincare series over the cusp's deck group (`_log_n2`),
+no truncation either.  Only the random sections of `sections` use the
+basis truncated at L (`DiscSpace`).
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Relative tail mass below which a truncated basis is exact for the zero counting function.
-KERNEL_TAIL_RTOL = 1e-14
 # Bound on the omitted deck terms of `_log_deck`, relative to its k = 0 term on the real axis.
 DECK_RTOL = 1e-16
 # Coarse grid of sup_kernel in t = log y, and Gauss-Legendre nodes of
@@ -120,7 +118,7 @@ def make_disc_space(p: int, L: int) -> DiscSpace:
     return DiscSpace(p=int(p), L=int(L), log_coeffs=log_coeffs)
 
 
-def adaptive_truncation(p: int, r: float, rel_tol: float = KERNEL_TAIL_RTOL) -> int:
+def adaptive_truncation(p: int, r: float, rel_tol: float) -> int:
     """Smallest L whose geometric tail bound at radius r is below rel_tol.
 
     The terms are t_ell = c_ell^2 r^(2 ell).  Past the mode
@@ -155,27 +153,12 @@ def adaptive_truncation(p: int, r: float, rel_tol: float = KERNEL_TAIL_RTOL) -> 
             raise RuntimeError("truncation search failed to converge")
 
 
-def _require_adequate(space: DiscSpace, r: float, rel_tol: float = KERNEL_TAIL_RTOL) -> None:
-    required = adaptive_truncation(space.p, r, rel_tol)
-    if space.L < required:
-        raise TruncationError(
-            f"truncation L={space.L} inadequate at radius {r:.6g}; need L >= {required}",
-            required_length=required,
-        )
-
-
-def _checked_radii(r, space: DiscSpace | None = None) -> np.ndarray:
-    """r (a scalar or an array) as a float array, after the domain check and, given a space, a truncation check.
-
-    The truncation is checked once, at the largest radius: that covers
-    every entry, because the required length is nondecreasing in r.
-    """
+def _checked_radii(r) -> np.ndarray:
+    """r (a scalar or an array) as a float array, after the domain check of every entry."""
     r = np.asarray(r, dtype=np.float64)
     inside = (r > 0.0) & (r < 1.0)
     if not inside.all():
         raise DomainError(f"radius must lie in (0, 1), got {r[~inside].flat[0]}")
-    if space is not None:
-        _require_adequate(space, float(r.max()))
     return r
 
 
@@ -218,6 +201,7 @@ def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
     terms sum_{|k| > K_s} |s + 2 pi i k|^(-q) below DECK_RTOL (Re s)^(-q), its k = 0 term at Im s = 0.  In the bulk
     K = 0.  Where K would reach q (small q), D_q comes from the closed form x E(x) / (1 - x)^q of `_log_diag`.
     """
+    shape, s = np.shape(s), np.ravel(s)  # 1-d, so that a scalar s too takes z[sel] below
     a, im, k = s.real, abs(s.imag), 0
     while a.size and k < q:
         w = math.hypot(a.max(), 2.0 * math.pi * (k + 1) - im.max())
@@ -226,16 +210,16 @@ def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
         k += 1
     if k == q:
         f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q)))  # E(x), x = e^(-s): no underflow
-        return np.log(np.abs(f * (s / -np.expm1(-s)) ** q)) - a, k
+        return (np.log(np.abs(f * (s / -np.expm1(-s)) ** q)) - a).reshape(shape), k
     if not k:
-        return np.zeros(s.shape), k  # D_q = 1, its k = 0 term, with no complex temporaries
+        return np.zeros(shape), k  # D_q = 1, its k = 0 term, with no complex temporaries
     total = np.ones(s.shape, dtype=np.complex128)
     w_s, z = a * ((2.0 + w) / DECK_RTOL) ** (1.0 / q), 2j * math.pi / s
     need = np.ceil((np.sqrt(np.maximum(w_s * w_s - a * a, 0.0)) + im) / (2.0 * math.pi)) - 1.0
     for n in range(1, k + 1):
         sel = need >= n
         total[sel] += (1.0 + n * z[sel]) ** -q + (1.0 - n * z[sel]) ** -q
-    return np.log(np.abs(total)), k
+    return np.log(np.abs(total)).reshape(shape), k
 
 
 def log_kernel_function(p: int, r):
@@ -261,7 +245,9 @@ def normalized_kernel(p: int, z, zp):
     sum of `_log_deck`, the Lipschitz formula gives N_p^2 = (y y' / (a^2 + theta^2))^p |D(p, a - i theta)|^2 /
     (D(p, y) D(p, y')), no truncation.  The deck terms left out are below DECK_RTOL (Re s)^(-p): N_p is exact to about
     DECK_RTOL absolute, so at |theta| near pi not relatively.  In the bulk (K = 0) N_p = cosh(d / sqrt 2)^(-p), d the
-    `poincare_distance`.  Underflow returns exactly 0.0.
+    `poincare_distance`.  Underflow returns exactly 0.0.  Valid for y, y' up to about p, the sup point: past it D is a
+    small value left after unit-size terms cancel (log D(100, y) is 2.3e-12 off at y = 150 and 1e-3 at y = 200, and a
+    near pair at p = 100, y = 300 reads N_p = 11.3), except below p ~ 30, where the closed form of `_log_deck` serves.
     """
     y, yp, theta = _cusp_coordinates(z, zp)
     (deck, _), (deck_p, _) = _log_deck(p, y), _log_deck(p, yp)
@@ -325,26 +311,27 @@ def hyperbolic_area(region: Annulus) -> float:
     return 2.0 * math.pi * c1_area(region)
 
 
-def zero_counting_function(space: DiscSpace, r):
+def zero_counting_function(p: int, r):
     """Expected number of zeros of the Gaussian section in {0 < |z| <= r}; elementwise for an array of radii.
 
-    Radial reduction of the expected-measure identity: with
-    K0(r) = sum_ell c_ell^2 r^(2 ell) the count is
-    n(r) = (1/2) d log K0 / d log r, i.e. the amplitude-weighted mean index
+    Radial reduction of the expected-measure identity: n(r) = (1/2) d log K0 / d log r, K0 the unweighted
+    diagonal sum_ell ell^(p-1) x^ell = x E(x) / (1 - x)^p, x = r^2 (the h_p weight contributes -p c_1, which
+    cancels the p c_1 term of the expected measure).  With c_k the coefficients of E (`_log_eulerian`),
 
-        n(r) = sum_ell ell w_ell / sum_ell w_ell,   w_ell = c_ell^2 r^(2 ell).
+        n(r) = 1 + sum_k k c_k x^k / sum_k c_k x^k + p x / (1 - x),
 
-    The h_p weight contributes -p c_1 which cancels the p c_1 term of the
-    expected measure, so only the unweighted covariance enters.
+    the middle term a mean index under p - 1 positive, max-shifted weights: no truncation.
     """
-    log_w = space.log_coeffs + 2.0 * np.multiply.outer(np.log(_checked_radii(r, space)), space.ells)
+    y = -2.0 * np.log(_checked_radii(r))
+    k = np.arange(p - 1)
+    log_w = _log_eulerian(p) - np.multiply.outer(y, k)
     w = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True))
-    return _scalar_or_array(np.sum(space.ells * w, axis=-1) / np.sum(w, axis=-1))
+    return _scalar_or_array(1.0 + (w @ k) / np.sum(w, axis=-1) + p / np.expm1(y))  # x / (1 - x) = 1 / (e^y - 1)
 
 
-def expected_zero_measure(space: DiscSpace, region: Annulus) -> float:
-    """Expected zero count of the truncated Gaussian section in the annulus."""
-    n_a, n_b = zero_counting_function(space, np.array([region.a, region.b]))
+def expected_zero_measure(p: int, region: Annulus) -> float:
+    """Expected zero count of the Gaussian section in the annulus."""
+    n_a, n_b = zero_counting_function(p, np.array([region.a, region.b]))
     return float(n_b - n_a)
 
 

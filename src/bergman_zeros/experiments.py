@@ -272,6 +272,9 @@ def kernel_decay_experiment(
     Near pairs have hyperbolic distance below sqrt(12 log p / p); the
     regression of -log N_p on p d^2/4 over them should have slope near 1.
     Far pairs sit beyond sqrt(12 FAR_K log p / p), where N_p must be tiny.
+    Pairs are drawn at a distance in either range, and labelled by their
+    measured `poincare_distance`: in the cusp an angular move past pi wraps,
+    and a pair drawn far may land near.
     Every pair must meet N_p = cosh(d / sqrt 2)^(-p), the k = 0 term of the Poincare series, up to
     the other deck terms (`_deck_excess` at the pair's larger y) and SECH_ROUNDING.
     """
@@ -285,14 +288,15 @@ def kernel_decay_experiment(
         if mode == 0:  # angular move
             dtheta = 2.0 * s * math.sinh(d / math.sqrt(2.0))
             return r0 * complex(math.cos(theta0 + sign * dtheta), math.sin(theta0 + sign * dtheta))
-        # radial move, always inward: the draws of earlier versions, and far pairs reach the cusp's deck terms
+        # radial move inward: the draws of earlier versions, and far pairs reach the cusp's deck terms.  Outward where
+        # inward passes the sup point y = 2 s = p, past which N_p no longer decays with d (`disc.normalized_kernel`)
         s2 = s * math.exp(math.sqrt(2.0) * d)
+        if 2.0 * s2 > p:
+            s2 = s * s / s2
         return math.exp(-s2) * complex(math.cos(theta0), math.sin(theta0))
 
-    if n_pairs < 2:
-        raise ValueError(f"far regime empty: n_pairs = {n_pairs} draws no far pair; need n_pairs >= 2")
-    # pair i is near for even i, far for odd i
-    z0s, z1s = np.empty(n_pairs, dtype=np.complex128), np.empty(n_pairs, dtype=np.complex128)
+    # pair i is drawn near for even i, far for odd i
+    z0s, z1s = np.empty((2, max(n_pairs, 0)), dtype=np.complex128)
     for i in range(n_pairs):
         r0 = rng.uniform(annulus.a, annulus.b)
         theta0 = rng.uniform(0.0, 2.0 * math.pi)
@@ -303,10 +307,11 @@ def kernel_decay_experiment(
         z1s[i] = displaced(r0, theta0, d, mode, sign)
     npv = disc.normalized_kernel(p, z0s, z1s)
     dists = disc.poincare_distance(z0s, z1s)
-    near = np.arange(0, n_pairs, 2)
-    near = near[npv[near] > 0.0]
+    near = (dists < d_near) & (npv > 0.0)
     xs, ys = p * dists[near] ** 2 / 4.0, -np.log(npv[near])
-    far_vals = npv[1::2]
+    far_vals = npv[dists >= d_far]
+    if far_vals.size == 0:
+        raise ValueError(f"far regime empty: no pair of {n_pairs} lies {d_far:.4g} or more apart; raise n_pairs")
     if len(xs) < 2:
         raise ValueError(
             f"near regime empty: {len(xs)} near pairs with N_p > 0, the slope fit needs 2; raise n_pairs"
@@ -352,13 +357,13 @@ def equidistribution_experiment(
     report = StatsReport("equidistribution", seed)
     area = disc.c1_area(annulus)
     rows_fn = _batched(annulus, sections.count_zeros_batch)
-    for p, space, counts in _monte_carlo(
+    for p, _, counts in _monte_carlo(
         report, list(p), annulus.b, samples, threads, rows_fn, COUNT_CHUNK, paired_seeds
     ):
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(samples))
         report.row(p, "mean_count_over_p", mean / p, stderr=se / p, prediction=area, n_samples=samples)
-        exact = disc.expected_zero_measure(space, annulus)
+        exact = disc.expected_zero_measure(p, annulus)
         row = report.row(p, "mean_count", mean, stderr=se, prediction=exact, n_samples=samples)
         report.check_within_se(f"expected_measure_p{p}", row)
     return report
@@ -408,7 +413,7 @@ def clt_experiment(
     """
     report = StatsReport("clt", seed)
     proxies: dict[int, float] = {}
-    for p, space, ys, notes in _monte_carlo(
+    for p, _, ys, notes in _monte_carlo(
         report, list(p), testfunction.b, samples, threads, _linear_statistics(testfunction), ROOT_CHUNK
     ):
         report.diagnostics[p].update(zip(_ROOT_NOTES, notes.sum(axis=0).tolist()))
@@ -419,9 +424,9 @@ def clt_experiment(
             )
         standardized = (ys - float(np.mean(ys))) / sd
         ks_stat, ks_p = sps.kstest(standardized, "norm")
-        proxy = sodin_tsirelson_proxy(space, testfunction.support)
+        proxy = sodin_tsirelson_proxy(p, testfunction.support)
         proxies[p] = proxy
-        mean_pred = expected_linear_statistic(space, testfunction)
+        mean_pred = expected_linear_statistic(p, testfunction)
         mean_row = report.row(
             p, "linstat_mean", float(np.mean(ys)),
             stderr=sd / math.sqrt(samples), prediction=mean_pred, n_samples=samples,

@@ -53,14 +53,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .disc import (
-    Annulus,
-    DiscSpace,
-    _require_adequate,
-    adaptive_truncation,
-    expected_zero_measure,
-    zero_counting_function,
-)
+from .disc import Annulus, DiscSpace, TruncationError, adaptive_truncation, expected_zero_measure, zero_counting_function
 
 __all__ = [
     "Zeros",
@@ -192,6 +185,12 @@ def truncation_length(p: int, b: float) -> int:
     return adaptive_truncation(p, b, rel_tol=ZERO_TAIL_EPS**2)
 
 
+def _require_adequate(space: DiscSpace, b: float) -> None:
+    """TruncationError unless space.L reaches the `truncation_length` of radius b."""
+    if space.L < (required := truncation_length(space.p, b)):
+        raise TruncationError(f"truncation L={space.L} inadequate at radius {b:.6g}; need L >= {required}", required)
+
+
 # ---------------------------------------------------------------------------
 # root extraction: Newton, Aberth
 
@@ -278,7 +277,7 @@ def find_zeros(space: DiscSpace, eta: np.ndarray, region: Annulus) -> Zeros:
     """
     if eta.shape != (space.L,):
         raise ValueError(f"coefficient row of shape {eta.shape} does not match the truncation length L = {space.L}")
-    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
+    _require_adequate(space, region.b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z, k0 = _polygon_starts(np.log(np.abs(eta)) + 0.5 * space.log_coeffs)
         degrees = space.ells - (k0 + 1.0)  # of the terms of P / w^k0
@@ -320,7 +319,7 @@ def _initial_points(space: DiscSpace, r: float) -> int:
     # the winding number is close to n, the expected zero count of the
     # disc |z| < r; 8x oversampling keeps nearly all increments below
     # pi/2 on the first pass
-    n = zero_counting_function(space, r)
+    n = zero_counting_function(space.p, r)
     return max(64, 1 << int(math.ceil(math.log2(8.0 * (n + 8.0)))))
 
 
@@ -399,7 +398,7 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
 
 def _counts(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray]:
     """Winding-number differences of the two boundary circles, and the rows on which either winding failed."""
-    _require_adequate(space, region.b, ZERO_TAIL_EPS**2)
+    _require_adequate(space, region.b)
     wb, fb = _winding(space, etas, region.b)
     wa, fa = _winding(space, etas, region.a)
     return wb - wa, fb | fa
@@ -497,7 +496,7 @@ def _grid_radii(space: DiscSpace, region: Annulus, dtheta: float) -> np.ndarray:
     to the fallback (p = 40, 80, 200 on (0.35, 0.65)).
     """
     u_a, u_b = -1.0 / math.log(region.a), -1.0 / math.log(region.b)
-    du = (u_b - u_a) / max(1.0, expected_zero_measure(space, region))
+    du = (u_b - u_a) / max(1.0, expected_zero_measure(space.p, region))
 
     def step(r: float) -> float:
         return min(MAX_ASPECT * dtheta, max(dtheta, math.log(r) ** 2 * du))

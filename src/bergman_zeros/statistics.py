@@ -202,14 +202,14 @@ def variance_leading_term(phi: TestFunction, p: int) -> float:
     return APERY / (4.0 * math.pi**2 * p) * float(np.dot(lap * lap, meas))
 
 
-def expected_linear_statistic(space: DiscSpace, phi: TestFunction) -> float:
+def expected_linear_statistic(p: int, phi: TestFunction) -> float:
     """E[Y(phi)] = int phi d n = -int phi'(r) n(r) dr (n = radial zero counting)."""
     r, w = _legendre_rule(phi.a, phi.b, LINSTAT_QUAD_NODES)
-    return -float(np.dot(w, phi.d1(r) * zero_counting_function(space, r)))
+    return -float(np.dot(w, phi.d1(r) * zero_counting_function(p, r)))
 
 
-def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
-    """sup_z int N_p(z, w) c1(w) over the region, at p = space.p; a normality diagnostic.
+def sodin_tsirelson_proxy(p: int, region: Annulus) -> float:
+    """sup_z int N_p(z, w) c1(w) over the region; a normality diagnostic.
 
     Decays with p (the correlation length shrinks like p^(-1/2)), which is
     the summability hypothesis behind the central limit theorem.  The angular
@@ -220,4 +220,4 @@ def sodin_tsirelson_proxy(space: DiscSpace, region: Annulus) -> float:
     """
     r, meas = _c1_rule(region.a, region.b, PROXY_RADIAL_NODES)
     y = -2.0 * np.log(r)
-    return float(np.max(np.exp(_log_beta_mean(0.5 * space.p, y[:, None], y)[0]) @ meas))
+    return float(np.max(np.exp(_log_beta_mean(0.5 * p, y[:, None], y)[0]) @ meas))

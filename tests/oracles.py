@@ -7,7 +7,8 @@ path they replaced.  Section and kernel values are (log_modulus, phase)
 pairs, with log_modulus = -inf, phase = 0 for an exact zero; `kernel`
 sums the truncated L-series that the Poincare series of
 `disc.normalized_kernel` replaced, whose phase sum cancels, so it is a
-reference on near pairs only.  The bipotential ones are the per-pair
+reference on near pairs only; `zero_counting_function` the L-series of
+n(r) that the closed form replaced.  The bipotential ones are the per-pair
 exponential path over an angle grid (one exponential per pair and ell,
 a folded FFT per pair), normalized by the L-term log diagonal that the
 closed form of `disc` replaced: the unit rows of `statistics` replaced
@@ -71,11 +72,11 @@ def cell_windings(inner: tuple, outer: tuple) -> np.ndarray:
 def _off_diag(space: DiscSpace, z, zp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(y, y', m, s), y = -2 log|z|, with sum_ell c_ell^2 (z zbar')^ell = e^m s, elementwise over the broadcast points.
 
-    One domain and truncation check covers both point sets.
+    One domain check covers both point sets; space.L must cover them, as in `zero_counting_function`.
     """
     z, zp = np.asarray(z, dtype=np.complex128), np.asarray(zp, dtype=np.complex128)
     rz, rp = np.abs(z), np.abs(zp)
-    _checked_radii(np.append(rz, rp), space)
+    _checked_radii(np.append(rz, rp))
     # z zbar' in real arithmetic, unfused: swapping the points then
     # conjugates it exactly, which numpy's complex product does not promise
     re = z.real * zp.real + z.imag * zp.imag
@@ -97,6 +98,17 @@ def kernel(space: DiscSpace, z: complex, zp: complex) -> tuple[float, float]:
     if s == 0.0:
         return -math.inf, 0.0
     return float(weight + m + math.log(abs(s))), math.atan2(s.imag, s.real)
+
+
+def zero_counting_function(space: DiscSpace, r) -> np.ndarray:
+    """n(r) from the truncated basis: the mean index sum_ell ell w_ell / sum_ell w_ell, w_ell = c_ell^2 r^(2 ell).
+
+    The L-series that the closed form of `disc.zero_counting_function` replaced, elementwise over an array of radii;
+    its reference where space.L covers the largest radius.
+    """
+    log_w = space.log_coeffs + 2.0 * np.multiply.outer(np.log(_checked_radii(r)), space.ells)
+    w = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True))
+    return np.sum(space.ells * w, axis=-1) / np.sum(w, axis=-1)
 
 
 def _gtilde_series(t: float) -> float:

@@ -14,7 +14,6 @@ from bergman_zeros import disc
 from bergman_zeros.disc import (
     Annulus,
     DomainError,
-    TruncationError,
     adaptive_truncation,
     c1_area,
     expected_zero_measure,
@@ -27,6 +26,7 @@ from bergman_zeros.disc import (
     sup_kernel,
     zero_counting_function,
 )
+import oracles
 from oracles import kernel
 
 
@@ -93,7 +93,7 @@ class TestKernelFunction:
     @settings(max_examples=40, deadline=None)
     @given(p=hst.integers(3, 20), r=hst.floats(0.05, 0.95))
     def test_equals_direct_summation_when_it_fits(self, p, r):
-        ells = np.arange(1, adaptive_truncation(p, r) + 1, dtype=float)
+        ells = np.arange(1, adaptive_truncation(p, r, 1e-14) + 1, dtype=float)
         direct = (
             abs(math.log(r * r)) ** p
             / (2.0 * math.pi * math.factorial(p - 2))
@@ -102,24 +102,16 @@ class TestKernelFunction:
         assert kernel_function(p, r) == pytest.approx(direct, rel=1e-10)
 
     def test_domain_and_truncation_errors(self):
-        # L = 8 is adequate at p = 40 up to |z| = 0.001; an array fails on
-        # its one bad entry.  The diagonal and the normalized kernel have no
-        # truncation to fall short.
-        space = make_disc_space(40, 8)
-
+        # an array fails on its one bad entry.  The diagonal, the zero
+        # counting function and the normalized kernel have no truncation to
+        # fall short: only the sections check it (`sections._require_adequate`)
         def at_points(r):
             return normalized_kernel(40, r, 1j * np.asarray(r))
 
-        counting = partial(zero_counting_function, space)
-        for fn in (partial(kernel_function, 40), counting, at_points):
+        for fn in (partial(kernel_function, 40), partial(zero_counting_function, 40), at_points):
             for r in (1.5, [1e-4, 1.5], [0.0, 1e-4], [1e-4, np.nan]):
                 with pytest.raises(DomainError):
                     fn(r)
-        for r in (0.9, [1e-4, 0.9, 1e-3]):
-            with pytest.raises(TruncationError) as exc:
-                counting(r)
-            assert exc.value.required_length > 8
-        counting([1e-4, 1e-3])
 
 
 class TestClosedFormDiagonal:
@@ -205,7 +197,7 @@ class TestDeckSum:
 
 
 class TestArrayCalls:
-    """A scalar call is the 0-d case of the array call, with one truncation check at the largest radius."""
+    """A scalar call is the 0-d case of the array call."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -218,9 +210,9 @@ class TestArrayCalls:
         lo, hi = sorted((r, s))
         assert adaptive_truncation(p, lo, rel_tol) <= adaptive_truncation(p, hi, rel_tol)
 
-    def test_radial_functions_match_scalar_calls(self, space80):
+    def test_radial_functions_match_scalar_calls(self):
         radii = np.linspace(0.02, 0.7, 6 * 7).reshape(6, 7)
-        for fn in (partial(disc.log_kernel_function, 80), partial(kernel_function, 80), partial(zero_counting_function, space80)):
+        for fn in (partial(disc.log_kernel_function, 80), partial(kernel_function, 80), partial(zero_counting_function, 80)):
             got = fn(radii)
             assert isinstance(got, np.ndarray) and got.shape == radii.shape
             scalar = [fn(float(r)) for r in radii.flat]
@@ -239,6 +231,12 @@ class TestArrayCalls:
         # broadcasting: one point against a row of points
         row = [normalized_kernel(80, complex(z[0, 0]), complex(b)) for b in w[0]]
         np.testing.assert_allclose(normalized_kernel(80, z[0, 0], w[0]), row, rtol=1e-13, atol=0.0)
+        # a cusp pair, y = 24 and relative angle 0.1: its deck sum takes K > 0 terms
+        a, b = math.exp(-12.0) * cmath.exp(0.3j), math.exp(-12.0) * cmath.exp(0.4j)
+        assert disc._log_deck(50, np.array([24.0 + 0.1j]))[1] > 0
+        scalar = normalized_kernel(50, a, b)
+        assert type(scalar) is float
+        assert scalar == pytest.approx(normalized_kernel(50, np.array([a]), np.array([b]))[0], rel=1e-13, abs=0.0)
 
 
 class TestTwoPointKernel:
@@ -455,14 +453,35 @@ class TestPoincareDistance:
             poincare_distance(0.0, 0.5)
 
 
-class TestExpectedZeroMeasure:
-    def test_degenerate_annulus(self, space80):
-        assert expected_zero_measure(space80, Annulus(0.5, 0.5)) == 0.0
+class TestZeroCountingFunction:
+    @staticmethod
+    def mp_counting(p, r, dps=60):
+        """n(r) = x d/dx log sum_ell ell^(p-1) x^ell = Li_(-p)(x) / Li_(1-p)(x), x = r^2."""
+        with mp.workdps(dps):
+            x = mp.mpf(r) ** 2
+            return mp.polylog(-p, x) / mp.polylog(1 - p, x)
 
-    def test_additivity(self, space80):
-        whole = expected_zero_measure(space80, Annulus(0.25, 0.65))
-        left = expected_zero_measure(space80, Annulus(0.25, 0.45))
-        right = expected_zero_measure(space80, Annulus(0.45, 0.65))
+    @pytest.mark.parametrize("p", [2, 3, 8, 40, 100, 200, 1000, 2560])
+    def test_matches_polylog_and_the_l_series(self, p):
+        # the closed form within 1e-14 of 60 digits; the L-series oracle, truncated at a relative tail of 1e-16,
+        # adds its own rounding over up to 3e4 terms.  (p - 1) x / (1 - x) in place of p x / (1 - x) is at least
+        # 3.7e-4 off at r = 0.95
+        rs = np.exp([-30.0, -12.0, -3.0, math.log(0.35), math.log(0.65), math.log(0.95)])
+        got = zero_counting_function(p, rs)
+        for r, n in zip(rs, got):
+            assert abs(n / float(self.mp_counting(p, r)) - 1.0) <= 1e-14
+        l_series = oracles.zero_counting_function(make_disc_space(p, adaptive_truncation(p, rs[-1], 1e-16)), rs)
+        np.testing.assert_allclose(got, l_series, rtol=3e-14, atol=0.0)
+
+
+class TestExpectedZeroMeasure:
+    def test_degenerate_annulus(self):
+        assert expected_zero_measure(80, Annulus(0.5, 0.5)) == 0.0
+
+    def test_additivity(self):
+        whole = expected_zero_measure(80, Annulus(0.25, 0.65))
+        left = expected_zero_measure(80, Annulus(0.25, 0.45))
+        right = expected_zero_measure(80, Annulus(0.45, 0.65))
         assert whole == pytest.approx(left + right, abs=1e-9)
 
     def test_area_law_limit(self):
@@ -472,12 +491,10 @@ class TestExpectedZeroMeasure:
         area = c1_area(region)
         gaps = []
         for p in (8, 16, 32):
-            space = make_disc_space(p, adaptive_truncation(p, 0.7, 1e-16))
-            gaps.append(abs(expected_zero_measure(space, region) / p - area))
+            gaps.append(abs(expected_zero_measure(p, region) / p - area))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3 * area
-        space = make_disc_space(100, adaptive_truncation(100, 0.7, 1e-16))
-        assert abs(expected_zero_measure(space, region) / 100 - area) < 1e-12
+        assert abs(expected_zero_measure(100, region) / 100 - area) < 1e-12
 
     def test_area_formula_against_quadrature(self):
         # (1/2)(1/|log b| - 1/|log a|) is the closed radial integral of c1
@@ -488,9 +505,9 @@ class TestExpectedZeroMeasure:
         assert c1_area(region) == pytest.approx(val, rel=1e-10)
         assert c1_area(region) == pytest.approx(0.504200, abs=1e-4)
 
-    def test_counting_function_monotone(self, space80):
+    def test_counting_function_monotone(self):
         rs = np.linspace(0.2, 0.7, 20)
-        ns = [zero_counting_function(space80, r) for r in rs]
+        ns = [zero_counting_function(80, r) for r in rs]
         assert all(b > a for a, b in zip(ns, ns[1:]))
 
 
@@ -560,6 +577,17 @@ def test_sech_power_check_passes_for_any_seed(p, n_pairs, seed):
     from bergman_zeros import experiments
 
     report = experiments.kernel_decay_experiment(p, Annulus(0.3, 0.7), n_pairs, seed)
+    assert report.all_passed, [c.detail for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_kernel_decay_passes_in_the_cusp(seed):
+    # p = 50 on (e^-12, e^-3): angular moves past pi wrap, so pairs are labelled by their measured distance (a far
+    # max near 1 before), and radial moves that would pass the sup point y = p go outward (a far max of 1.1e-3 at
+    # seed 1 before, from a pair at y = 263); the far max is now about 1e-9
+    from bergman_zeros import experiments
+
+    report = experiments.kernel_decay_experiment(50, Annulus(math.exp(-12.0), math.exp(-3.0)), 400, seed)
     assert report.all_passed, [c.detail for c in report.checks if not c.passed]
 
 

@@ -94,7 +94,12 @@ and its deviation 2.5e-10 relative; the new row
 `max_sech_power_log_gap` reads 5.2e-3, the deck terms of radial moves
 that reach y = 20.5.  The clt and variance digests kept their bytes
 through the move of `_log_n2` into `disc`, and no other digest or listing
-line moved.
+line moved.  No digest and no listing line moved when the zero counting
+function came to be the Eulerian closed form in place of the L-series,
+though the seed grid and the winding angles read it, nor when kernel-decay
+came to label its pairs by their measured distance and to turn a radial
+move outward past the sup point y = p (in the golden no angular move
+wraps, and no radial move passes y = 20.5).
 """
 
 import hashlib

@@ -70,3 +70,18 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     plateau = capsys.readouterr().out.splitlines()[0]
     assert abs(float(plateau) - 1.0) < 1e-3
+
+
+def test_disc_and_statistics_take_p_not_a_space():
+    # the truncated basis is the concern of `sections` alone; `variance_bipotential` keeps its space because the
+    # benchmark calls it with one
+    from bergman_zeros import disc, statistics
+
+    takes_space = [
+        f"{module.__name__}.{name}"
+        for module in (disc, statistics)
+        for name in module.__all__
+        if inspect.isfunction(fn := getattr(module, name))
+        and any("DiscSpace" in str(param.annotation) for param in inspect.signature(fn).parameters.values())
+    ]
+    assert takes_space == ["bergman_zeros.statistics.variance_bipotential"]

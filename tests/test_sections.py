@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -284,9 +285,14 @@ class TestFindZeros:
         assert all(np.min(np.abs(converged.z - z)) > 1e-11 for z in zs.z)
 
     def test_truncation_guard(self):
-        space = make_disc_space(60, 40)
-        with pytest.raises(disc.TruncationError):
-            find_zeros(space, np.ones(40, dtype=np.complex128), Annulus(0.2, 0.8))
+        # L = 40 falls short at p = 60 on |z| <= 0.8, for the oracle and both batch entry points
+        space, region = make_disc_space(60, 40), Annulus(0.2, 0.8)
+        etas = np.ones((2, 40), dtype=np.complex128)
+        for call in (partial(find_zeros, space, etas[0]), partial(count_zeros_batch, space, etas),
+                     partial(find_zeros_batch, space, etas)):
+            with pytest.raises(disc.TruncationError) as exc:
+                call(region)
+            assert exc.value.required_length == truncation_length(60, 0.8) > 40
 
     def test_rejects_row_of_wrong_shape(self, space10):
         # a row one term short, and a batch of rows in place of one row

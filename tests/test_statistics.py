@@ -253,10 +253,9 @@ class TestVariance:
         # each pair value depends on its own radii only: blocks of 312 pairs give the same floats as the default blocks
         phi, region = TestFunction(0.35, 0.65), Annulus(0.2, 0.7)
         spaces = [make_disc_space(p, sections.truncation_length(p, phi.b)) for p in (40, 200)]
-        proxy_space = make_disc_space(100, sections.truncation_length(100, region.b))
 
         def values():
-            return [variance_bipotential(s, phi) for s in spaces] + [sodin_tsirelson_proxy(proxy_space, region)]
+            return [variance_bipotential(s, phi) for s in spaces] + [sodin_tsirelson_proxy(100, region)]
 
         default = values()
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
@@ -299,12 +298,12 @@ class TestVariance:
         space = make_disc_space(p, sections.truncation_length(p, region.b))
         a = -2.0 * math.log(region.a)
         bound = 2.0 * a / math.pi * math.sqrt(p) * (1.0 + (math.pi / a) ** 2) ** (1.0 - p / 2)
-        assert abs(sodin_tsirelson_proxy(space, region) / correlation_proxy(space, region) - 1.0) <= bound + 1e-13
+        assert abs(sodin_tsirelson_proxy(p, region) / correlation_proxy(space, region) - 1.0) <= bound + 1e-13
 
     def test_proxy_matches_per_pair_exponential_oracle(self):
         region = Annulus(0.2, 0.7)
         space = make_disc_space(100, sections.truncation_length(100, region.b))
-        assert sodin_tsirelson_proxy(space, region) == pytest.approx(correlation_proxy(space, region), rel=1e-13)
+        assert sodin_tsirelson_proxy(100, region) == pytest.approx(correlation_proxy(space, region), rel=1e-13)
 
     @pytest.mark.parametrize("p", [50, 200, 800])
     @pytest.mark.parametrize("r0", [0.4, 0.5, 0.6])
@@ -325,8 +324,7 @@ class TestProxyAndExperiments:
         region = Annulus(0.35, 0.65)
         vals = {}
         for p in (50, 100):
-            space = make_disc_space(p, sections.truncation_length(p, region.b))
-            vals[p] = sodin_tsirelson_proxy(space, region)
+            vals[p] = sodin_tsirelson_proxy(p, region)
         assert vals[100] < vals[50]
 
     def test_clt_rejects_degenerate_statistic(self):
@@ -379,15 +377,15 @@ class TestProxyAndExperiments:
         assert (hole_check.passed, hole_check.detail) == (False, "0.0000 -> 0.0000")
         assert (dev_check.passed, dev_check.detail) == (True, "0.0000 -> 0.0000")
 
-    def test_expected_linear_statistic_by_parts(self, space80):
+    def test_expected_linear_statistic_by_parts(self):
         # -int phi' n dr equals direct quadrature of phi against d n
         from numpy.polynomial.legendre import leggauss
 
         phi = TestFunction(0.35, 0.65)
-        pred = expected_linear_statistic(space80, phi)
+        pred = expected_linear_statistic(80, phi)
         x, w = leggauss(800)
         r = 0.15 * x + 0.5
-        dn = np.gradient([disc.zero_counting_function(space80, ri) for ri in r], r)
+        dn = np.gradient([disc.zero_counting_function(80, ri) for ri in r], r)
         direct = float(np.dot(0.15 * w, phi.value(r) * dn))
         assert pred == pytest.approx(direct, rel=1e-4)
 
