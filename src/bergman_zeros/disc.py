@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 __all__ = [
     "Annulus",
@@ -185,9 +185,17 @@ def _log_eulerian(p: int) -> np.ndarray:
     return np.log(m) + e * math.log(2.0)  # never handed out
 
 
+def _eulerian_weights(p: int, y) -> tuple[np.ndarray, np.ndarray]:
+    """The terms c_k x^k of E(x), x = e^(-y), over the largest of them (last axis), and the log of that largest."""
+    log_w = _log_eulerian(p) - np.multiply.outer(y, np.arange(p - 1))
+    shift = np.max(log_w, axis=-1)
+    return np.exp(log_w - shift[..., None]), shift
+
+
 def _log_diag(p: int, y):
     """log B_p at y = -2 log r (a scalar or an array), by the closed form."""
-    log_xe = logsumexp(_log_eulerian(p) - np.multiply.outer(y, np.arange(p - 1)), axis=-1) - y
+    w, shift = _eulerian_weights(p, y)
+    log_xe = np.log(np.sum(w, axis=-1)) + shift - y
     return math.log(p - 1) - LOG_2PI + log_xe - p * np.log(-np.expm1(-y) / y)
 
 
@@ -323,9 +331,8 @@ def zero_counting_function(p: int, r):
     the middle term a mean index under p - 1 positive, max-shifted weights: no truncation.
     """
     y = -2.0 * np.log(_checked_radii(r))
+    w, _ = _eulerian_weights(p, y)
     k = np.arange(p - 1)
-    log_w = _log_eulerian(p) - np.multiply.outer(y, k)
-    w = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True))
     return _scalar_or_array(1.0 + (w @ k) / np.sum(w, axis=-1) + p / np.expm1(y))  # x / (1 - x) = 1 / (e^y - 1)
 
 

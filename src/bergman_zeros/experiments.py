@@ -381,11 +381,7 @@ def _linear_statistics(phi: TestFunction) -> Callable[[DiscSpace, np.ndarray], t
     def rows_fn(space: DiscSpace, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         zs = sections.find_zeros_batch(space, etas, phi.support)
         m = etas.shape[0]
-        bounds = np.searchsorted(zs.row, np.arange(m + 1))
-        ys = np.empty(m)
-        for i in range(m):
-            lo, hi = bounds[i], bounds[i + 1]
-            ys[i] = np.dot(zs.mult[lo:hi], phi.value(np.abs(zs.z[lo:hi])))
+        ys = np.bincount(zs.row, weights=zs.mult * phi.value(np.abs(zs.z)), minlength=m)
         merges = np.bincount(zs.row, weights=zs.mult - 1, minlength=m)
         return ys, np.column_stack([zs.fallback, zs.unconverged, merges]).astype(np.int64)
 

@@ -21,8 +21,10 @@ arrays: the row, point and multiplicity of every zero, and per row its
 unconverged iterates and its fallback.
 
 Every evaluation on n equispaced angles of a circle goes through
-`_circle_values`: a GEMM with the table of n-th roots of unity below
-FFT_MIN_POINTS angles, a fold of ell mod n and one inverse FFT from there.
+`_circle_values`: a fold of ell mod n and one inverse FFT, at every n.
+Outside `find_zeros`, the oracle of the rare fallback rows, nothing here
+takes a matrix product: the Monte Carlo chunks of `experiments` call no
+threaded BLAS, and its chunk pool alone owns the threads.
 
 The winding numbers of a whole batch come from one vectorized engine.
 A first pass evaluates every section on a shared grid of the circle
@@ -47,7 +49,6 @@ largest truncation length, so every p sees the same leading coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -90,15 +91,6 @@ MAX_ASPECT = 8.0
 # 8-14 ms at p = 200 and 41-59 ms at p = 1 280 on (0.1, 0.9) from 2^15 to
 # 2^19 entries alike (2 vCPUs, median of 7).
 BLOCK_ENTRIES = 1 << 17
-# `_circle_values` folds and takes one FFT from this many angles up, and a
-# GEMM below.  Selected by angles, not by L.  `_winding`, GEMM -> FFT:
-# n = 4096 (p = 200, r = 0.7, 200 rows) 249 -> 45 ms; n = 1024 (p = 200,
-# r = 0.2) 23 -> 9.5 ms; n = 512 (p = 100, 500 rows) 19 -> 13 ms; n = 256
-# (p = 40 and 50, 1000 rows) 14-16 -> 13-14 ms; n = 128 (4096 rows, L = 32,
-# 35 and 114) the FFT is 2-25 % slower, and so it is on the log-sup coarse
-# pass (n = 72, L = 114, 4096 rows: 407 -> 440 ms).  2 vCPUs, OpenBLAS
-# 0.3.31 with 2 threads, medians of 15 interleaved pairs (7 for log-sup).
-FFT_MIN_POINTS = 256
 
 
 class Zeros(NamedTuple):
@@ -154,30 +146,21 @@ def _powers(w: np.ndarray, L: int) -> np.ndarray:
     return np.cumprod(np.broadcast_to(w[..., None], (*w.shape, L)), axis=-1)
 
 
-@functools.lru_cache(maxsize=8)
-def _roots_table(L: int, n: int) -> np.ndarray:
-    """The L x n table of e^{i ell 2 pi j / n}, read-only: n-th roots of unity, exact in the argument."""
-    roots = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
-    table = roots[np.outer(np.arange(1, L + 1), np.arange(n)) % n]
-    table.flags.writeable = False
-    return table
-
-
 def _circle_values(coeff: np.ndarray, n: int) -> np.ndarray:
     """sum_ell coeff_ell e^{i ell theta_j} at the n angles theta_j = 2 pi j / n, ell = 1 .. L, per row.
 
-    Unnormalised: the values of the section itself.  Below FFT_MIN_POINTS
-    angles, a GEMM with `_roots_table` (cached per (L, n), and cheaper than
-    L x n complex exponentials); from there, ell folded mod n into a
-    zero-padded array and one inverse FFT.
+    Unnormalised: the values of the section itself.  Each n-wide block of
+    ell is added, in order, into ell mod n; then one inverse FFT, in place:
+    a second array of its size faults fresh pages on every call, 4x the
+    time of the whole call at 256 rows of L = 35 on n = 128.
     """
     m, L = coeff.shape
-    if n < FFT_MIN_POINTS:
-        return coeff @ _roots_table(L, n)
-    width = -(-(L + 1) // n) * n
-    folded = np.zeros((m, width), dtype=np.complex128)
-    folded[:, 1 : L + 1] = coeff
-    return np.fft.ifft(folded.reshape(m, width // n, n).sum(axis=1), axis=1, norm="forward")
+    folded = np.zeros((m, n), dtype=np.complex128)
+    for lo in range(0, L + 1, n):
+        block = coeff[:, max(lo - 1, 0) : lo + n - 1]  # ell = max(lo, 1) .. lo + n - 1
+        start = int(lo == 0)
+        folded[:, start : start + block.shape[1]] += block
+    return np.fft.ifft(folded, axis=1, norm="forward", out=folded)
 
 
 def truncation_length(p: int, b: float) -> int:
@@ -224,7 +207,8 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray):
             if active.size == 0:
                 break
             terms = _powers(za / rho[active], space.L) * coeff
-            step = za * terms.sum(axis=1) / (terms @ space.ells)  # S / S'
+            # S / S', the derivative by einsum: a BLAS product would thread inside the chunk pool
+            step = za * terms.sum(axis=1) / np.einsum("ql,l->q", terms, space.ells)
             ok = np.isfinite(step)
             done = ok & (np.abs(step) < NEWTON_TOL * np.maximum(1.0, rad))
             converged[active[done]] = True

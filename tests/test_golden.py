@@ -100,6 +100,11 @@ though the seed grid and the winding angles read it, nor when kernel-decay
 came to label its pairs by their measured distance and to turn a radial
 move outward past the sup point y = p (in the golden no angular move
 wraps, and no radial move passes y = 20.5).
+No digest and no listing line moved when the circle values came to be the
+fold and one inverse FFT at every angle count (the GEMM below 256 angles
+went), Newton's derivative an einsum in place of a BLAS product, the
+linear statistic one weighted bincount, and the log diagonal a sum of the
+max-shifted Eulerian weights in place of scipy's logsumexp.
 """
 
 import hashlib

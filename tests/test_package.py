@@ -85,3 +85,23 @@ def test_disc_and_statistics_take_p_not_a_space():
         and any("DiscSpace" in str(param.annotation) for param in inspect.signature(fn).parameters.values())
     ]
     assert takes_space == ["bergman_zeros.statistics.variance_bipotential"]
+
+
+def test_sections_takes_no_matrix_product_outside_find_zeros():
+    # a matrix product is a threaded BLAS call, which inside a Monte Carlo chunk fights the chunk pool for the
+    # cores; only `find_zeros`, the oracle of the rare fallback rows, may take one
+    tree = ast.parse((SRC / "sections.py").read_text(encoding="utf-8"))
+    [oracle] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "find_zeros"]
+    inside = {id(node) for node in ast.walk(oracle)}
+    found = [
+        f"sections.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Attribute) and node.attr in ("dot", "vdot", "inner", "matmul", "tensordot"))
+            or (isinstance(node, ast.Attribute) and node.attr == "linalg")
+            or (isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+        )
+    ]
+    assert not found, f"matrix products outside find_zeros: {found}"

@@ -389,10 +389,13 @@ def _reference_winding(space, eta, r, n_init, max_rounds=40):
 
 
 class TestCircleValues:
-    # (L, n): L < n on the GEMM side (128, the holes windings) and on the
-    # FFT side (256); the fold L > n on both sides; n = 72, the log-sup
-    # coarse pass, is not a power of two
-    SHAPES = [(35, 128), (300, 128), (185, 256), (700, 256), (114, 72), (476, 1024)]
+    # (L, n): L < n (128, the holes windings; 256) and the fold L > n;
+    # n = 72, the log-sup coarse pass, is not a power of two; then the
+    # fold's block edges, L = n - 1, n, 2n - 1 and 2n, where ell = L lands
+    # on the last index of a block or the first of the next
+    SHAPES = [(35, 128), (300, 128), (185, 256), (700, 256), (114, 72), (476, 1024)] + [
+        (L, n) for n in (72, 128) for L in (n - 1, n, 2 * n - 1, 2 * n)
+    ]
 
     @staticmethod
     def _direct(coeff: np.ndarray, n: int) -> np.ndarray:
@@ -403,13 +406,10 @@ class TestCircleValues:
         return np.einsum("ml,lj->mj", c, np.cos(angle)) + 1j * np.einsum("ml,lj->mj", c, np.sin(angle))
 
     @pytest.mark.parametrize("L, n", SHAPES)
-    @pytest.mark.parametrize("path", ["default", "gemm", "fft"])
-    def test_matches_direct_sum(self, monkeypatch, L, n, path):
+    def test_matches_direct_sum(self, L, n):
         rng = np.random.default_rng(L * n)
         coeff = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
         coeff[2] *= np.exp(-0.05 * np.arange(L))  # terms that decay, as the scaled coefficients do
-        if path != "default":
-            monkeypatch.setattr(sections, "FFT_MIN_POINTS", n + 1 if path == "gemm" else n)
         got = sections._circle_values(coeff, n)
         ref = self._direct(coeff, n)
         assert got.shape == (3, n)
