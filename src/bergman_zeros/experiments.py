@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 # Fixed work-partition sizes: identical batched calls of the winding
-# engine, the log sup and the zero finder regardless of the thread count.
+# engine and the zero finder regardless of the thread count.
 # The drivers read them when they run, so a test can shrink them.
 COUNT_CHUNK = 4096
 ROOT_CHUNK = 64
@@ -116,23 +116,20 @@ def _monte_carlo(
         yield (p, space, *(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-def _batched(region: Annulus, *batch_fns) -> Callable[[DiscSpace, np.ndarray], tuple[np.ndarray, ...]]:
-    """Rows function of the batched section routines fn(space, rows, region), one array each."""
-    return lambda space, etas: tuple(fn(space, etas, region) for fn in batch_fns)
+def _zero_counts(region: Annulus) -> Callable[[DiscSpace, np.ndarray], tuple[np.ndarray]]:
+    """Rows function of the zero count: `sections.count_zeros_batch` of every row in region."""
+    return lambda space, etas: (sections.count_zeros_batch(space, etas, region),)
 
 
-def _falls(
-    report: StatsReport, name: str, values: dict[int, float], fmt: str, label: str = "", strict: bool = True
-) -> None:
+def _falls(report: StatsReport, name: str, values: dict[int, float], fmt: str, label: str = "") -> None:
     """One check {name}_p{p_lo}_to_p{p_hi} per neighbouring pair of p (the keys of values, in order).
 
-    It passes when values[p_hi] < values[p_lo], or <= when not strict.
+    It passes when values[p_hi] < values[p_lo].
     """
     ps = list(values)
     for p_lo, p_hi in zip(ps, ps[1:]):
         lo, hi = values[p_lo], values[p_hi]
-        passed = hi < lo if strict else hi <= lo
-        report.check(f"{name}_p{p_lo}_to_p{p_hi}", passed, f"{label}{lo:{fmt}} -> {hi:{fmt}}")
+        report.check(f"{name}_p{p_lo}_to_p{p_hi}", hi < lo, f"{label}{lo:{fmt}} -> {hi:{fmt}}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +353,8 @@ def equidistribution_experiment(
     """
     report = StatsReport("equidistribution", seed)
     area = disc.c1_area(annulus)
-    rows_fn = _batched(annulus, sections.count_zeros_batch)
     for p, _, counts in _monte_carlo(
-        report, list(p), annulus.b, samples, threads, rows_fn, COUNT_CHUNK, paired_seeds
+        report, list(p), annulus.b, samples, threads, _zero_counts(annulus), COUNT_CHUNK, paired_seeds
     ):
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(samples))
@@ -496,8 +492,7 @@ def hole_probability_experiment(
     estimates: dict[int, float] = {}
     intervals: dict[int, tuple[float, float]] = {}
     ps = list(p)
-    rows_fn = _batched(annulus, sections.count_zeros_batch)
-    for p, _, counts in _monte_carlo(report, ps, annulus.b, samples, threads, rows_fn, COUNT_CHUNK):
+    for p, _, counts in _monte_carlo(report, ps, annulus.b, samples, threads, _zero_counts(annulus), COUNT_CHUNK):
         k = int(np.sum(counts == 0))
         phat = k / samples
         lo, hi = _wilson_interval(k, samples)
@@ -538,22 +533,26 @@ def deviation_experiment(
     seed: int,
     threads: int = 1,
 ) -> StatsReport:
-    """Tail frequencies for the count deviation and the log-sup statistic."""
+    """Tail frequency of the zero count, P(|N / p - c1 area| > delta), falling in p.
+
+    Each row's stderr is binomial, its f (1 - f) held at 1 / samples or
+    more, so that a frequency of 0 has one.  The frequency must fall from
+    each p to the next by more than 3 standard errors of the difference,
+    the two rows' stderr in quadrature: a tie, or a fall within the noise,
+    fails.
+    """
     report = StatsReport("deviation", seed)
     area = disc.c1_area(annulus)
-    freqs: dict[int, float] = {}
-
-    rows_fn = _batched(annulus, sections.count_zeros_batch, sections.log_sup_batch)
-    for p, _, counts, log_sup in _monte_carlo(report, list(p), annulus.b, samples, threads, rows_fn, COUNT_CHUNK):
-        freq_count = float(np.mean(np.abs(counts / p - area) > delta))
-        freq_sup = float(np.mean(np.abs(log_sup) / p >= delta))
-        freqs[p] = freq_count
-        for statistic, freq in (
-            ("count_deviation_frequency", freq_count), ("log_sup_deviation_frequency", freq_sup)
-        ):
-            report.row(
-                p, statistic, freq,
-                stderr=math.sqrt(max(freq * (1 - freq), 1.0 / samples) / samples), n_samples=samples,
-            )
-    _falls(report, "count_deviation_decreases", freqs, ".4f", strict=False)
+    rows = []
+    for p, _, counts in _monte_carlo(report, list(p), annulus.b, samples, threads, _zero_counts(annulus), COUNT_CHUNK):
+        freq = float(np.mean(np.abs(counts / p - area) > delta))
+        se = math.sqrt(max(freq * (1 - freq), 1.0 / samples) / samples)
+        rows.append(report.row(p, "count_deviation_frequency", freq, stderr=se, n_samples=samples))
+    for lo, hi in zip(rows, rows[1:]):
+        bound = 3.0 * math.hypot(lo.stderr, hi.stderr)
+        report.check(
+            f"count_deviation_decreases_p{lo.p}_to_p{hi.p}",
+            lo.estimate - hi.estimate > bound,
+            f"{lo.estimate:.4f} -> {hi.estimate:.4f}, fall {lo.estimate - hi.estimate:.4f} vs 3 SE = {bound:.4f}",
+        )
     return report

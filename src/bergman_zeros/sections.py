@@ -34,11 +34,6 @@ circle, form one flat queue of segments that is bisected for all rows
 together.  A row on which the section vanishes on the circle, or whose
 segments do not settle, fails; every job hands it to `find_zeros`.
 
-`log_sup_batch` gives the log sup of |s|_{h_p} over an annulus for a
-whole batch: a coarse polar grid through `_circle_values`, then zoom
-rounds on the power table of the Newton and Aberth steps, all on scaled
-terms, so that nothing overflows at large p.
-
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, path).  `sample_etas` draws a whole batch of coefficient
 rows, in sample order, from one stream before any work is split among
@@ -61,7 +56,6 @@ __all__ = [
     "count_zeros_batch",
     "find_zeros",
     "find_zeros_batch",
-    "log_sup_batch",
     "sample_etas",
     "section_stream",
     "truncation_length",
@@ -85,9 +79,9 @@ ABERTH_ANGLE = 0.7
 # next to an arc, whose increment then aliases; much thicker ones have long
 # radial edges, whose increments alias too.
 MAX_ASPECT = 8.0
-# Every blocked array pass (winding rows, log-sup zooms, the bipotential's
-# hot windows) holds at most this many entries per temporary: 1 MB of
-# float64, 2 MB of complex128, sized to a 2 MiB L2.  The bipotential takes
+# Every blocked array pass (winding rows, the bipotential's hot windows)
+# holds at most this many entries per temporary: 1 MB of float64, 2 MB of
+# complex128, sized to a 2 MiB L2.  The bipotential takes
 # 8-14 ms at p = 200 and 41-59 ms at p = 1 280 on (0.1, 0.9) from 2^15 to
 # 2^19 entries alike (2 vCPUs, median of 7).
 BLOCK_ENTRIES = 1 << 17
@@ -399,70 +393,6 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
     for i in np.flatnonzero(unresolved):
         counts[i] = find_zeros(space, etas[i], region).mult.sum()
     return counts
-
-
-# ---------------------------------------------------------------------------
-# log sup of |s|_{h_p} over an annulus: polar grid, then zoom rounds
-
-# The coarse grid is matched to the field's correlation length (about
-# p^(-1/2) in the cusp metric); each zoom round evaluates 5 x 5 points
-# around every row's best point, at a quarter of the previous spacing.
-LOG_SUP_RADIAL_POINTS = 24
-LOG_SUP_ANGULAR_POINTS = 72
-LOG_SUP_REFINE_ROUNDS = 2
-
-
-def _keep_best(best: np.ndarray, best_r: np.ndarray, best_t: np.ndarray, logs: np.ndarray, r, t) -> None:
-    """Raise each row of best, in place, to its largest candidate in logs, and move its point there.
-
-    r and t are the radii and angles of the candidates, broadcast against logs.
-    """
-    rows, j = np.arange(logs.shape[0]), np.argmax(logs, axis=1)
-    cand = logs[rows, j]
-    better = cand > best
-    best[better] = cand[better]
-    best_r[better] = np.broadcast_to(r, logs.shape)[rows, j][better]
-    best_t[better] = np.broadcast_to(t, logs.shape)[rows, j][better]
-
-
-def log_sup_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np.ndarray:
-    """log sup over a <= |z| <= b of |s|_{h_p}, one value per row of etas.
-
-    The coarse pass takes every row on LOG_SUP_RADIAL_POINTS circles of
-    LOG_SUP_ANGULAR_POINTS angles: the terms scaled at each radius
-    (`_scaled_coefficients`), evaluated by `_circle_values`.  Each
-    of LOG_SUP_REFINE_ROUNDS zoom rounds scales a row's terms at its best
-    radius rho and evaluates the 5 x 5 points around its best point, radii
-    clipped to [a, b], from the powers of z / rho; rows go in blocks of at
-    most BLOCK_ENTRIES (row, point, ell) entries.  A zoom round never lowers a value.
-    """
-    m = etas.shape[0]
-    thetas = np.linspace(0.0, 2.0 * math.pi, LOG_SUP_ANGULAR_POINTS, endpoint=False)
-    best, best_r, best_t = np.full(m, -np.inf), np.empty(m), np.empty(m)
-    for r in np.linspace(region.a, region.b, LOG_SUP_RADIAL_POINTS):
-        coeff, shift = _scaled_coefficients(space, etas, math.log(r))
-        weight = 0.5 * space.p * math.log(-2.0 * math.log(r))
-        vals = _circle_values(coeff, LOG_SUP_ANGULAR_POINTS)
-        _keep_best(best, best_r, best_t, np.log(np.abs(vals)) + (shift + weight), r, thetas)
-
-    dr = (region.b - region.a) / (LOG_SUP_RADIAL_POINTS - 1)
-    dt = 2.0 * math.pi / LOG_SUP_ANGULAR_POINTS
-    offsets = np.linspace(-1.0, 1.0, 5)
-    step = max(1, BLOCK_ENTRIES // (offsets.size**2 * space.L))
-    for _ in range(LOG_SUP_REFINE_ROUNDS):
-        for lo in range(0, m, step):
-            # views: _keep_best updates the rows of this block in place
-            b, rho, t = best[lo : lo + step], best_r[lo : lo + step], best_t[lo : lo + step]
-            # point 5 i + k of a row: radius offset i, angle offset k
-            rg = np.repeat(np.clip(rho[:, None] + dr * offsets, region.a, region.b), 5, axis=1)
-            tg = np.tile(t[:, None] + dt * offsets, 5)
-            coeff, shift = _scaled_coefficients(space, etas[lo : lo + step], np.log(rho))
-            vals = np.einsum("rkl,rl->rk", _powers(rg / rho[:, None] * np.exp(1j * tg), space.L), coeff)
-            weight = 0.5 * space.p * np.log(-2.0 * np.log(rg))
-            _keep_best(b, rho, t, np.log(np.abs(vals)) + (shift[:, None] + weight), rg, tg)
-        dr /= 4.0
-        dt /= 4.0
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,12 @@ fold and one inverse FFT at every angle count (the GEMM below 256 angles
 went), Newton's derivative an einsum in place of a BLAS product, the
 linear statistic one weighted bincount, and the log diagonal a sum of the
 max-shifted Eulerian weights in place of scipy's logsumexp.
+The deviation digest was taken again when the log-sup statistic went and
+the golden config came to run p = 10 and 20, so that the digest covers
+the fall check (the frequency must fall by more than 3 SE of the
+difference), a declared output change: the log-sup frequency row of
+p = 20 went, the row of p = 10 is new, and the count row of p = 20
+kept its bytes.  No other digest or listing line moved.
 """
 
 import hashlib

@@ -390,7 +390,7 @@ def _reference_winding(space, eta, r, n_init, max_rounds=40):
 
 class TestCircleValues:
     # (L, n): L < n (128, the holes windings; 256) and the fold L > n;
-    # n = 72, the log-sup coarse pass, is not a power of two; then the
+    # n = 72 is not a power of two; then the
     # fold's block edges, L = n - 1, n, 2n - 1 and 2n, where ell = L lands
     # on the last index of a block or the first of the next
     SHAPES = [(35, 128), (300, 128), (185, 256), (700, 256), (114, 72), (476, 1024)] + [
@@ -702,37 +702,3 @@ class TestBatchedZeros:
             space, _with_zeros(space, [w])[None, :], np.zeros(1, dtype=np.intp), np.array([w * 1.001])
         )
         assert converged[0] and abs(z[0] - w) < 1e-12
-
-
-class TestLogSup:
-    SEED = 20260811
-
-    def test_matches_dense_evaluation(self, monkeypatch):
-        # both are maxima over grids of the same field: the zoom may stay on
-        # a lower peak than the one the coarse grid missed, and a grid point
-        # misses the top of its peak; either gap is a few 1e-3 here
-        p, region = 20, Annulus(0.2, 0.7)
-        space = make_disc_space(p, truncation_length(p, region.b))
-        etas = sections.sample_etas(space, self.SEED, (p,), 4)
-        got = sections.log_sup_batch(space, etas, region)
-        grid = [r * np.exp(1j * t) for r in np.linspace(region.a, region.b, 61)
-                for t in np.linspace(0.0, 2.0 * math.pi, 240, endpoint=False)]
-        dense = [max(evaluate(space, eta, z)[0] for z in grid) for eta in etas]
-        assert np.allclose(got, dense, rtol=0.0, atol=1e-2)
-        monkeypatch.setattr(sections, "BLOCK_ENTRIES", 1)  # one row per zoom block
-        assert np.array_equal(sections.log_sup_batch(space, etas, region), got)
-
-    @pytest.mark.filterwarnings("error")
-    def test_zoom_raises_at_large_p(self, monkeypatch):
-        # unscaled powers c_ell z^ell overflow here
-        p, region = 1000, Annulus(0.2, 0.7)
-        space = make_disc_space(p, truncation_length(p, region.b))
-        assert space.L == 1798
-        etas = sections.sample_etas(space, self.SEED, (p,), 8)
-        zoomed = sections.log_sup_batch(space, etas, region)
-        monkeypatch.setattr(sections, "LOG_SUP_REFINE_ROUNDS", 0)
-        coarse = sections.log_sup_batch(space, etas, region)
-        assert np.all(np.isfinite(zoomed)) and np.all(zoomed >= coarse)
-        # a row whose coarse point lies within half a final zoom step of its
-        # peak keeps its value (2 of these 8 rows)
-        assert np.count_nonzero(zoomed > coarse + 1e-9) >= 6

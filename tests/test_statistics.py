@@ -348,18 +348,19 @@ class TestProxyAndExperiments:
         assert freq.estimate < 0.01  # only the surplus side can trigger
 
     def test_deviation_decreases_in_p(self):
-        region = Annulus(0.2, 0.7)
-        area = disc.c1_area(region)
-        rep = experiments.deviation_experiment([20, 40], region, 0.3 * area, 4000, seed=20260811)
-        freqs = [r.estimate for r in rep.rows if r.statistic == "count_deviation_frequency"]
-        assert freqs[1] <= freqs[0]
-        assert rep.all_passed
+        # the shipped delta and p: every frequency is nonzero, and each fall clears 3 SE
+        rep = experiments.deviation_experiment([10, 20, 40], Annulus(0.2, 0.7), 0.1, 4000, seed=20260811)
+        freqs = [r.estimate for r in rep.rows]
+        assert freqs[0] > freqs[1] > freqs[2] > 0.0
+        assert len(rep.checks) == 2 and rep.all_passed
 
-    def test_log_sup_statistic_small_at_p60(self):
-        region = Annulus(0.2, 0.7)
-        rep = experiments.deviation_experiment([60], region, 0.5, 2000, seed=20260811)
-        sup_rows = [r for r in rep.rows if r.statistic == "log_sup_deviation_frequency"]
-        assert sup_rows[0].estimate < 1e-2
+    def test_deviation_fall_within_noise_fails(self):
+        # 200 samples: the frequency falls, 0.245 -> 0.170, by less than 3 SE of the difference
+        rep = experiments.deviation_experiment([20, 25], Annulus(0.2, 0.7), 0.1, 200, seed=3)
+        lo, hi = (r.estimate for r in rep.rows)
+        (check,) = rep.checks
+        assert hi < lo
+        assert (check.passed, check.detail) == (False, "0.2450 -> 0.1700, fall 0.0750 vs 3 SE = 0.1211")
 
     def test_hole_probability_trend_small_scale(self):
         rep = experiments.hole_probability_experiment([4, 6], Annulus(0.25, 0.45), 20_000, seed=20260811)
@@ -368,14 +369,14 @@ class TestProxyAndExperiments:
 
     def test_falls_checks_on_a_tie(self):
         # no holes and no deviation in any sample: a tie, which fails the
-        # strict hole check and passes the non-strict deviation check
+        # hole check and the deviation check alike
         region = Annulus(0.25, 0.45)
         holes = experiments.hole_probability_experiment([20, 30], region, 50, seed=3)
         dev = experiments.deviation_experiment([20, 30], region, 5.0, 50, seed=3)
         (hole_check,) = [c for c in holes.checks if c.name == "hole_probability_decreases_p20_to_p30"]
         (dev_check,) = [c for c in dev.checks if c.name == "count_deviation_decreases_p20_to_p30"]
         assert (hole_check.passed, hole_check.detail) == (False, "0.0000 -> 0.0000")
-        assert (dev_check.passed, dev_check.detail) == (True, "0.0000 -> 0.0000")
+        assert (dev_check.passed, dev_check.detail) == (False, "0.0000 -> 0.0000, fall 0.0000 vs 3 SE = 0.0849")
 
     def test_expected_linear_statistic_by_parts(self):
         # -int phi' n dr equals direct quadrature of phi against d n
