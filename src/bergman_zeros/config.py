@@ -80,7 +80,7 @@ EXPERIMENTS: dict[str, Kind] = {
     "sup": Kind("sup_experiment", "global sup of B_p grows like (p/2 pi)^(3/2)"),
     "model-kernel": Kind(
         "model_kernel_experiment",
-        "model kernel at a curvature zero: B(0,0) > 0, = c/2 pi when constant; even in Z",
+        "model kernel at a curvature zero: B(0,0) > 0, in closed form when radial; even in Z",
     ),
     "equidistribution": Kind(
         "equidistribution_experiment", "zero counts / p converge to the curvature area of the region"
@@ -88,7 +88,7 @@ EXPERIMENTS: dict[str, Kind] = {
     "variance": Kind("variance_experiment", "Var[Y(phi)] = zeta(3)/(4 pi^2 p) int |L(phi)|^2 c1 + lower order"),
     "clt": Kind("clt_experiment", "standardized linear statistics are asymptotically normal"),
     "holes": Kind("hole_probability_experiment", "hole probabilities decay like exp(-C p^2)"),
-    "deviation": Kind("deviation_experiment", "large-deviation frequencies for counts and log-sup decay in p"),
+    "deviation": Kind("deviation_experiment", "large-deviation frequencies of zero counts fall in p"),
     "kernel-decay": Kind(
         "kernel_decay_experiment",
         "normalized kernel: Gaussian near-diagonal decay, negligible beyond sqrt(24 log p/p)",

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 __all__ = [
@@ -271,6 +270,8 @@ def sup_kernel(p: int) -> tuple[float, float]:
     grid from r = 0.95 to r = e^(-e p) brackets the peak (one array call),
     then bounded Brent refines it.
     """
+    from scipy.optimize import minimize_scalar
+
     if p < 3:
         raise ValueError("sup search requires p >= 3")
     ts = np.linspace(math.log(-2.0 * math.log(0.95)), math.log(2.0 * p) + 1.0, SUP_GRID_POINTS)

@@ -11,7 +11,11 @@ whose kernel (sections annihilated by b+) is the weighted space
 degree-rho' polynomial in z, zbar with d Psi / d zbar = psi z / rho' and
 phi = Re Psi.  The kernel value at the origin is obtained from the Gram
 matrix of the monomials under the weight e^(-phi):
-B(0,0) = (G^{-1})_{00}.
+B(0,0) = (G^{-1})_{00}.  Each Gram entry is a Gamma function in the
+radius and a periodic trapezoid sum in the angle; one node set serves both
+the matrix and its step-halving check, which sums over every other node.
+The harmonic gauge of Psi is a small linear program, except for a radial
+psi, which takes gauge 0 by symmetry.
 
 Convention: psi is the curvature contraction iR(e1, e2).  A (1,1)-form
 written as  rho(x,y) dz ^ dzbar  has psi = 2 rho, because
@@ -93,6 +97,19 @@ class HomogeneousCurvature:
             coeffs[i] += c
         return cls(rho_prime=rho_prime, psi_coeffs=coeffs)
 
+    @property
+    def radial(self) -> bool:
+        """Whether psi = c |z|^(rho' - 2), i.e. constant on the unit circle; c is ``psi_coeffs[0]``.
+
+        Exact on the coefficients: c (x^2 + y^2)^k has C(k, j) c at x^(2j) y^(2k - 2j).
+        """
+        k = (self.rho_prime - 2) // 2
+        c = self.psi_coeffs[0]
+        return all(
+            self.psi_coeffs[i] == (math.comb(k, i // 2) * c if i % 2 == 0 else 0.0)
+            for i in range(self.psi_coeffs.size)
+        )
+
     def __call__(self, x, y):
         d = self.rho_prime - 2
         x = np.asarray(x, dtype=np.float64)
@@ -152,8 +169,7 @@ def _canonical_gauge(g0: np.ndarray, rho_prime: int, alphas: np.ndarray) -> comp
 
     Re(lambda z^rho') is harmonic, so it changes phi without changing the
     curvature; maximizing min_alpha phi(e^{i alpha}) over lambda is a
-    3-variable linear program (Re lambda, Im lambda, level).  Radial
-    profiles get lambda = 0 back.
+    3-variable linear program (Re lambda, Im lambda, level).
     """
     from scipy.optimize import linprog
 
@@ -181,7 +197,10 @@ def solve_potential(curv: HomogeneousCurvature, gauge: complex | None = None) ->
     which makes e^(-phi) decay along every ray whenever any polynomial
     gauge does; a fixed lambda of 0 would leave phi negative along rays
     for generic non-radial psi, and the monomial Gram integrals would
-    diverge.  Pass an explicit ``gauge`` to override.
+    diverge.  A radial psi takes lambda = 0 by symmetry, with no linear
+    program: Re(lambda e^(i rho' alpha)) has circle mean 0, so no lambda
+    raises the (constant) minimum.  Pass an explicit ``gauge`` to
+    override.
     """
     rp = curv.rho_prime
     d = rp - 2
@@ -195,7 +214,9 @@ def solve_potential(curv: HomogeneousCurvature, gauge: complex | None = None) ->
     psi_coeffs: dict[tuple[int, int], complex] = {}
     for (a, b), q in rhs.items():
         psi_coeffs[(a, b + 1)] = psi_coeffs.get((a, b + 1), 0.0) + q / (b + 1)
-    if gauge is None:
+    if gauge is None and curv.radial:
+        gauge = 0.0
+    elif gauge is None:
         alphas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         base = PotentialPair(curvature=curv, psi_z_zbar=dict(psi_coeffs))
         gauge = _canonical_gauge(base.angular_profile(alphas), rp, alphas)
@@ -215,8 +236,15 @@ class GramBasis:
     chol: tuple = field(repr=False)
 
 
-def _gram_at(pp: PotentialPair, max_deg: int, n_theta: int) -> np.ndarray:
+def _gram_pair(pp: PotentialPair, max_deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices on the GRAM_ANGULAR_NODES angles and on every other one of them.
+
+    One node set serves both quadratures: linspace(0, 2 pi, n)[::2] is
+    linspace(0, 2 pi, n/2) bit for bit, so the step-halved matrix takes
+    every other column of the profile, radial and phase tables.
+    """
     rp = pp.rho_prime
+    n_theta = GRAM_ANGULAR_NODES
     alpha = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     g = pp.angular_profile(alpha)
     gmin = float(np.min(g))
@@ -229,23 +257,28 @@ def _gram_at(pp: PotentialPair, max_deg: int, n_theta: int) -> np.ndarray:
     # radial: int_0^inf rho^(s+1) e^(-rho^rp g) d rho = Gamma((s+2)/rp) g^(-(s+2)/rp) / rp
     ks = (np.arange(0, 2 * max_deg + 1) + 2.0) / rp
     radial = np.exp(gammaln(ks)[:, None] - ks[:, None] * log_g[None, :]) / rp
-    phases = np.exp(1j * np.outer(np.arange(-max_deg, max_deg + 1), alpha))
-    # F[d, s] = (2 pi / n_theta) sum_k e^(i d alpha_k) radial[s, k]
-    F = phases @ radial.T * (2.0 * np.pi / n_theta)
+    # e^(i d alpha) for d = -max_deg..max_deg: d > 0 computed, d < 0 its conjugate, d = 0 ones
+    positive = np.exp(1j * np.outer(np.arange(1, max_deg + 1), alpha))
+    phases = np.concatenate([np.conj(positive[::-1]), np.ones((1, n_theta)), positive])
     m, nn = np.indices((n, n))
-    G = F[(m - nn) + max_deg, m + nn]
-    return 0.5 * (G + G.conj().T)
+
+    def gram(step: int) -> np.ndarray:
+        # F[d, s] = (2 pi / nodes) sum_k e^(i d alpha_k) radial[s, k] over every step-th node
+        F = phases[:, ::step] @ radial[:, ::step].T * (2.0 * np.pi / (n_theta // step))
+        G = F[(m - nn) + max_deg, m + nn]
+        return 0.5 * (G + G.conj().T)
+
+    return gram(1), gram(2)
 
 
 def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
     """Gram matrix G_mn = int z^m zbar^n e^(-phi) dA for m, n = 0..max_deg.
 
-    Entry accuracy is certified by halving the GRAM_ANGULAR_NODES angular
-    nodes and comparing (step-halving estimate); disagreement beyond
-    GRAM_RTOL raises QuadratureError.
+    Entry accuracy is certified by step-halving: the same quadrature on
+    every other one of the GRAM_ANGULAR_NODES angles (one node set serves
+    both) must agree within GRAM_RTOL, or QuadratureError is raised.
     """
-    G = _gram_at(pp, max_deg, GRAM_ANGULAR_NODES)
-    G_half = _gram_at(pp, max_deg, GRAM_ANGULAR_NODES // 2)
+    G, G_half = _gram_pair(pp, max_deg)
     scale = np.abs(np.diagonal(G))
     denom = np.sqrt(np.outer(scale, scale))
     err = float(np.max(np.abs(G - G_half) / denom))

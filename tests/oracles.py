@@ -14,14 +14,16 @@ a folded FFT per pair), normalized by the L-term log diagonal that the
 closed form of `disc` replaced: the unit rows of `statistics` replaced
 that path, and the closed form in y = -2 log r replaced them; at 8192
 angles it is the closed form's reference.  The model-kernel ones check a solved potential and a
-candidate kernel element against the defining equations.
+candidate kernel element against the defining equations; `gram_at` is the one-grid Gram build that
+`model.gram_matrix` once called at n and at n/2 angles, each grid from scratch, the bit-for-bit
+reference of the one-pass pair that replaced it.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from bergman_zeros import sections
 from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _checked_radii
@@ -242,3 +244,18 @@ def kernel_membership_residual(pp: PotentialPair, f, grid, f_dbar=None, fd_step:
     psi = pp.curvature(np.real(z), np.imag(z))
     bp = 2.0 * dbar + (psi / pp.rho_prime) * z * fz
     return float(np.max(np.abs(bp) / (1.0 + np.abs(fz))))
+
+
+def gram_at(pp: PotentialPair, max_deg: int, n_theta: int) -> np.ndarray:
+    """Monomial Gram matrix under e^(-phi) by the periodic trapezoid rule on n_theta angles, built from scratch."""
+    rp = pp.rho_prime
+    alpha = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    log_g = np.log(pp.angular_profile(alpha))
+    n = max_deg + 1
+    ks = (np.arange(0, 2 * max_deg + 1) + 2.0) / rp
+    radial = np.exp(gammaln(ks)[:, None] - ks[:, None] * log_g[None, :]) / rp
+    phases = np.exp(1j * np.outer(np.arange(-max_deg, max_deg + 1), alpha))
+    F = phases @ radial.T * (2.0 * np.pi / n_theta)
+    m, nn = np.indices((n, n))
+    G = F[(m - nn) + max_deg, m + nn]
+    return 0.5 * (G + G.conj().T)

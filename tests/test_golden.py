@@ -111,6 +111,13 @@ the fall check (the frequency must fall by more than 3 SE of the
 difference), a declared output change: the log-sup frequency row of
 p = 20 went, the row of p = 10 is new, and the count row of p = 20
 kept its bytes.  No other digest or listing line moved.
+The listing was taken again, a declared change of two anchor lines, when
+the deviation anchor stopped naming the deleted log-sup scan and the
+model-kernel anchor came to name the closed form of every radial
+curvature in place of c/2 pi at constant curvature.  No digest moved
+then: the step-halved Gram matrix came to take every other node of the
+full one, and a radial gauge came to be 0 without a linear program, bit
+for bit the same Gram matrices.
 """
 
 import hashlib

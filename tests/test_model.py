@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from bergman_zeros import model
+from bergman_zeros.experiments import model_kernel_experiment
 from bergman_zeros.model import (
     HomogeneousCurvature,
     QuadratureError,
@@ -15,7 +17,7 @@ from bergman_zeros.model import (
     model_bergman_at_zero,
     solve_potential,
 )
-from oracles import dbar_potential, kernel_membership_residual
+from oracles import dbar_potential, gram_at, kernel_membership_residual
 
 
 def example_quartic(z):
@@ -112,6 +114,45 @@ class TestSolvePotential:
         assert np.min(pp0.angular_profile(alphas)) < 0.0
 
 
+# (rho', monomial triples): the degree-4 example, two radial curvatures and a non-radial sextic
+CURVATURES = {
+    "constant": (2, [(0, 0, 1.0)]),
+    "quartic": (4, [(0, 2, 2.0)]),
+    "radial-quartic": (4, [(2, 0, 2.0), (0, 2, 2.0)]),
+    "sextic": (6, [(4, 0, 1.0), (2, 2, 0.5), (0, 4, 2.0)]),
+}
+
+
+def _radial(rho_prime, c):
+    """c |z|^(rho' - 2) as monomial triples: c C(k, j) x^2j y^(2k - 2j), k = rho'/2 - 1."""
+    k = rho_prime // 2 - 1
+    return [(2 * j, 2 * (k - j), c * math.comb(k, j)) for j in range(k + 1)]
+
+
+class TestRadialGauge:
+    def test_radial_predicate(self):
+        radial = {name: HomogeneousCurvature.from_monomials(*args).radial for name, args in CURVATURES.items()}
+        assert radial == {"constant": True, "quartic": False, "radial-quartic": True, "sextic": False}
+        assert HomogeneousCurvature.from_monomials(8, _radial(8, 0.7)).radial
+        assert not HomogeneousCurvature.from_monomials(6, [(4, 0, 1.0), (0, 4, 1.0)]).radial  # x^4 + y^4
+
+    def test_radial_gauge_needs_no_linear_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        for name in ("constant", "radial-quartic"):
+            rho_prime, triples = CURVATURES[name]
+            pp = solve_potential(HomogeneousCurvature.from_monomials(rho_prime, triples))
+            assert pp.psi_z_zbar[(rho_prime, 0)] == 0.0
+        # a non-radial curvature still solves its linear program
+        with pytest.raises(AssertionError, match="linprog called"):
+            solve_potential(HomogeneousCurvature.from_monomials(*CURVATURES["quartic"]))
+
+    def test_quartic_gauge_bits(self, quartic_curv):
+        assert solve_potential(quartic_curv).psi_z_zbar[(4, 0)] == 0.05944885506356661
+
+
 class TestWeightLowerBound:
     def test_explicit_quartic_inequality(self, quartic_curv):
         # Re(quartic) >= x^4/24 + y^4/6; with the 1/16 gauge, Re(quartic) = 8 phi
@@ -157,6 +198,49 @@ class TestGramMatrix:
         pp0 = solve_potential(quartic_curv, gauge=0.0)
         with pytest.raises(QuadratureError):
             gram_matrix(pp0, max_deg=4)
+
+
+class TestGramPair:
+    # the one-pass pair must reproduce, bit for bit, the two grids that were built from scratch: the
+    # parity jets read finite-difference rounding, so any change to a Gram bit moves the model_kernel golden
+    @pytest.mark.parametrize("nodes", [4096, 2048])
+    @pytest.mark.parametrize("name", sorted(CURVATURES))
+    def test_matches_one_grid_builds(self, monkeypatch, name, nodes):
+        monkeypatch.setattr(model, "GRAM_ANGULAR_NODES", nodes)
+        pp = solve_potential(HomogeneousCurvature.from_monomials(*CURVATURES[name]))
+        for max_deg in (8, 16):
+            G, G_half = model._gram_pair(pp, max_deg)
+            assert np.array_equal(G, gram_at(pp, max_deg, nodes))
+            assert np.array_equal(G_half, gram_at(pp, max_deg, nodes // 2))
+
+
+class TestRadialPrediction:
+    @pytest.mark.parametrize("rho_prime", [2, 4, 6, 8])
+    def test_radial_closed_form(self, rho_prime):
+        report = model_kernel_experiment(rho_prime, _radial(rho_prime, 1.5), max_deg=12)
+        [row] = [r for r in report.rows if r.statistic == "model_kernel_at_zero"]
+        assert abs(row.estimate / row.prediction - 1.0) <= 1e-13
+        assert report.all_passed
+
+    def test_constant_curvature_prediction_bits(self):
+        for c in (0.5, 1.0, 2.0):
+            report = model_kernel_experiment(2, [(0, 0, c)], max_deg=8)
+            assert report.rows[0].prediction == c / (2.0 * math.pi)
+
+    def test_wrong_potential_constant_fails(self, monkeypatch):
+        # a potential solved for half the curvature: kappa = c / rho'^2 in place of 2c / rho'^2
+        solve = model.solve_potential
+        monkeypatch.setattr(
+            model, "solve_potential", lambda curv: solve(HomogeneousCurvature(curv.rho_prime, curv.psi_coeffs / 2.0))
+        )
+        report = model_kernel_experiment(4, _radial(4, 2.0), max_deg=12)
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed == {"model_kernel_positive": True, "model_kernel_radial_curvature": False, "model_kernel_parity": True}
+
+    def test_non_radial_has_no_prediction(self):
+        report = model_kernel_experiment(*CURVATURES["quartic"], max_deg=8)
+        assert report.rows[0].prediction is None
+        assert "model_kernel_radial_curvature" not in {c.name for c in report.checks}
 
 
 class TestModelKernelAtZero:

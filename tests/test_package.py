@@ -3,8 +3,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bergman_zeros
@@ -105,3 +108,12 @@ def test_sections_takes_no_matrix_product_outside_find_zeros():
         )
     ]
     assert not found, f"matrix products outside find_zeros: {found}"
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # each is half a second or so of start-up for one call (the clt KS test, the sup search); the library
+    # imports them inside those functions
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bergman_zeros.cli; print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
