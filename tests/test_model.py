@@ -138,7 +138,7 @@ class TestRadialGauge:
 
     def test_radial_gauge_needs_no_linear_program(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("linprog called")
+            raise RuntimeError("linprog called")
 
         monkeypatch.setattr(scipy.optimize, "linprog", refuse)
         for name in ("constant", "radial-quartic"):
@@ -146,7 +146,7 @@ class TestRadialGauge:
             pp = solve_potential(HomogeneousCurvature.from_monomials(rho_prime, triples))
             assert pp.psi_z_zbar[(rho_prime, 0)] == 0.0
         # a non-radial curvature still solves its linear program
-        with pytest.raises(AssertionError, match="linprog called"):
+        with pytest.raises(RuntimeError, match="linprog called"):
             solve_potential(HomogeneousCurvature.from_monomials(*CURVATURES["quartic"]))
 
     def test_quartic_gauge_bits(self, quartic_curv):
@@ -234,8 +234,8 @@ class TestRadialPrediction:
             model, "solve_potential", lambda curv: solve(HomogeneousCurvature(curv.rho_prime, curv.psi_coeffs / 2.0))
         )
         report = model_kernel_experiment(4, _radial(4, 2.0), max_deg=12)
-        passed = {c.name: c.passed for c in report.checks}
-        assert passed == {"model_kernel_positive": True, "model_kernel_radial_curvature": False, "model_kernel_parity": True}
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["model_kernel_radial_curvature"]
 
     def test_non_radial_has_no_prediction(self):
         report = model_kernel_experiment(*CURVATURES["quartic"], max_deg=8)

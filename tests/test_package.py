@@ -114,6 +114,6 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     # each is half a second or so of start-up for one call (the clt KS test, the sup search); the library
     # imports them inside those functions
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    probe = "import sys, bergman_zeros.cli; print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    probe = "import sys, bergman_zeros.cli; print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
