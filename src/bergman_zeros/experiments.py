@@ -275,7 +275,11 @@ def kernel_decay_experiment(
     Near pairs have hyperbolic distance below sqrt(12 log p / p); the
     regression of -log N_p on p d^2/4 over them should have slope near 1.
     Far pairs sit beyond sqrt(12 FAR_K log p / p), where N_p must be tiny.
-    Pairs are drawn at a distance in either range, and labelled by their
+    The pairs are five array draws from the stream (seed, (p, 7001)), in
+    this order: r0 uniform on (a, b), theta0 uniform on (0, 2 pi), the move
+    (integers, 0 angular and 1 radial), its sign (+ where a uniform on
+    (0, 1) is below 0.5), and d, uniform on (0.08, d_near) for even pairs
+    and on (d_far, 1.5 d_far) for odd ones.  They are labelled by their
     measured `poincare_distance`: in the cusp an angular move past pi wraps,
     and a pair drawn far may land near.
     Every pair must meet N_p = cosh(d / sqrt 2)^(-p), the k = 0 term of the Poincare series, up to
@@ -286,28 +290,21 @@ def kernel_decay_experiment(
     d_near = math.sqrt(12.0) * math.sqrt(math.log(p) / p)
     d_far = math.sqrt(12.0 * FAR_K) * math.sqrt(math.log(p) / p)
 
-    def displaced(r0: float, theta0: float, d: float, mode: int, sign: float) -> complex:
-        s = -math.log(r0)
-        if mode == 0:  # angular move
-            dtheta = 2.0 * s * math.sinh(d / math.sqrt(2.0))
-            return r0 * complex(math.cos(theta0 + sign * dtheta), math.sin(theta0 + sign * dtheta))
-        # radial move inward: the draws of earlier versions, and far pairs reach the cusp's deck terms.  Outward where
-        # inward passes the sup point y = 2 s = p, past which N_p no longer decays with d (`disc.normalized_kernel`)
-        s2 = s * math.exp(math.sqrt(2.0) * d)
-        if 2.0 * s2 > p:
-            s2 = s * s / s2
-        return math.exp(-s2) * complex(math.cos(theta0), math.sin(theta0))
-
-    # pair i is drawn near for even i, far for odd i
-    z0s, z1s = np.empty((2, max(n_pairs, 0)), dtype=np.complex128)
-    for i in range(n_pairs):
-        r0 = rng.uniform(annulus.a, annulus.b)
-        theta0 = rng.uniform(0.0, 2.0 * math.pi)
-        mode = int(rng.integers(0, 2))
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        d = rng.uniform(0.08, d_near) if i % 2 == 0 else rng.uniform(d_far, 1.5 * d_far)
-        z0s[i] = r0 * complex(math.cos(theta0), math.sin(theta0))
-        z1s[i] = displaced(r0, theta0, d, mode, sign)
+    n = max(n_pairs, 0)
+    r0 = rng.uniform(annulus.a, annulus.b, n)
+    theta0 = rng.uniform(0.0, 2.0 * math.pi, n)
+    angular = rng.integers(0, 2, n) == 0
+    sign = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    even = np.arange(n) % 2 == 0
+    d = rng.uniform(np.where(even, 0.08, d_far), np.where(even, d_near, 1.5 * d_far))
+    s = -np.log(r0)
+    theta1 = theta0 + sign * 2.0 * s * np.sinh(d / math.sqrt(2.0))  # an angular move
+    # a radial move goes inward, so that far pairs reach the cusp's deck terms, and outward where inward passes the
+    # sup point y = 2 s = p, past which N_p no longer decays with d (`disc.normalized_kernel`)
+    s2 = s * np.exp(math.sqrt(2.0) * d)
+    s2 = np.where(2.0 * s2 > p, s * s / s2, s2)
+    z0s = r0 * np.exp(1j * theta0)
+    z1s = np.where(angular, r0 * np.exp(1j * theta1), np.exp(-s2) * np.exp(1j * theta0))
     npv = disc.normalized_kernel(p, z0s, z1s)
     dists = disc.poincare_distance(z0s, z1s)
     near = (dists < d_near) & (npv > 0.0)

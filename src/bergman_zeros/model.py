@@ -12,8 +12,8 @@ degree-rho' polynomial in z, zbar with d Psi / d zbar = psi z / rho' and
 phi = Re Psi.  The kernel value at the origin is obtained from the Gram
 matrix of the monomials under the weight e^(-phi):
 B(0,0) = (G^{-1})_{00}.  Each Gram entry is a Gamma function in the
-radius and a periodic trapezoid sum in the angle; one node set serves both
-the matrix and its step-halving check, which sums over every other node.
+radius and a trapezoid sum in the angle, one real FFT per radial row; the
+step-halving check sums over every other node of the same set.
 The harmonic gauge of Psi is a small linear program, except for a radial
 psi, which takes gauge 0 by symmetry.
 
@@ -241,34 +241,30 @@ def _gram_pair(pp: PotentialPair, max_deg: int) -> tuple[np.ndarray, np.ndarray]
 
     One node set serves both quadratures: linspace(0, 2 pi, n)[::2] is
     linspace(0, 2 pi, n/2) bit for bit, so the step-halved matrix takes
-    every other column of the profile, radial and phase tables.
+    every other column of the radial table, each row summed by one rfft.
     """
     rp = pp.rho_prime
-    n_theta = GRAM_ANGULAR_NODES
-    alpha = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    alpha = np.linspace(0.0, 2.0 * np.pi, GRAM_ANGULAR_NODES, endpoint=False)
     g = pp.angular_profile(alpha)
     gmin = float(np.min(g))
     if gmin <= 0.0:
-        raise QuadratureError(
-            f"weight e^(-phi) is not integrable: phi attains {gmin:.3e} on the unit circle"
-        )
+        raise QuadratureError(f"weight e^(-phi) is not integrable: phi attains {gmin:.3e} on the unit circle")
     n = max_deg + 1
-    log_g = np.log(g)
-    # radial: int_0^inf rho^(s+1) e^(-rho^rp g) d rho = Gamma((s+2)/rp) g^(-(s+2)/rp) / rp
     ks = (np.arange(0, 2 * max_deg + 1) + 2.0) / rp
-    radial = np.exp(gammaln(ks)[:, None] - ks[:, None] * log_g[None, :]) / rp
-    # e^(i d alpha) for d = -max_deg..max_deg: d > 0 computed, d < 0 its conjugate, d = 0 ones
-    positive = np.exp(1j * np.outer(np.arange(1, max_deg + 1), alpha))
-    phases = np.concatenate([np.conj(positive[::-1]), np.ones((1, n_theta)), positive])
     m, nn = np.indices((n, n))
 
-    def gram(step: int) -> np.ndarray:
-        # F[d, s] = (2 pi / nodes) sum_k e^(i d alpha_k) radial[s, k] over every step-th node
-        F = phases[:, ::step] @ radial[:, ::step].T * (2.0 * np.pi / (n_theta // step))
-        G = F[(m - nn) + max_deg, m + nn]
-        return 0.5 * (G + G.conj().T)
+    def gram(table: np.ndarray) -> np.ndarray:
+        # G_mn = F[m - n, m + n], F[d, s] = (2 pi / nodes) sum_k e^(i d alpha_k) table[s, k]: entry |d| of the
+        # row's real FFT, conjugated for d >= 0, so that the matrix is Hermitian as built
+        F = np.fft.rfft(table)[:, :n] * (2.0 * np.pi / table.shape[1])
+        G = F[m + nn, np.abs(m - nn)]
+        return np.where(m >= nn, G.conj(), G)
 
-    return gram(1), gram(2)
+    # radial: int_0^inf rho^(s+1) e^(-rho^rp g) d rho = Gamma((s+2)/rp) g^(-(s+2)/rp) / rp.  An overflow leaves a
+    # matrix that is not finite, which `gram_matrix` reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = np.exp(gammaln(ks)[:, None] - ks[:, None] * np.log(g)[None, :]) / rp
+        return gram(radial), gram(radial[:, ::2])
 
 
 def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
@@ -276,16 +272,21 @@ def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
 
     Entry accuracy is certified by step-halving: the same quadrature on
     every other one of the GRAM_ANGULAR_NODES angles (one node set serves
-    both) must agree within GRAM_RTOL, or QuadratureError is raised.
+    both) must agree within GRAM_RTOL, or QuadratureError is raised, as
+    it is for a max_deg above GRAM_ANGULAR_NODES // 4 or a matrix not finite.
     """
+    if max_deg < 0:
+        raise ValueError(f"max_deg {max_deg} leaves no monomial: it must be >= 0")
+    if max_deg > GRAM_ANGULAR_NODES // 4:  # the highest frequency the step-halved nodes resolve
+        raise QuadratureError(f"max_deg {max_deg} exceeds {GRAM_ANGULAR_NODES // 4}, the step-halved nodes' limit")
     G, G_half = _gram_pair(pp, max_deg)
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(G_half))):
+        raise QuadratureError(f"Gram matrix not finite at max_deg {max_deg}: its radial moments overflow")
     scale = np.abs(np.diagonal(G))
     denom = np.sqrt(np.outer(scale, scale))
     err = float(np.max(np.abs(G - G_half) / denom))
     if err > GRAM_RTOL:
-        raise QuadratureError(
-            f"Gram quadrature not converged: step-halving disagreement {err:.3e} > {GRAM_RTOL:.1e}"
-        )
+        raise QuadratureError(f"Gram quadrature not converged: step-halving disagreement {err:.3e} > {GRAM_RTOL:.1e}")
     try:
         chol = cho_factor(G, lower=True)
     except np.linalg.LinAlgError as exc:

@@ -371,6 +371,18 @@ class TestRunCommand:
         value_row = [r for r in rows if "model_kernel_at_zero" in r][0]
         assert float(value_row.split(",")[3]) == pytest.approx(1.0 / (2 * 3.141592653589793), rel=1e-8)
 
+    @pytest.mark.parametrize("max_deg", [-1, 150, 1100])
+    def test_degenerate_max_deg_exit_code(self, tmp_path, capsys, max_deg):
+        # no monomial; radial moments that overflow; a frequency the step-halved angular nodes cannot resolve
+        cfg = write_config(tmp_path / "c.yaml", {
+            "experiment": "model-kernel",
+            "seed": 2,
+            "params": {"rho_prime": 2, "curvature": [[0, 0, 1.0]], "max_deg": max_deg},
+        })
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"max_deg {max_deg}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestListCommand:
     def test_lists_all_kinds(self, capsys):

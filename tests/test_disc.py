@@ -572,7 +572,7 @@ def sech_power_check(report):
 @pytest.mark.parametrize("p, n_pairs", [(200, 1000), (100, 120)])
 def test_sech_power_check_passes_for_any_seed(p, n_pairs, seed):
     # the benchmark's kernel-decay op and the golden config: every check passes.  The sech-power gap is at most
-    # 1.1e-10 at p = 200 and 5.2e-3 at p = 100, whose radial moves reach y = 20.5: deck terms, at most 4.7e-2 of
+    # 4.0e-10 at p = 200 and 6.7e-3 at p = 100, whose radial moves reach y = 19.4: deck terms, at most 4.9e-2 of
     # their bounds
     from bergman_zeros import experiments
 

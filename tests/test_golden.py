@@ -118,6 +118,21 @@ curvature in place of c/2 pi at constant curvature.  No digest moved
 then: the step-halved Gram matrix came to take every other node of the
 full one, and a radial gauge came to be 0 without a linear program, bit
 for bit the same Gram matrices.
+The model_kernel digest was taken again when the Gram matrix's angular
+trapezoid sums came to be one real FFT per radial row in place of a
+table of complex exponentials and a matrix product, a declared output
+change of one cell: `parity_max_odd_jet`, the finite-difference rounding
+of odd jets that vanish exactly, 2.78e-8 -> 1.39e-8 (estimate and
+deviation).  `model_kernel_at_zero` kept its bytes.
+The kernel_decay digest was taken again when the pairs came to be five
+array draws from the stream (seed, (p, 7001)), one per quantity, in
+place of five scalar draws per pair: a new pair sample, a declared
+output change of all three rows.  Largest move per cell: the near-regime
+slope 0.960557 -> 0.958963 (1.7e-3 relative) and its deviation
+0.03944 -> 0.04104; the far-regime max 5.88e-12 -> 7.98e-12; the
+sech-power gap 5.24e-3 -> 5.24e-4, the deck terms of radial moves that
+now reach y = 15.7 in place of 20.5 (still no angular move wraps and no
+radial move passes y = p).  No other digest or listing line moved.
 """
 
 import hashlib
