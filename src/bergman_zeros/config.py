@@ -173,8 +173,11 @@ def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
     raise ConfigError(f"internal: unknown parameter type {type_name}")
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 exponent floats (1e-1, 2E3, -5e-2), which YAML 1.1 leaves strings."""
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats (1e-1, 2E3, -5e-2), which YAML 1.1 leaves strings.
+
+    Parsed by libyaml where PyYAML is built with it: about a tenth of the pure-Python parser's time.
+    """
 
 
 _Loader.add_implicit_resolver(

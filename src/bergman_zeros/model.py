@@ -273,7 +273,8 @@ def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
     Entry accuracy is certified by step-halving: the same quadrature on
     every other one of the GRAM_ANGULAR_NODES angles (one node set serves
     both) must agree within GRAM_RTOL, or QuadratureError is raised, as
-    it is for a max_deg above GRAM_ANGULAR_NODES // 4 or a matrix not finite.
+    it is for a max_deg above GRAM_ANGULAR_NODES // 4, a matrix not finite,
+    or one too ill-conditioned for its Cholesky factor.
     """
     if max_deg < 0:
         raise ValueError(f"max_deg {max_deg} leaves no monomial: it must be >= 0")
@@ -290,7 +291,10 @@ def gram_matrix(pp: PotentialPair, max_deg: int = 12) -> GramBasis:
     try:
         chol = cho_factor(G, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise QuadratureError(f"Gram matrix not positive definite: {exc}") from exc
+        raise QuadratureError(
+            f"Gram matrix not positive definite at max_deg {max_deg}: the monomial Gram is too ill-conditioned"
+            f" at that degree ({exc})"
+        ) from exc
     return GramBasis(pp=pp, max_deg=max_deg, gram=G, chol=chol)
 
 

@@ -10,8 +10,9 @@ phase (argument principle, `count_zeros_batch`).
 `find_zeros_batch` finds the zeros of a whole batch without eigensolves.
 Cells of nonzero winding on a polar grid over the annulus seed Newton's
 method for every row at once; a row is certified when its distinct zeros
-number its argument-principle count.  The grid has the angles of the
-winding count at b and one ring per expected zero.  A cell's winding is a
+number its argument-principle count.  The grid has the power of two at
+or above the winding count's angles at b, and one ring per expected
+zero.  A cell's winding is a
 quarter of the quarter turns of its four edges, read from int8 quadrant
 codes of the values; only an edge of two quadrants takes an angle.
 `find_zeros` is the oracle of this path and its fallback: it solves every
@@ -27,12 +28,14 @@ takes a matrix product: the Monte Carlo chunks of `experiments` call no
 threaded BLAS, and its chunk pool alone owns the threads.
 
 The winding numbers of a whole batch come from one vectorized engine.
-A first pass evaluates every section on a shared grid of the circle
-(`_circle_values`) and sums the small phase increments of all rows at once.
-The few large increments, almost always caused by a zero close to the
-circle, form one flat queue of segments that is bisected for all rows
-together.  A row on which the section vanishes on the circle, or whose
-segments do not settle, fails; every job hands it to `find_zeros`.
+A first pass evaluates every section on a shared grid of the circle, of
+2^a 3^b angles (`_circle_values`), and sums the small phase increments
+of all rows at once.  The few large increments, almost always caused by
+a zero close to the circle, form one flat queue of segments that is
+bisected for all rows together; a midpoint t is summed from the powers
+of e^{it}, by cumulative product.  A row on which the section vanishes
+on the circle, or whose segments do not settle, fails; every job hands
+it to `find_zeros`.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, path).  `sample_etas` draws a whole batch of coefficient
@@ -125,14 +128,14 @@ def sample_etas(space: DiscSpace, seed: int, path: Sequence[int], samples: int) 
     return etas
 
 
-def _scaled_coefficients(space: DiscSpace, etas: np.ndarray, log_r) -> tuple[np.ndarray, np.ndarray]:
-    """Terms eta_ell c_ell r^ell over the largest c_ell r^ell (finite at any r), and its log.
+def _scales(space: DiscSpace, log_r) -> tuple[np.ndarray, np.ndarray]:
+    """Scales c_ell r^ell over their largest (finite at any r), and its log: the terms are eta_ell times them.
 
     log_r is a scalar or one per row, taken by the caller: math.log and np.log may differ.
     """
     log_amp = 0.5 * space.log_coeffs + np.multiply.outer(log_r, space.ells)
     shift = np.max(log_amp, axis=-1)
-    return etas * np.exp(log_amp - shift[..., None]), shift
+    return np.exp(log_amp - shift[..., None]), shift
 
 
 def _powers(w: np.ndarray, L: int) -> np.ndarray:
@@ -176,7 +179,7 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray):
     """Newton's method on the sections etas[own], one starting point z per entry.
 
     All points are iterated at once.  The terms are scaled at each
-    starting point's radius rho (`_scaled_coefficients`), and the powers
+    starting point's radius rho (`_scales`), and the powers
     (z / rho)^ell, a cumulative product, stay near 1 in size while z
     stays near its start, whatever the radius.  A point converges when
     its step is below NEWTON_TOL * max(1, |z|), the step it would take
@@ -187,7 +190,7 @@ def _newton(space: DiscSpace, etas: np.ndarray, own: np.ndarray, z: np.ndarray):
     z = np.array(z, dtype=np.complex128)
     converged = np.zeros(z.shape, dtype=bool)
     rho = np.abs(z)
-    coeff, _ = _scaled_coefficients(space, etas[own], np.log(rho))
+    coeff = etas[own] * _scales(space, np.log(rho))[0]
     active = np.arange(z.size)
     # a point that wanders far from its start may overflow the powers; its
     # step is then non-finite, and it stops there
@@ -264,7 +267,7 @@ def find_zeros(space: DiscSpace, eta: np.ndarray, region: Annulus) -> Zeros:
             if active.size == 0:
                 break
             za, rad = z[active], np.abs(z[active])
-            coeff, _ = _scaled_coefficients(space, eta, np.log(rad))
+            coeff = eta * _scales(space, np.log(rad))[0]
             terms = _powers(za / rad, space.L) * coeff
             newton = za * terms.sum(axis=1) / (terms @ degrees)
             diff = za[:, None] - z
@@ -296,23 +299,27 @@ MAGNITUDE_FLOOR = 1e-13
 def _initial_points(space: DiscSpace, r: float) -> int:
     # the winding number is close to n, the expected zero count of the
     # disc |z| < r; 8x oversampling keeps nearly all increments below
-    # pi/2 on the first pass
-    n = zero_counting_function(space.p, r)
-    return max(64, 1 << int(math.ceil(math.log2(8.0 * (n + 8.0)))))
+    # pi/2 on the first pass.  The count is the least 2^a 3^b above that,
+    # and at least 64: a fast FFT length, up to a third below the next
+    # power of two.  Multiples of 64 such as 2 368 = 2^6 37 were slower
+    # than the power of two; 5 as a third factor gained nothing.
+    least = max(64, math.ceil(8.0 * (zero_counting_function(space.p, r) + 8.0)))
+    return min(t << (-(-least // t) - 1).bit_length() for t in (3**k for k in range(least.bit_length())))
 
 
 def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Winding numbers of the rows of etas along |z| = r, and the rows that failed.
 
-    Pass one evaluates every row on a shared grid of `_initial_points`
-    angles (`_circle_values` per row block, each block scaled on its
-    own).  The phase increment of a segment is the angle of
-    v1 * conj(v0), already wrapped into (-pi, pi].
+    Every term is eta_ell times one scale row (`_scales` at r).  Pass one
+    evaluates every row on a shared grid of `_initial_points` angles
+    (`_circle_values` per row block).  The phase increment of a segment is
+    the angle of v1 * conj(v0), already wrapped into (-pi, pi].
     Increments below pi/2 in size are final and summed per row at once.
     The others go into one flat queue of segments (owner row, theta0,
-    theta1, v0, v1).  Each round evaluates every queued midpoint with one
-    einsum and splits each segment in two; halves that are now small are
-    added to their row, the rest stay queued.
+    theta1, v0, v1).  Each round evaluates every queued midpoint t from
+    the powers of one unit complex e^{it} per segment (`_powers`), in
+    blocks of segments, and splits each segment in two; halves that are
+    now small are added to their row, the rest stay queued.
 
     A row fails if the section (nearly) vanishes at an evaluated point,
     if its winding is not an integer, or if segments remain after
@@ -323,7 +330,7 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     n_init = _initial_points(space, r)
-    log_r = math.log(r)
+    scale = _scales(space, math.log(r))[0]
     thetas = np.linspace(0.0, 2.0 * math.pi, n_init, endpoint=False)
     ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
     total = np.empty(m)
@@ -337,7 +344,7 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
     # scaled at once and BLOCK_ENTRIES per temporary, and 1 468 as here.
     step = max(1, BLOCK_ENTRIES // (4 * n_init))
     for lo in range(0, m, step):
-        vals = _circle_values(_scaled_coefficients(space, etas[lo : lo + step], log_r)[0], n_init)
+        vals = _circle_values(etas[lo : lo + step] * scale, n_init)
         mags = np.abs(vals)
         lo_mag[lo : lo + step] = mags.min(axis=1)
         hi_mag[lo : lo + step] = mags.max(axis=1)
@@ -350,14 +357,18 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
         queue.append((rows + lo, thetas[cols], ends[cols], vals[rows, cols], vals[rows, (cols + 1) % n_init]))
     own, t0, t1, v0, v1 = (np.concatenate(parts) for parts in zip(*queue))
 
+    step = max(1, BLOCK_ENTRIES // space.L)
     for _ in range(MAX_ROUNDS - 1):
         live = lo_mag[own] >= MAGNITUDE_FLOOR * hi_mag[own]
         own, t0, t1, v0, v1 = own[live], t0[live], t1[live], v0[live], v1[live]
         if own.size == 0:
             break
         tm = 0.5 * (t0 + t1)
-        coeff, _ = _scaled_coefficients(space, etas[own], log_r)
-        vm = np.einsum("ql,ql->q", coeff, np.exp(1j * np.outer(tm, space.ells)))
+        vm = np.empty(own.size, dtype=np.complex128)
+        for lo in range(0, own.size, step):
+            terms = _powers(np.exp(1j * tm[lo : lo + step]), space.L)
+            terms *= scale
+            vm[lo : lo + step] = np.einsum("ql,ql->q", terms, etas[own[lo : lo + step]])
         np.minimum.at(lo_mag, own, np.abs(vm))
         np.maximum.at(hi_mag, own, np.abs(vm))
         own, t0, t1 = np.concatenate([own, own]), np.concatenate([t0, tm]), np.concatenate([tm, t1])
@@ -467,20 +478,29 @@ def _cell_windings(inner: tuple, outer: tuple) -> np.ndarray:
     return (outer[2] - np.roll(radial, -1, axis=1) - inner[2] + radial) >> 2
 
 
+def _seed_angles(space: DiscSpace, b: float) -> int:
+    """Angles of the seed grid: the power of two at or above `_initial_points(space, b)`.
+
+    That is max(64, 2^ceil(log2 8 (n + 8))), the angle count the grid's
+    cells, and so its Newton starts, were sized with.
+    """
+    return 1 << (_initial_points(space, b) - 1).bit_length()
+
+
 def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, np.ndarray]:
     """Newton starting points from the cells of a polar grid over the annulus.
 
-    The angles are the n_a = `_initial_points(space, b)` of `_winding`,
-    the circles those of `_grid_radii`.  Each circle is evaluated by
-    `_circle_values`, scaled as in `_winding`, and kept as int8 quadrant
-    codes (`_quadrants`); a cell of winding k >= 1 (`_cell_windings`)
-    gives k points, spread along its diagonal.  Returns (owner row, point).
+    The angles are n_a = `_seed_angles(space, b)`, the circles those of
+    `_grid_radii`.  Each circle is evaluated by `_circle_values`, scaled
+    as in `_winding`, and kept as int8 quadrant codes (`_quadrants`); a
+    cell of winding k >= 1 (`_cell_windings`) gives k points, spread
+    along its diagonal.  Returns (owner row, point).
     """
-    n_a = _initial_points(space, region.b)
+    n_a = _seed_angles(space, region.b)
     radii = _grid_radii(space, region, 2.0 * math.pi / n_a)
     owners, points = [], []
     for i, r in enumerate(radii):
-        vals = _circle_values(_scaled_coefficients(space, etas, math.log(r))[0], n_a)
+        vals = _circle_values(etas * _scales(space, math.log(r))[0], n_a)
         circle = (vals, *_quadrants(vals))
         if i:
             k = _cell_windings(prev, circle)

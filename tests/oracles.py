@@ -28,7 +28,7 @@ from scipy.special import gammaln, logsumexp
 from bergman_zeros import sections
 from bergman_zeros.disc import Annulus, DiscSpace, DomainError, _checked_radii
 from bergman_zeros.model import PotentialPair
-from bergman_zeros.sections import _scaled_coefficients
+from bergman_zeros.sections import _scales
 from bergman_zeros.statistics import PROXY_RADIAL_NODES, VARIANCE_TAU, _c1_rule, _gtilde_fast
 
 PROXY_ANGULAR_NODES = 192  # angles of `correlation_proxy`
@@ -44,8 +44,8 @@ def evaluate(space: DiscSpace, eta: np.ndarray, z: complex) -> tuple[float, floa
     if not 0.0 < r < 1.0:
         raise DomainError(f"point with |z| = {r:.6g} outside the punctured disc")
     theta = math.atan2(z.imag, z.real)
-    coeff, m = _scaled_coefficients(space, eta, math.log(r))
-    s = np.sum(coeff * np.exp(1j * space.ells * theta))
+    scale, m = _scales(space, math.log(r))
+    s = np.sum(eta * scale * np.exp(1j * space.ells * theta))
     weight = 0.5 * space.p * math.log(-2.0 * math.log(r))
     if s == 0.0:
         return -math.inf, 0.0

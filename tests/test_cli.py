@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bergman_zeros import experiments, sections
+from bergman_zeros import config, experiments, sections
 from bergman_zeros.cli import main
 from bergman_zeros.config import EXPERIMENTS, ConfigError, Kind, load_config
 from bergman_zeros.disc import Annulus
@@ -127,6 +127,35 @@ class TestConfigLoading:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "key 'samples' (line 7): expected integer, got 1000.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_libyaml_and_python_parsers_agree(self):
+        # the loader parses with libyaml where PyYAML has it; on either base, with the
+        # loader's own resolvers, every shipped and golden file and every exponent float
+        # loads to equal values of equal types
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        assert config._Loader.__bases__ == (yaml.CSafeLoader,)
+        root = Path(__file__).resolve().parent.parent
+        texts = [f.read_text(encoding="utf-8") for d in ("configs", "tests/golden") for f in sorted((root / d).iterdir())]
+        texts += [f"x: {v}" for v in ("1e-1", "2E3", "-5e-2", "1.0e+3")]
+        resolvers = {"yaml_implicit_resolvers": config._Loader.yaml_implicit_resolvers}
+        bases = [type("Loader", (base,), resolvers) for base in (yaml.SafeLoader, yaml.CSafeLoader)]
+
+        def typed(x):
+            if isinstance(x, dict):
+                return {typed(k): typed(v) for k, v in x.items()}
+            return [typed(v) for v in x] if isinstance(x, list) else (type(x), x)
+
+        for text in texts:
+            python, libyaml = (typed(yaml.load(text, Loader=loader)) for loader in bases)
+            assert python == libyaml
+        assert [yaml.load(text, Loader=config._Loader)["x"] for text in texts[-4:]] == [0.1, 2000.0, -0.05, 1000.0]
+
+    def test_invalid_yaml_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("experiment: deviation\nparams: {p: [15]\n", encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "not valid YAML" in capsys.readouterr().err
 
     # curvature exponents are checked as ints, coefficients and radii as floats: an exponent of
     # 2.9 or true is not truncated to 2 or 1, and a quoted radius is not parsed
@@ -381,6 +410,19 @@ class TestRunCommand:
         })
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert f"max_deg {max_deg}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ill_conditioned_gram_exit_code(self, tmp_path, capsys):
+        # at psi = 2y^2 the step-halving check passes at max_deg 55, but the
+        # monomial Gram's condition number is past 1/eps: Cholesky fails
+        cfg = write_config(tmp_path / "c.yaml", {
+            "experiment": "model-kernel",
+            "seed": 2,
+            "params": {"rho_prime": 4, "curvature": [[0, 2, 2.0]], "max_deg": 55},
+        })
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "max_deg 55" in err and "ill-conditioned" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -430,6 +430,17 @@ class TestWindingEngine:
             n = sections._initial_points(space, r)
             assert windings.tolist() == [_reference_winding(space, eta, r, n) for eta in etas]
 
+    def test_angle_counts(self):
+        # the first pass: the least 2^a 3^b >= max(64, 8 (n + 8)), n the expected
+        # zero count of |z| < r; the seed grid: max(64, 2^ceil(log2 8 (n + 8)))
+        smooth = np.sort([2**a * 3**b for a in range(16) for b in range(10)])
+        for p in range(2, 401):
+            space = make_disc_space(p, 1)
+            for r in np.exp(np.linspace(-12.0, math.log(0.95), 13)):
+                x = 8.0 * (disc.zero_counting_function(p, r) + 8.0)
+                assert sections._initial_points(space, r) == smooth[np.searchsorted(smooth, max(64.0, x))]
+                assert sections._seed_angles(space, r) == max(64, 1 << int(math.ceil(math.log2(x))))
+
     def test_zero_near_contour_refines_deeply(self, space10):
         # zeros at relative distance 1e-9 outside and inside the contour:
         # the phase jumps by ~pi within an angle of ~1e-9, so only deep
@@ -440,6 +451,23 @@ class TestWindingEngine:
         windings, failed = sections._winding(space10, etas, self.R)
         assert windings.tolist() == [1, 2]
         assert not failed.any()
+        # the same at p = 200, r = 0.7 (L = 476 terms, 2 592 angles): a random
+        # section whose linear term is moved to put a zero at w.  The midpoints'
+        # powers of e^{it} drift by about L eps in phase; the reference's table
+        # of exponentials does not
+        p, r = 200, 0.7
+        space = make_disc_space(p, truncation_length(p, r))
+        eta = sample_etas(space, 29, (p,), 1)[0]
+        amp = np.exp(0.5 * space.log_coeffs)
+        etas = np.array([eta] * 2)
+        for row, f in zip(etas, (1.0 + 1e-9, 1.0 - 1e-9)):
+            w = r * f * np.exp(0.3j)
+            row[0] -= np.sum(eta * amp * w ** (space.ells - 1)) / amp[0]
+        windings, failed = sections._winding(space, etas, r)
+        n = sections._initial_points(space, r)
+        assert n == 2592 and not failed.any()
+        assert windings.tolist() == [_reference_winding(space, eta, r, n) for eta in etas]
+        assert windings[1] == windings[0] + 1
 
     def test_refinement_cap_fails_rows(self, space10, monkeypatch):
         # zeros 5e-15 outside the contour: after 19 splits each unresolved
@@ -520,6 +548,8 @@ class TestWindingEngine:
         assert np.array_equal(whole, halves)
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)  # many row blocks in pass one
         assert np.array_equal(count_zeros_batch(space, etas, region), whole)
+        monkeypatch.setattr(sections, "BLOCK_ENTRIES", 2 * space.L)  # and two segments per refinement block
+        assert np.array_equal(count_zeros_batch(space, etas, region), whole)
 
     @pytest.mark.parametrize("p, region", [(8, Annulus(0.25, 0.45)), (100, Annulus(0.2, 0.7))])
     def test_agrees_with_companion_roots(self, p, region):
@@ -544,10 +574,10 @@ class TestGridSeeds:
         # cell on every ring, then the seeds they place
         phi = TestFunction(0.35, 0.65)
         [(_, space, etas)] = experiments._draw([p], phi.b, 16, self.SEED, {})
-        n_a = sections._initial_points(space, phi.b)
+        n_a = sections._seed_angles(space, phi.b)
         prev = None
         for r in sections._grid_radii(space, phi.support, 2.0 * math.pi / n_a):
-            circle = self._circle(sections._circle_values(sections._scaled_coefficients(space, etas, math.log(r))[0], n_a))
+            circle = self._circle(sections._circle_values(etas * sections._scales(space, math.log(r))[0], n_a))
             if prev is not None:
                 assert np.array_equal(sections._cell_windings(prev, circle), oracles.cell_windings(prev, circle))
             prev = circle
