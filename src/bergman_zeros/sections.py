@@ -12,9 +12,9 @@ Cells of nonzero winding on a polar grid over the annulus seed Newton's
 method for every row at once; a row is certified when its distinct zeros
 number its argument-principle count.  The grid has the power of two at
 or above the winding count's angles at b, and one ring per expected
-zero.  A cell's winding is a
-quarter of the quarter turns of its four edges, read from int8 quadrant
-codes of the values; only an edge of two quadrants takes an angle.
+zero.  A cell's winding is a quarter of the quarter turns of its four
+edges, read from int8 quadrant codes of the values; only an edge of two
+quadrants takes an angle.
 `find_zeros` is the oracle of this path and its fallback: it solves every
 row that is not certified.  Every Newton and Aberth step evaluates the
 terms scaled by its point's radius.  Both return one `Zeros` of flat
@@ -129,7 +129,7 @@ def sample_etas(space: DiscSpace, seed: int, path: Sequence[int], samples: int) 
 
 
 def _scales(space: DiscSpace, log_r) -> tuple[np.ndarray, np.ndarray]:
-    """Scales c_ell r^ell over their largest (finite at any r), and its log: the terms are eta_ell times them.
+    """Scales c_ell r^ell over the largest of them (finite at any r), and its log: term ell is eta_ell times scale ell.
 
     log_r is a scalar or one per row, taken by the caller: math.log and np.log may differ.
     """
@@ -299,12 +299,14 @@ MAGNITUDE_FLOOR = 1e-13
 def _initial_points(space: DiscSpace, r: float) -> int:
     # the winding number is close to n, the expected zero count of the
     # disc |z| < r; 8x oversampling keeps nearly all increments below
-    # pi/2 on the first pass.  The count is the least 2^a 3^b above that,
-    # and at least 64: a fast FFT length, up to a third below the next
-    # power of two.  Multiples of 64 such as 2 368 = 2^6 37 were slower
-    # than the power of two; 5 as a third factor gained nothing.
+    # pi/2 on the first pass.  The count is the least 2^a 3^b at or above
+    # that, and at least 64: a fast FFT length, often well below the next
+    # power of two (2 592 for 4 096 at p = 200, r = 0.7).  Multiples of 64
+    # such as 2 368 = 2^6 37 were slower than the power of two; 5 as a
+    # third factor gained nothing.
     least = max(64, math.ceil(8.0 * (zero_counting_function(space.p, r) + 8.0)))
-    return min(t << (-(-least // t) - 1).bit_length() for t in (3**k for k in range(least.bit_length())))
+    # per 3^k, the least 2^a with 2^a 3^k >= least: 2^a >= ceil(least / 3^k)
+    return min(3**k << (-(-least // 3**k) - 1).bit_length() for k in range(least.bit_length()))
 
 
 def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:

@@ -133,6 +133,11 @@ slope 0.960557 -> 0.958963 (1.7e-3 relative) and its deviation
 sech-power gap 5.24e-3 -> 5.24e-4, the deck terms of radial moves that
 now reach y = 15.7 in place of 20.5 (still no angular move wraps and no
 radial move passes y = p).  No other digest or listing line moved.
+No digest and no listing line moved when the winding count's midpoints
+came to be summed from the powers of one unit complex per segment in
+place of a table of complex exponentials, and its first pass to take the
+least 2^a 3^b angles in place of the next power of two; the seed grid
+kept its power-of-two angles.
 """
 
 import hashlib
