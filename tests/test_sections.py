@@ -581,10 +581,38 @@ class TestGridSeeds:
             if prev is not None:
                 assert np.array_equal(sections._cell_windings(prev, circle), oracles.cell_windings(prev, circle))
             prev = circle
-        own, z = sections._grid_seeds(space, etas, phi.support)
+        seeds = sections._grid_seeds(space, etas, phi.support)
         monkeypatch.setattr(sections, "_cell_windings", oracles.cell_windings)
-        ref_own, ref_z = sections._grid_seeds(space, etas, phi.support)
-        assert own.size >= 16 and np.array_equal(own, ref_own) and np.array_equal(z, ref_z)
+        ref = sections._grid_seeds(space, etas, phi.support)
+        assert seeds[0].size >= 16 and all(np.array_equal(a, b) for a, b in zip(seeds, ref))
+
+    @pytest.mark.parametrize("p, rows", [(40, 12), (80, 16), (100, 64)])
+    def test_ring_blocks_change_no_seed(self, p, rows, monkeypatch):
+        # blocks of 1, 2 and 3 rings, and the whole grid as one block: one
+        # _circle_values call per block, and the same seeds bit for bit
+        phi = TestFunction(0.35, 0.65)
+        [(_, space, etas)] = experiments._draw([p], phi.b, rows, self.SEED, {})
+        n_a = sections._seed_angles(space, phi.b)
+        rings = sections._grid_radii(space, phi.support, 2.0 * math.pi / n_a).size
+        ring_entries = rows * max(n_a, space.L)
+        calls = []
+        values = sections._circle_values
+        monkeypatch.setattr(sections, "_circle_values", lambda coeff, n: (calls.append(coeff.shape[0]), values(coeff, n))[1])
+        seeds = sections._grid_seeds(space, etas, phi.support)
+        for per in (1, 2, 3, rings):
+            calls.clear()
+            monkeypatch.setattr(sections, "BLOCK_ENTRIES", per * ring_entries)
+            got = sections._grid_seeds(space, etas, phi.support)
+            assert calls == [rows * per] * (rings // per) + [rows * (rings % per)] * (rings % per > 0)
+            assert all(np.array_equal(a, b) for a, b in zip(got, seeds))
+
+    @pytest.mark.parametrize("p", [2, 4, 10, 40, 100, 300])
+    @pytest.mark.parametrize("region", [Annulus(0.05, 0.95), Annulus(0.1, 0.8), Annulus(0.35, 0.65), Annulus(0.25, 0.45)])
+    def test_newton_powers_stay_finite(self, p, region):
+        # a seed's terms are scaled at its cell's inner ring: |z / rho|^L <= e^(L max dlog r) <= e^100
+        space = make_disc_space(p, truncation_length(p, region.b))
+        radii = sections._grid_radii(space, region, 2.0 * math.pi / sections._seed_angles(space, region.b))
+        assert space.L * np.max(np.diff(np.log(radii))) <= 100.0
 
     def test_quadrant_windings_on_the_axes(self):
         # values on both axes with either sign of zero, and on the diagonals:
@@ -611,14 +639,25 @@ class TestBatchedZeros:
         phi = TestFunction(0.35, 0.65)
         [(_, space, etas)] = experiments._draw([p], phi.b, 200, self.SEED, {})
         ys, notes = experiments._linear_statistics(phi)(space, etas)
+        batch = find_zeros_batch(space, etas, phi.support)
         for i in range(etas.shape[0]):
             zs = find_zeros(space, etas[i], phi.support)
             assert abs(ys[i] - _linear_statistic(phi, zs)) <= 1e-9
-        assert notes.shape == (200, 3) and not notes.any()
+            # every certified zero, after the accepted last step
+            z = batch.z[batch.row == i]
+            assert len(z) == len(zs.z) and np.all(np.abs(z - zs.z) <= 1e-10 * np.abs(zs.z))
+        assert notes.shape == (200, 3) and not notes.any() and not batch.fallback.any()
+
+    def test_empty_batch(self):
+        region = Annulus(0.35, 0.65)
+        space = make_disc_space(40, truncation_length(40, region.b))
+        zs = find_zeros_batch(space, np.zeros((0, space.L), dtype=np.complex128), region)
+        assert all(a.size == 0 for a in zs)
 
     def test_wide_annulus_zero_sets(self):
-        # c_ell |z|^ell spans far beyond the double range here; Newton
-        # scales by each point's own radius
+        # c_ell |z|^ell spans far beyond the double range here; Halley
+        # scales each seed at its cell's inner ring.  Every zero within
+        # 1e-9 of the oracle, and within 1e-10 relative after the last step
         p, region = 60, Annulus(0.1, 0.8)
         [(_, space, etas)] = experiments._draw([p], region.b, 16, self.SEED, {})
         zs = find_zeros_batch(space, etas, region)
@@ -628,6 +667,7 @@ class TestBatchedZeros:
             z = zs.z[zs.row == i]
             assert len(z) == len(ref.z)
             assert np.max(np.abs(z - ref.z)) < 1e-9
+            assert np.all(np.abs(z - ref.z) <= 1e-10 * np.abs(ref.z))
 
     def test_subnormal_leading_coefficient(self):
         # p = 10 on (0.05, 0.95), L = 597: the terms c_ell |z|^ell span far
@@ -687,9 +727,9 @@ class TestBatchedZeros:
         seeds = sections._grid_seeds
 
         def one_seed_short(*args):
-            own, z = seeds(*args)
+            own, *rest = seeds(*args)
             keep = np.arange(own.size) != np.flatnonzero(own == 0)[0]
-            return own[keep], z[keep]
+            return own[keep], *(a[keep] for a in rest)
 
         monkeypatch.setattr(sections, "_grid_seeds", one_seed_short)
         zs = find_zeros_batch(space10, etas, region)
@@ -724,11 +764,31 @@ class TestBatchedZeros:
 
     def test_newton_scaled_by_radius(self):
         # at p = 300, c_1 / max c_ell is below the smallest double; the
-        # terms scaled by the point's own radius are not
-        p, w = 300, 0.3 * np.exp(0.5j)
+        # terms scaled at a ring's radius near the point are not
+        p, w, rho = 300, 0.3 * np.exp(0.5j), 0.29
         space = make_disc_space(p, truncation_length(p, 0.5))
         assert np.exp(0.5 * (space.log_coeffs[0] - space.log_coeffs.max())) == 0.0
-        z, converged = sections._newton(
-            space, _with_zeros(space, [w])[None, :], np.zeros(1, dtype=np.intp), np.array([w * 1.001])
-        )
+        coeff = _with_zeros(space, [w]) * sections._scales(space, math.log(rho))[0]
+        z, converged = sections._newton(space, coeff[None, :], np.array([w * 1.001]), np.array([rho]))
         assert converged[0] and abs(z[0] - w) < 1e-12
+
+    def test_accepted_step_error_bound(self, monkeypatch):
+        # S = z^100 (z - w): at w, K = |c2^2 - c3| = 100 * 101 / (2 |w|^2), c_k = S^(k) / (k! S').
+        # From 1.2e-4 off, the second step (about K 1.2e-4^3 = 8e-7) is taken
+        # as the last, and leaves an error of K |step|^3 = 2e-13, far above
+        # the rounding of the terms (about 100 ulps of |w|)
+        ell0, w, rho = 100, 0.1 * np.exp(0.3j), 0.098
+        space = make_disc_space(40, truncation_length(40, 0.65))
+        eta = np.zeros(space.L, dtype=np.complex128)
+        eta[ell0 - 1 : ell0 + 1] = np.array([-w, 1.0]) / np.exp(0.5 * space.log_coeffs[ell0 - 1 : ell0 + 1])
+        coeff = (eta * sections._scales(space, math.log(rho))[0])[None, :]
+        k = ell0 * (ell0 + 1) / (2.0 * abs(w) ** 2)
+        iterates = []
+        for sweeps in (1, 2):
+            monkeypatch.setattr(sections, "NEWTON_MAX_ITER", sweeps)
+            z, converged = sections._newton(space, coeff, np.array([w * (1.0 + 1.2e-3)]), np.array([rho]))
+            iterates.append(z[0])
+        assert converged.tolist() == [True]
+        step = abs(iterates[1] - iterates[0])
+        assert step < sections.HALLEY_TOL and k * step**3 > 1e-13
+        assert abs(abs(iterates[1] - w) - k * step**3) <= 0.02 * k * step**3
