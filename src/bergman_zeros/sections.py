@@ -514,11 +514,12 @@ def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np
     The angles are n_a = `_seed_angles(space, b)`, the circles those of
     `_grid_radii`, whose scale rows are one `_scales` call.  The circles
     go in blocks of rings, each at most BLOCK_ENTRIES entries of values
-    and of scaled coefficients: one `_circle_values` and one `_quadrants`
-    call per block, kept as int8 quadrant codes.  The cells between
-    consecutive rings are slices of the block, and those between blocks
-    take the previous block's last ring.  A cell of winding k >= 1
-    (`_cell_windings`) gives k points, spread along its diagonal.
+    and of scaled coefficients, or one ring if that alone is more: one
+    `_circle_values` and one `_quadrants` call per block, kept as int8
+    quadrant codes.  The cells between consecutive rings are slices of
+    the block, and those between blocks take the previous block's last
+    ring.  A cell of winding k >= 1 (`_cell_windings`) gives k points,
+    spread along its diagonal.
 
     Returns (owner row, point, rho, coefficient row), per point: rho is
     the radius of its cell's inner ring, and the row is its section's
