@@ -28,13 +28,13 @@ def _versions() -> dict[str, str]:
 def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.threads is not None:
+            cfg = dataclasses.replace(cfg, threads=args.threads)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.threads is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
     out_dir = Path(args.out if args.out is not None else cfg.out)
     # looked up on the module at call time, so that a wrapper put there is what runs
     driver = getattr(experiments, EXPERIMENTS[cfg.kind].driver)

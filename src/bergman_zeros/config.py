@@ -105,6 +105,13 @@ class ExperimentConfig:
     threads: int = 1
     out: str = "results"
 
+    def __post_init__(self) -> None:
+        # here, not in load_config, so that a --seed or --threads override (dataclasses.replace) is checked too
+        if self.seed < 0:
+            raise ConfigError(f"key 'seed': must be >= 0, got {self.seed}")
+        if self.threads < 1:
+            raise ConfigError(f"key 'threads': must be >= 1, got {self.threads}")
+
     def digest_payload(self) -> dict:
         # threads/out are execution details; they must not affect outputs
         return {"experiment": self.kind, "seed": self.seed, "params": _jsonable(self.params)}
@@ -208,8 +215,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("missing required key 'seed'")
     seed = _coerce("seed", "int", raw["seed"], text)
     threads = _coerce("threads", "int", raw.get("threads", 1), text)
-    if threads < 1:
-        raise ConfigError("key 'threads': must be >= 1")
     out = raw.get("out", "results")
     if not isinstance(out, str):
         raise ConfigError("key 'out': expected string")

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 __all__ = [
     "Annulus",
@@ -111,7 +110,7 @@ def make_disc_space(p: int, L: int) -> DiscSpace:
     if L < 1:
         raise ValueError(f"truncation length L must be >= 1, got {L}")
     ells = np.arange(1, L + 1, dtype=np.float64)
-    log_coeffs = (p - 1) * np.log(ells) - LOG_2PI - gammaln(p - 1)
+    log_coeffs = (p - 1) * np.log(ells) - LOG_2PI - math.lgamma(p - 1)
     if not np.all(np.isfinite(log_coeffs)):
         raise ValueError("non-finite basis amplitude; p or L out of usable range")
     return DiscSpace(p=int(p), L=int(L), log_coeffs=log_coeffs)

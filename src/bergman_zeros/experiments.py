@@ -14,8 +14,10 @@ The driver signatures are the experiment table: every parameter but
 gives the key's type and its default the key's default
 (`config.EXPERIMENTS` reads them from here).  A Monte Carlo estimate with
 an exact prediction is checked within 3 of its own standard errors
-(`StatsReport.check_within_se`); any other threshold is a module constant
-beside its driver, not a config key.  In the multi-p drivers `p` is the
+(`StatsReport.check_within_se`), and a value that must fall in p falls by
+more than 3 standard errors of the difference between neighbouring rows
+(`_falls`); any other threshold is a module constant beside its driver,
+not a config key.  In the multi-p drivers `p` is the
 ascending list of tensor powers; the loop over it rebinds `p` to one
 power.
 """
@@ -120,15 +122,36 @@ def _zero_counts(region: Annulus) -> Callable[[DiscSpace, np.ndarray], tuple[np.
     return lambda space, etas: (sections.count_zeros_batch(space, etas, region),)
 
 
-def _falls(report: StatsReport, name: str, values: dict[int, float], fmt: str, label: str = "") -> None:
-    """One check {name}_p{p_lo}_to_p{p_hi} per neighbouring pair of p (the keys of values, in order).
+def _falls(report: StatsReport, name: str, statistic: str, fmt: str = ".4f", value: str = "estimate") -> None:
+    """One check {name}_p{p_lo}_to_p{p_hi} per neighbouring pair of the report's statistic rows, in p order.
 
-    It passes when values[p_hi] < values[p_lo].
+    It passes when the rows' value (their estimate, or their deviation)
+    falls by more than 3 standard errors of the difference, the two rows'
+    stderr in quadrature; a row without a stderr is exact, so that between
+    exact rows any fall passes.  A tie, or a fall within the noise, fails.
     """
-    ps = list(values)
-    for p_lo, p_hi in zip(ps, ps[1:]):
-        lo, hi = values[p_lo], values[p_hi]
-        report.check(f"{name}_p{p_lo}_to_p{p_hi}", hi < lo, f"{label}{lo:{fmt}} -> {hi:{fmt}}")
+    rows = [row for row in report.rows if row.statistic == statistic]
+    for lo, hi in zip(rows, rows[1:]):
+        a, b = getattr(lo, value), getattr(hi, value)
+        bound = 3.0 * math.hypot(lo.stderr or 0.0, hi.stderr or 0.0)
+        report.check(
+            f"{name}_p{lo.p}_to_p{hi.p}",
+            a - b > bound,
+            f"{a:{fmt}} -> {b:{fmt}}, fall {a - b:{fmt}} vs 3 SE = {bound:{fmt}}",
+        )
+
+
+def _frequency_row(report: StatsReport, p: int, statistic: str, hits: np.ndarray) -> None:
+    """Append the row of the frequency of hits (one bool per sample) at p.
+
+    Its stderr is binomial, with f (1 - f) held at 1 / n or more, so that a
+    frequency of 0 reads 0 with stderr 1 / n: 3 SE is then the rule-of-three
+    bound on an event seen in none of n samples.
+    """
+    n = hits.size
+    freq = float(np.mean(hits))
+    se = math.sqrt(max(freq * (1 - freq), 1.0 / n) / n)
+    report.row(p, statistic, freq, stderr=se, n_samples=n)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +188,12 @@ SUP_TOLERANCE = 0.25  # largest |ratio - 1| of sup B_p to (p / 2 pi)^(3/2)
 def sup_experiment(p: Sequence[int], seed: int = 0) -> StatsReport:
     """Global sup of B_p against the (p / 2 pi)^(3/2) law."""
     report = StatsReport("sup", seed)
-    errors: dict[int, float] = {}
     for p in list(p):
         neg_log_r, value = disc.sup_kernel(p)
-        ratio = value * (2.0 * math.pi / p) ** 1.5
-        errors[p] = abs(ratio - 1.0)
-        report.row(p, "sup_ratio_to_power_law", ratio, prediction=1.0)
+        error = report.row(p, "sup_ratio_to_power_law", value * (2.0 * math.pi / p) ** 1.5, prediction=1.0).deviation
         report.row(p, "sup_maximizer_neg_log_radius", neg_log_r)
-        report.check(f"sup_ratio_p{p}", errors[p] <= SUP_TOLERANCE, f"|ratio - 1| = {errors[p]:.4f} vs {SUP_TOLERANCE}")
-    _falls(report, "sup_ratio_improves", errors, ".4f", label="|ratio-1|: ")
+        report.check(f"sup_ratio_p{p}", error <= SUP_TOLERANCE, f"|ratio - 1| = {error:.4f} vs {SUP_TOLERANCE}")
+    _falls(report, "sup_ratio_improves", "sup_ratio_to_power_law", value="deviation")
     return report
 
 
@@ -409,7 +429,6 @@ def clt_experiment(
     from scipy import stats as sps
 
     report = StatsReport("clt", seed)
-    proxies: dict[int, float] = {}
     for p, _, ys, notes in _monte_carlo(
         report, list(p), testfunction.b, samples, threads, _linear_statistics(testfunction), ROOT_CHUNK
     ):
@@ -421,8 +440,6 @@ def clt_experiment(
             )
         standardized = (ys - float(np.mean(ys))) / sd
         ks_stat, ks_p = sps.kstest(standardized, "norm")
-        proxy = sodin_tsirelson_proxy(p, testfunction.support)
-        proxies[p] = proxy
         mean_pred = expected_linear_statistic(p, testfunction)
         mean_row = report.row(
             p, "linstat_mean", float(np.mean(ys)),
@@ -430,10 +447,10 @@ def clt_experiment(
         )
         report.row(p, "ks_statistic", float(ks_stat), n_samples=samples)
         report.row(p, "ks_pvalue", float(ks_p), n_samples=samples)
-        report.row(p, "correlation_sum_diagnostic", proxy)
+        report.row(p, "correlation_sum_diagnostic", sodin_tsirelson_proxy(p, testfunction.support))
         report.check_within_se(f"linstat_mean_p{p}", mean_row)
         report.check(f"clt_ks_p{p}", bool(ks_p >= KS_LEVEL), f"KS p-value {ks_p:.4f} vs level {KS_LEVEL}")
-    _falls(report, "correlation_diagnostic_decreases", proxies, ".5f")
+    _falls(report, "correlation_diagnostic_decreases", "correlation_sum_diagnostic", ".5f")
     return report
 
 
@@ -458,7 +475,6 @@ def variance_experiment(
 ) -> StatsReport:
     """Number variance: Monte Carlo vs bipotential (within 3 SE) vs the zeta(3) leading term."""
     report = StatsReport("variance", seed)
-    lead_gaps: dict[int, float] = {}
     for p, space, ys, notes in _monte_carlo(
         report, list(p), testfunction.b, samples, threads, _linear_statistics(testfunction), ROOT_CHUNK
     ):
@@ -466,23 +482,10 @@ def variance_experiment(
         var_mc, se = _variance_with_se(ys)
         bip = variance_bipotential(space, testfunction, report.diagnostics[p])
         mc_row = report.row(p, "linstat_variance_mc", var_mc, stderr=se, prediction=bip, n_samples=samples)
-        lead = variance_leading_term(testfunction, p)
-        lead_gaps[p] = report.row(p, "scaled_variance_vs_leading_term", p * bip, prediction=p * lead).deviation
+        report.row(p, "scaled_variance_vs_leading_term", p * bip, prediction=p * variance_leading_term(testfunction, p))
         report.check_within_se(f"variance_mc_matches_bipotential_p{p}", mc_row)
-    _falls(report, "variance_leading_term_gap_shrinks", lead_gaps, ".3e", label="|p Var - leading| ")
+    _falls(report, "variance_leading_term_gap_shrinks", "scaled_variance_vs_leading_term", ".3e", value="deviation")
     return report
-
-
-WILSON_Z = 1.959963984540054  # two-sided 95 % normal quantile
-
-
-def _wilson_interval(k: int, n: int) -> tuple[float, float]:
-    z = WILSON_Z
-    phat = k / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
 
 
 def hole_probability_experiment(
@@ -492,41 +495,25 @@ def hole_probability_experiment(
     seed: int,
     threads: int = 1,
 ) -> StatsReport:
-    """Empirical hole probabilities with Wilson intervals and the p^2 trend."""
+    """Hole probabilities P(no zero in the annulus), falling in p, and the p^2 trend of -log P.
+
+    Each row is a frequency with its binomial stderr (`_frequency_row`), so
+    a p with no hole reads 0 with stderr 1 / samples.  The probability must
+    fall from each p to the next by more than 3 standard errors of the
+    difference (`_falls`); a tie, or a fall within the noise, fails.  The
+    least-squares slope of -log P against p^2 over the nonzero rows is
+    reported, not checked: when every fall passes, -log P rises in p and
+    the slope is positive.
+    """
     report = StatsReport("holes", seed)
-    estimates: dict[int, float] = {}
-    intervals: dict[int, tuple[float, float]] = {}
-    ps = list(p)
-    for p, _, counts in _monte_carlo(report, ps, annulus.b, samples, threads, _zero_counts(annulus), COUNT_CHUNK):
-        k = int(np.sum(counts == 0))
-        phat = k / samples
-        lo, hi = _wilson_interval(k, samples)
-        estimates[p] = phat
-        intervals[p] = (lo, hi)
-        if k == 0:
-            # rule of three: one-sided 95% upper bound on an unobserved event
-            report.row(p, "hole_probability_upper_bound", 3.0 / samples, n_samples=samples)
-        else:
-            se = math.sqrt(phat * (1.0 - phat) / samples)
-            report.row(p, "hole_probability", phat, stderr=se, n_samples=samples)
-        report.row(p, "hole_probability_wilson_low", lo, n_samples=samples)
-        report.row(p, "hole_probability_wilson_high", hi, n_samples=samples)
-    positive = [(p, estimates[p]) for p in ps if estimates[p] > 0.0]
+    for p, _, counts in _monte_carlo(report, list(p), annulus.b, samples, threads, _zero_counts(annulus), COUNT_CHUNK):
+        _frequency_row(report, p, "hole_probability", counts == 0)
+    positive = [row for row in report.rows if row.estimate > 0.0]
     if len(positive) >= 2:
-        xs = np.array([p * p for p, _ in positive], dtype=np.float64)
-        ys = np.array([-math.log(ph) for _, ph in positive])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        report.row(None, "neg_log_hole_slope_vs_p2", slope)
-        report.check("hole_decay_slope_positive", slope > 0.0, f"slope {slope:.4e}")
-    _falls(report, "hole_probability_decreases", estimates, ".4f")
-    if len(ps) >= 2:
-        lo_first = intervals[ps[0]][0]
-        hi_last = intervals[ps[-1]][1]
-        report.check(
-            f"hole_wilson_disjoint_p{ps[0]}_p{ps[-1]}",
-            hi_last < lo_first,
-            f"[{intervals[ps[-1]][0]:.4f}, {hi_last:.4f}] below [{lo_first:.4f}, {intervals[ps[0]][1]:.4f}]",
-        )
+        xs = np.array([row.p * row.p for row in positive], dtype=np.float64)
+        ys = np.array([-math.log(row.estimate) for row in positive])
+        report.row(None, "neg_log_hole_slope_vs_p2", float(np.polyfit(xs, ys, 1)[0]))
+    _falls(report, "hole_probability_decreases", "hole_probability")
     return report
 
 
@@ -540,24 +527,14 @@ def deviation_experiment(
 ) -> StatsReport:
     """Tail frequency of the zero count, P(|N / p - c1 area| > delta), falling in p.
 
-    Each row's stderr is binomial, its f (1 - f) held at 1 / samples or
-    more, so that a frequency of 0 has one.  The frequency must fall from
-    each p to the next by more than 3 standard errors of the difference,
-    the two rows' stderr in quadrature: a tie, or a fall within the noise,
+    Each row is a frequency with its binomial stderr (`_frequency_row`).
+    The frequency must fall from each p to the next by more than 3 standard
+    errors of the difference (`_falls`): a tie, or a fall within the noise,
     fails.
     """
     report = StatsReport("deviation", seed)
     area = disc.c1_area(annulus)
-    rows = []
     for p, _, counts in _monte_carlo(report, list(p), annulus.b, samples, threads, _zero_counts(annulus), COUNT_CHUNK):
-        freq = float(np.mean(np.abs(counts / p - area) > delta))
-        se = math.sqrt(max(freq * (1 - freq), 1.0 / samples) / samples)
-        rows.append(report.row(p, "count_deviation_frequency", freq, stderr=se, n_samples=samples))
-    for lo, hi in zip(rows, rows[1:]):
-        bound = 3.0 * math.hypot(lo.stderr, hi.stderr)
-        report.check(
-            f"count_deviation_decreases_p{lo.p}_to_p{hi.p}",
-            lo.estimate - hi.estimate > bound,
-            f"{lo.estimate:.4f} -> {hi.estimate:.4f}, fall {lo.estimate - hi.estimate:.4f} vs 3 SE = {bound:.4f}",
-        )
+        _frequency_row(report, p, "count_deviation_frequency", np.abs(counts / p - area) > delta)
+    _falls(report, "count_deviation_decreases", "count_deviation_frequency")
     return report

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, spence
 
 from . import sections
 from .disc import LOG_2PI, Annulus, DiscSpace, _legendre_rule, _log_deck, _log_n2, _scalar_or_array, zero_counting_function
@@ -124,7 +123,10 @@ def laplacian_ratio(phi: TestFunction, z) -> float | np.ndarray:
 
 def _gtilde_fast(t2: np.ndarray) -> np.ndarray:
     # the bipotential profile Gt(t) = Li2(t^2) / (4 pi^2) from t2 = t^2, through scipy's spence; agrees to
-    # 1e-12 with the series and integral forms of the scalar oracle in tests/oracles.py
+    # 1e-12 with the series and integral forms of the scalar oracle in tests/oracles.py.  scipy.special is imported
+    # here and in _log_beta_mean, not at import time, of which it would be most
+    from scipy.special import spence
+
     return spence(1.0 - t2) / (4.0 * math.pi**2)
 
 
@@ -136,6 +138,8 @@ def _c1_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_beta_mean(q: float, y, yp):
     """log (1 / 2 pi) int_R (y y' / (a^2 + theta^2))^q dtheta, a Beta integral, a = (y + y') / 2 and log(y y' / a^2)."""
+    from scipy.special import betaln  # not three math.lgamma: that moves the last digits
+
     a, lr = 0.5 * (y + yp), np.log1p(-np.square((y - yp) / (y + yp)))  # exact to rounding for close y, y'
     return q * lr + np.log(a) + betaln(q - 0.5, 0.5) - LOG_2PI, a, lr
 

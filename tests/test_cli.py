@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -281,6 +282,8 @@ class TestRunCommand:
         ("holes", {"p": [4, 6], "annulus": Annulus(0.25, 0.45), "samples": 40}),
         ("deviation", {"p": [4, 6], "annulus": Annulus(0.25, 0.45), "delta": 0.1, "samples": 40}),
         ("clt", {"p": [30, 40], "testfunction": TestFunction(0.35, 0.65), "samples": 24}),
+        # its seed grid misses a zero in each chunk's first row, which falls back to `find_zeros`
+        ("variance", {"p": [30, 40], "testfunction": TestFunction(0.35, 0.65), "samples": 24}),
     ])
     def test_threads_do_not_change_report_over_many_chunks(self, monkeypatch, kind, params):
         # chunks of 7 count rows or 5 root rows: every p is several chunks,
@@ -294,12 +297,21 @@ class TestRunCommand:
                 return fn(space, etas, region)
 
             monkeypatch.setattr(sections, name, batch)
+        if kind == "variance":
+            def first_row_one_seed_short(*args, seeds=sections._grid_seeds):
+                own, *rest = seeds(*args)
+                keep = np.arange(own.size) != np.flatnonzero(own == 0)[0]
+                return own[keep], *(a[keep] for a in rest)
+
+            monkeypatch.setattr(sections, "_grid_seeds", first_row_one_seed_short)
         driver = getattr(experiments, EXPERIMENTS[kind].driver)
         one, two = (driver(**params, seed=41, threads=threads) for threads in (1, 2))
         # more than one chunk per p in each of the two runs
         assert max(chunk_rows) <= 7 and len(chunk_rows) > 2 * len(params["p"])
         assert (one.rows, one.checks, one.diagnostics) == (two.rows, two.checks, two.diagnostics)
         assert sorted(one.diagnostics) == params["p"]
+        if kind == "variance":
+            assert all(d["fallback_rows"] > 0 for d in one.diagnostics.values())
 
     def test_seed_override_changes_digest(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)
@@ -335,6 +347,20 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": [20], "oops": 1}))
         assert main(["run", str(cfg)]) == 1
         assert "oops" in capsys.readouterr().err
+
+    # a run setting out of range exits 1 naming its key, whether the file or a flag sets it
+    @pytest.mark.parametrize("settings, flags, message", [
+        ({"threads": 0}, [], "key 'threads': must be >= 1, got 0"),
+        ({}, ["--threads", "0"], "key 'threads': must be >= 1, got 0"),
+        ({}, ["--threads", "-2"], "key 'threads': must be >= 1, got -2"),
+        ({"seed": -1}, [], "key 'seed': must be >= 0, got -1"),
+        ({}, ["--seed", "-1"], "key 'seed': must be >= 0, got -1"),
+    ], ids=["threads-file", "threads-flag-0", "threads-flag-negative", "seed-file", "seed-flag"])
+    def test_bad_run_setting_exit_code(self, tmp_path, capsys, settings, flags, message):
+        cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, **settings))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_check_failure_exit_code(self, tmp_path):
         # p = 5 sits far off the plateau: the 1e-3 gate must fail

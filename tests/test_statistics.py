@@ -367,15 +367,25 @@ class TestProxyAndExperiments:
         probs = [r.estimate for r in rep.rows if r.statistic == "hole_probability"]
         assert probs[1] < probs[0]
 
+    def test_hole_fall_within_noise_fails(self):
+        # 200 samples: the hole probability falls, 0.130 -> 0.060, by less than 3 SE of the difference
+        rep = experiments.hole_probability_experiment([6, 8], Annulus(0.25, 0.45), 200, seed=1)
+        lo, hi = (r.estimate for r in rep.rows if r.statistic == "hole_probability")
+        (check,) = rep.checks
+        assert hi < lo
+        assert (check.passed, check.detail) == (False, "0.1300 -> 0.0600, fall 0.0700 vs 3 SE = 0.0873")
+
     def test_falls_checks_on_a_tie(self):
         # no holes and no deviation in any sample: a tie, which fails the
-        # hole check and the deviation check alike
+        # hole check and the deviation check alike; a frequency of 0 in 50
+        # samples reads stderr 1 / 50
         region = Annulus(0.25, 0.45)
         holes = experiments.hole_probability_experiment([20, 30], region, 50, seed=3)
         dev = experiments.deviation_experiment([20, 30], region, 5.0, 50, seed=3)
+        assert [(r.estimate, r.stderr) for r in holes.rows] == [(0.0, 1 / 50)] * 2
         (hole_check,) = [c for c in holes.checks if c.name == "hole_probability_decreases_p20_to_p30"]
         (dev_check,) = [c for c in dev.checks if c.name == "count_deviation_decreases_p20_to_p30"]
-        assert (hole_check.passed, hole_check.detail) == (False, "0.0000 -> 0.0000")
+        assert (hole_check.passed, hole_check.detail) == (False, "0.0000 -> 0.0000, fall 0.0000 vs 3 SE = 0.0849")
         assert (dev_check.passed, dev_check.detail) == (False, "0.0000 -> 0.0000, fall 0.0000 vs 3 SE = 0.0849")
 
     def test_expected_linear_statistic_by_parts(self):
