@@ -17,7 +17,10 @@ cell's winding is a quarter of the quarter turns of its four edges,
 read from int8 quadrant codes of the values; only an edge of two
 quadrants takes an angle.  A seed's terms are scaled at its cell's
 inner ring, and Halley's method takes its last, cubically small step
-without a confirming sweep: most seeds converge in three sweeps.
+without a confirming sweep: most seeds converge in three sweeps.  Every
+block-sized array of the grid and of Halley's method is a view of one of
+a few per-thread work buffers (`_work`), reused across blocks and calls,
+so the zero finder faults no fresh pages once its thread is warm.
 `find_zeros` is the oracle of this path and its fallback: it solves every
 row that is not certified; each of its Aberth steps evaluates the terms
 scaled by its point's radius.  Both return one `Zeros` of flat
@@ -51,6 +54,7 @@ largest truncation length, so every p sees the same leading coefficients.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,12 +91,15 @@ ABERTH_ANGLE = 0.7
 # next to an arc, whose increment then aliases; much thicker ones have long
 # radial edges, whose increments alias too.
 MAX_ASPECT = 8.0
-# Every blocked array pass (winding rows, the bipotential's hot windows)
-# holds at most this many entries per temporary: 1 MB of float64, 2 MB of
-# complex128, sized to a 2 MiB L2.  The bipotential takes
+# Every blocked array pass (winding rows, the seed grid's rings, Halley's
+# points, the bipotential's hot windows) holds at most this many entries per
+# temporary: 1 MB of float64, 2 MB of complex128, sized to a 2 MiB L2; the
+# zero finder's are `_work` buffers of this size.  The bipotential takes
 # 8-14 ms at p = 200 and 41-59 ms at p = 1 280 on (0.1, 0.9) from 2^15 to
 # 2^19 entries alike (2 vCPUs, median of 7).
 BLOCK_ENTRIES = 1 << 17
+# Per-thread work buffers of the zero finder, by name (`_work`).
+_pool = threading.local()
 
 
 class Zeros(NamedTuple):
@@ -143,21 +150,50 @@ def _scales(space: DiscSpace, log_r) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(log_amp - shift[..., None]), shift
 
 
-def _powers(w: np.ndarray, L: int) -> np.ndarray:
+def _work(name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """An uninitialised array of this shape and dtype: a view of this thread's work buffer `name`.
+
+    The buffer is flat, complex128, grown to the largest request made of
+    it (at most BLOCK_ENTRIES entries from the zero finder), and lives as
+    long as its thread; a later request of the same name overwrites the
+    earlier one's view.  Arrays of this size, allocated and freed on every
+    block, sit at glibc's mmap and trim thresholds and fault in fresh
+    pages each time: about 4 700 per warm `find_zeros_batch` call at
+    p = 100 with 12 rows in a fresh process, against about one from these
+    buffers.  Freeing the
+    (mmapped) buffer that a grown one replaces also raises glibc's mmap
+    threshold to its size and its trim threshold to twice that, so the
+    blocks' smaller temporaries, such as the int8 quadrant codes, are then
+    reused from the heap rather than trimmed and faulted in again.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffers = vars(_pool)
+    buf = buffers.get(name)
+    if buf is None or buf.nbytes < nbytes:
+        buf = buffers[name] = np.empty(-(-nbytes // 16), dtype=np.complex128)
+    return buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+
+
+def _powers(w: np.ndarray, L: int, out: np.ndarray | None = None) -> np.ndarray:
     """w^1 .. w^L along a new last axis, by cumulative product: near 1 in size while |w| is."""
-    return np.cumprod(np.broadcast_to(w[..., None], (*w.shape, L)), axis=-1)
+    return np.cumprod(np.broadcast_to(w[..., None], (*w.shape, L)), axis=-1, out=out)
 
 
-def _circle_values(coeff: np.ndarray, n: int) -> np.ndarray:
+def _circle_values(coeff: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """sum_ell coeff_ell e^{i ell theta_j} at the n angles theta_j = 2 pi j / n, ell = 1 .. L, per row.
 
     Unnormalised: the values of the section itself.  Each n-wide block of
-    ell is added, in order, into ell mod n; then one inverse FFT, in place:
-    a second array of its size faults fresh pages on every call, 4x the
-    time of the whole call at 256 rows of L = 35 on n = 128.
+    ell is added, in order, into ell mod n of a zero-filled array (out, if
+    given); then one inverse FFT, in place: a second array of its size
+    faults fresh pages on every call, 4x the time of the whole call at 256
+    rows of L = 35 on n = 128.
     """
     m, L = coeff.shape
-    folded = np.zeros((m, n), dtype=np.complex128)
+    if out is None:
+        folded = np.zeros((m, n), dtype=np.complex128)
+    else:
+        folded = out
+        folded.fill(0.0)
     for lo in range(0, L + 1, n):
         block = coeff[:, max(lo - 1, 0) : lo + n - 1]  # ell = max(lo, 1) .. lo + n - 1
         start = int(lo == 0)
@@ -189,6 +225,10 @@ def _newton(space: DiscSpace, coeff: np.ndarray, z: np.ndarray, rho: np.ndarray)
     stay within e^(L |log(|z| / rho)|) in size whatever the radius.
     With t the terms and n = sum t / sum ell t, the step is
     z n / (1 - n/2 sum ell (ell - 1) t / sum ell t), from the same terms.
+    The terms go into the work buffer "terms" (`_work`), and once points
+    have stopped, the rows of those still moving are gathered into "rows";
+    coeff itself is never copied.  So coeff may be a block of up to
+    BLOCK_ENTRIES entries, as `find_zeros_batch` passes it.
 
     A point converges on a step below NEWTON_TOL * max(1, |z|), or below
     HALLEY_TOL * max(1, |z|) and at most 1/100 of its previous one, and
@@ -215,11 +255,13 @@ def _newton(space: DiscSpace, coeff: np.ndarray, z: np.ndarray, rho: np.ndarray)
             rad = np.abs(za)
             ok = np.isfinite(za) & (rad < 1.0) & (rad > 0.0)
             if not ok.all():
-                active, za, rad, coeff, last = active[ok], za[ok], rad[ok], coeff[ok], last[ok]
+                active, za, rad, last = active[ok], za[ok], rad[ok], last[ok]
             if active.size == 0:
                 break
-            terms = _powers(za / rho[active], space.L)
-            terms *= coeff
+            shape = (active.size, space.L)
+            terms = _powers(za / rho[active], space.L, out=_work("terms", shape))
+            # mode "clip" (the indices are in range): with "raise", np.take writes through a fresh copy of out
+            terms *= coeff if active.size == len(coeff) else np.take(coeff, active, 0, _work("rows", shape), "clip")
             # the derivatives by einsum: a BLAS product would thread inside the chunk pool
             slope = np.einsum("ql,l->q", terms, space.ells)
             n = terms.sum(axis=1) / slope
@@ -230,7 +272,7 @@ def _newton(space: DiscSpace, coeff: np.ndarray, z: np.ndarray, rho: np.ndarray)
             z[active[ok]] = za[ok] - step[ok]
             converged[active[done]] = True
             go = ok & ~done
-            active, coeff, last = active[go], coeff[go], size[go]
+            active, last = active[go], size[go]
     return z, converged
 
 
@@ -432,14 +474,18 @@ def count_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> np
 
 
 def _grid_radii(space: DiscSpace, region: Annulus, dtheta: float) -> np.ndarray:
-    """Circles of the seed grid: one step inside a, then a, then steps up to b or just beyond.
+    """Circles of the seed grid: one step inside a, then a, then steps up to b or just beyond, then one more step.
 
     In u = 1 / |log r| the curvature mass, and so the expected zero count,
     is uniform; a step holds one expected zero, which in log r is
     log(r)^2 du, kept between 1 and MAX_ASPECT angular steps dtheta.  The
-    grid thus reaches past both boundaries, and no zero of the annulus sits
-    next to the grid's own edge.  Half a ring per zero lost 54-83 % of rows
-    to the fallback (p = 40, 80, 200 on (0.35, 0.65)).
+    grid thus reaches a full step past both boundaries, and no zero of the
+    annulus sits next to the grid's own edge.  An arc close to a zero may
+    alias and move the zero's winding to the cell on its other side, whose
+    seed still finds it; the ring that passes b may pass it by little
+    (8e-5 at p = 300 on (0.35, 0.65)), and without a cell beyond it 16 of
+    512 rows there fell back.  Half a ring per zero lost 54-83 % of rows to
+    the fallback (p = 40, 80, 200 on (0.35, 0.65)).
     """
     u_a, u_b = -1.0 / math.log(region.a), -1.0 / math.log(region.b)
     du = (u_b - u_a) / max(1.0, expected_zero_measure(space.p, region))
@@ -451,7 +497,15 @@ def _grid_radii(space: DiscSpace, region: Annulus, dtheta: float) -> np.ndarray:
     while radii[-1] < region.b:
         radii.append(radii[-1] * math.exp(step(radii[-1])))
     radii[-1] = min(radii[-1], 0.5 * (1.0 + region.b))
+    radii.append(min(radii[-1] * math.exp(step(radii[-1])), 0.5 * (1.0 + radii[-1])))
     return np.array(radii)
+
+
+def _grid(space: DiscSpace, region: Annulus) -> tuple[int, np.ndarray, np.ndarray]:
+    """The seed grid: its angle count (`_seed_angles` at b), its circles (`_grid_radii`) and their scale rows."""
+    n_a = _seed_angles(space, region.b)
+    radii = _grid_radii(space, region, 2.0 * math.pi / n_a)
+    return n_a, radii, _scales(space, np.array([math.log(r) for r in radii]))[0]
 
 
 def _quadrants(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -509,49 +563,61 @@ def _seed_angles(space: DiscSpace, b: float) -> int:
 
 
 def _grid_seeds(space: DiscSpace, etas: np.ndarray, region: Annulus) -> tuple[np.ndarray, ...]:
-    """Halley starting points from the cells of a polar grid over the annulus, with their scaled terms.
+    """Halley starting points from the cells of a polar grid over the annulus.
 
-    The angles are n_a = `_seed_angles(space, b)`, the circles those of
-    `_grid_radii`, whose scale rows are one `_scales` call.  The circles
-    go in blocks of rings, each at most BLOCK_ENTRIES entries of values
-    and of scaled coefficients, or one ring if that alone is more: one
-    `_circle_values` and one `_quadrants` call per block, kept as int8
-    quadrant codes.  The cells between consecutive rings are slices of
-    the block, and those between blocks take the previous block's last
-    ring.  A cell of winding k >= 1 (`_cell_windings`) gives k points,
-    spread along its diagonal.
+    The grid is `_grid`'s: n_a angles, the circles of `_grid_radii` and
+    their scale rows.  The circles go in blocks of rings, each at most
+    BLOCK_ENTRIES entries of values and of scaled coefficients: one
+    `_circle_values` and one `_quadrants` call per block, into the work
+    buffers "values" and "coeff" (`_work`), kept as int8 quadrant codes.
+    If one ring of every row is more than that, the rows go in blocks too,
+    each through all rings.  The cells between consecutive rings are
+    slices of the block; those between blocks take the previous block's
+    last ring, whose values are copied into the buffer "last ring" before
+    the next block overwrites them.  A cell of winding k >= 1
+    (`_cell_windings`) gives k points, spread along its diagonal.
 
-    Returns (owner row, point, rho, coefficient row), per point: rho is
-    the radius of its cell's inner ring, and the row is its section's
-    scaled at rho, as `_newton` takes them.
+    Returns (owner row, point, rho, ring), per point: rho is the radius
+    of its cell's inner ring, and ring that ring's index, so that the
+    point's coefficient row, scaled at rho as `_newton` takes it, is
+    etas[owner] * scale[ring].
     """
-    m = etas.shape[0]
-    n_a = _seed_angles(space, region.b)
-    radii = _grid_radii(space, region, 2.0 * math.pi / n_a)
-    scale = _scales(space, np.array([math.log(r) for r in radii]))[0]
-    per = max(1, BLOCK_ENTRIES // max(1, m * max(n_a, space.L)))
-    windings = []  # int8, of the cells between rings i and i + 1 for every row, in ring order
-    for lo in range(0, radii.size, per):
-        rings = scale[lo : lo + per]
-        vals = _circle_values((rings[:, None, :] * etas).reshape(-1, space.L), n_a)
-        block = (vals, *_quadrants(vals))
-        if lo:  # from the previous block's last ring
-            windings.append(_cell_windings(prev, tuple(a[:m] for a in block)))
-        if len(rings) > 1:
-            windings.append(_cell_windings(tuple(a[:-m] for a in block), tuple(a[m:] for a in block)))
-        prev = tuple(a[-m:] for a in block)
-    k = np.concatenate(windings)
-    cells = np.flatnonzero(k >= 1)
-    pairs, cols = np.divmod(cells, n_a)
-    reps = k.ravel()[cells].astype(np.int64)
+    m, L = etas.shape
+    n_a, radii, scale = _grid(space, region)
+    width = max(n_a, L)
+    rows = max(1, min(m, BLOCK_ENTRIES // width))
+    per = max(1, BLOCK_ENTRIES // (rows * width))
+    empty = np.zeros(0, dtype=np.int64)
+    cells = [(empty, empty, empty, empty)]  # (owner row, inner ring, angle, winding) of the cells of winding >= 1
+    for row0 in range(0, m, rows):
+        block_etas = etas[row0 : row0 + rows]
+        mb = block_etas.shape[0]
+        for lo in range(0, radii.size, per):
+            rings = scale[lo : lo + per]
+            coeff = np.multiply(rings[:, None, :], block_etas, out=_work("coeff", (rings.shape[0], mb, L)))
+            vals = _circle_values(coeff.reshape(-1, L), n_a, out=_work("values", (rings.shape[0] * mb, n_a)))
+            block = (vals, *_quadrants(vals))
+            windings = []  # (ring0, int8 windings of the cells over rings ring0, ring0 + 1, ..., mb rows each)
+            if lo:  # from the previous block's last ring
+                windings.append((lo - 1, _cell_windings(prev, tuple(a[:mb] for a in block))))
+            if rings.shape[0] > 1:
+                windings.append((lo, _cell_windings(tuple(a[:-mb] for a in block), tuple(a[mb:] for a in block))))
+            for ring0, k in windings:
+                flat = np.flatnonzero(k >= 1)
+                pairs, cols = np.divmod(flat, n_a)
+                ring, own = np.divmod(pairs, mb)
+                cells.append((own + row0, ring + ring0, cols, k.ravel()[flat]))
+            last = _work("last ring", (mb, n_a))
+            last[...] = vals[-mb:]
+            prev = (last, block[1][-mb:], block[2][-mb:])
+    own, ring, cols, reps = (np.concatenate(a) for a in zip(*cells))
+    reps = reps.astype(np.int64)
     first = np.repeat(np.cumsum(reps) - reps, reps)
     frac = (np.arange(first.size) - first + 0.5) / np.repeat(reps, reps)
-    ring, own = np.divmod(np.repeat(pairs, reps), m)
+    own, ring = np.repeat(own, reps), np.repeat(ring, reps)
     angle = (np.repeat(cols, reps) + frac) * (2.0 * math.pi / n_a)
     rho = radii[ring]
-    coeff = etas[own]
-    coeff *= scale[ring]
-    return own, rho * (radii[ring + 1] / rho) ** frac * np.exp(1j * angle), rho, coeff
+    return own, rho * (radii[ring + 1] / rho) ** frac * np.exp(1j * angle), rho, ring
 
 
 def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> Zeros:
@@ -560,18 +626,29 @@ def find_zeros_batch(space: DiscSpace, etas: np.ndarray, region: Annulus) -> Zer
     Grid cells of nonzero winding, evaluated in blocks of rings, seed
     Halley's method with each seed's terms scaled at its cell's inner ring
     (`_grid_seeds`, `_newton`); most seeds take their last step, cubically
-    small, on the third sweep.  Converged points with a < |z| < b are the
-    candidate zeros of their row.  A row is certified when its candidates are
-    pairwise at least MERGE_DISTANCE apart and their number equals its
-    argument-principle count: then they are all of its zeros, each
-    simple, and its unconverged seeds are counted.  Every other row (a
-    merge, a missed or extra zero, a failed boundary winding) falls back
-    to `find_zeros`, whose zeros and unconverged count it takes.
+    small, on the third sweep.  Halley's method runs on blocks of
+    BLOCK_ENTRIES // L points, whose coefficient rows are gathered into
+    the work buffers "coeff" and "scale" (`_work`).  Converged points with
+    a < |z| < b are the candidate zeros of their row.  A row is certified
+    when its candidates are pairwise at least MERGE_DISTANCE apart and
+    their number equals its argument-principle count: then they are all of
+    its zeros, each simple, and its unconverged seeds are counted.  Every
+    other row (a merge, a missed or extra zero, a failed boundary winding)
+    falls back to `find_zeros`, whose zeros and unconverged count it takes.
     """
-    m = etas.shape[0]
+    m, L = etas.shape
     counts, unresolved = _counts(space, etas, region)
-    own, z, rho, coeff = _grid_seeds(space, etas, region)
-    z, converged = _newton(space, coeff, z, rho)
+    own, z, rho, ring = _grid_seeds(space, etas, region)
+    scale = _grid(space, region)[2]
+    converged = np.empty(z.size, dtype=bool)
+    step = max(1, BLOCK_ENTRIES // L)
+    for lo in range(0, z.size, step):
+        block = slice(lo, lo + step)
+        shape = (own[block].size, L)
+        # mode "clip" as in `_newton`
+        coeff = np.take(etas, own[block], 0, _work("coeff", shape), "clip")
+        coeff *= np.take(scale, ring[block], 0, _work("scale", shape, np.float64), "clip")
+        z[block], converged[block] = _newton(space, coeff, z[block], rho[block])
     unconverged = np.bincount(own[~converged], minlength=m)
     # a close pair with a radius between is an extra candidate: the count rejects it
     own, z, close = _sorted_candidates(own[converged], z[converged], region)

@@ -2,7 +2,13 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -597,7 +603,7 @@ class TestGridSeeds:
         ring_entries = rows * max(n_a, space.L)
         calls = []
         values = sections._circle_values
-        monkeypatch.setattr(sections, "_circle_values", lambda coeff, n: (calls.append(coeff.shape[0]), values(coeff, n))[1])
+        monkeypatch.setattr(sections, "_circle_values", lambda coeff, n, out=None: (calls.append(coeff.shape[0]), values(coeff, n, out))[1])
         seeds = sections._grid_seeds(space, etas, phi.support)
         for per in (1, 2, 3, rings):
             calls.clear()
@@ -761,6 +767,83 @@ class TestBatchedZeros:
         zs = find_zeros_batch(space, etas, region)
         monkeypatch.setattr(sections, "BLOCK_ENTRIES", 5000)
         assert all(np.array_equal(a, b) for a, b in zip(find_zeros_batch(space, etas, region), zs))
+
+    def test_ring_past_b_certifies_large_p(self):
+        # at p = 300 the ring that passes b lies 8e-5 past it; a zero just inside b, whose outer arc aliases,
+        # needs a cell beyond that ring.  Without the extra ring 2 of these rows fell back
+        region = Annulus(0.35, 0.65)
+        [(_, space, etas)] = experiments._draw([300], region.b, 64, 7, {})
+        assert find_zeros_batch(space, etas, region).fallback.sum() == 0
+
+    def test_work_buffers_stay_within_a_block(self):
+        # in a fresh thread, which starts with no buffers: every request of the zero finder is at most
+        # BLOCK_ENTRIES entries, also where one ring of every row is more (4 096 angles at p = 300)
+        sizes = {}
+
+        def run():
+            region = Annulus(0.35, 0.65)
+            for p in (40, 100, 300):
+                for rows in (12, 64):
+                    [(_, space, etas)] = experiments._draw([p], region.b, rows, self.SEED, {})
+                    find_zeros_batch(space, etas, region)
+            sizes.update((name, buf.size) for name, buf in vars(sections._pool).items())
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert {"coeff", "values", "last ring", "scale", "terms", "rows"} <= sizes.keys()
+        assert max(sizes.values()) <= sections.BLOCK_ENTRIES
+
+    def test_concurrent_calls_keep_their_buffers(self):
+        # four threads on two cores, switching often, each on its own batch: a buffer shared between
+        # threads would mix their blocks, and their zeros would differ from the serial ones
+        region = Annulus(0.35, 0.65)
+        batches = [next(experiments._draw([p], region.b, 16, self.SEED + p, {}))[1:] for p in (40, 60, 80, 100)]
+        serial = [find_zeros_batch(space, etas, region) for space, etas in batches]
+        results = [None] * len(batches)
+
+        def run(i):
+            for _ in range(3):
+                results[i] = find_zeros_batch(*batches[i], region)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, ref in zip(results, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as glibc's allocator gives them")
+    def test_warm_calls_fault_no_pages(self):
+        # in a fresh process: block-sized arrays allocated and freed on every call faulted in about 4 700
+        # pages per warm call at p = 100 with 12 rows, and 5 400 at p = 80 with 16 rows
+        probe = textwrap.dedent("""
+            import resource
+            from bergman_zeros import experiments, sections
+            from bergman_zeros.disc import Annulus
+            region = Annulus(0.35, 0.65)
+            for p, rows in ((100, 12), (80, 16)):
+                [(_, space, etas)] = experiments._draw([p], region.b, rows, 1, {})
+                for _ in range(2):
+                    sections.find_zeros_batch(space, etas, region)
+                start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(5):
+                    sections.find_zeros_batch(space, etas, region)
+                print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 5)
+        """)
+        src = str(Path(sections.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+        faults = [float(line) for line in out.split()]
+        assert len(faults) == 2 and max(faults) <= 200, faults
 
     def test_newton_scaled_by_radius(self):
         # at p = 300, c_1 / max c_ell is below the smallest double; the
