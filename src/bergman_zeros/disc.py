@@ -197,23 +197,29 @@ def _log_diag(p: int, y):
     return math.log(p - 1) - LOG_2PI + log_xe - p * np.log(-np.expm1(-y) / y)
 
 
+def _deck_k(q: int, a_max, im_max) -> tuple[int, float]:
+    """K of `_log_deck` for an array whose largest Re s is a_max and largest |Im s| im_max, and |w| at K (K < q)."""
+    for k in range(q):
+        w = math.hypot(a_max, 2.0 * math.pi * (k + 1) - im_max)
+        if (2.0 + w) * (a_max / w) ** q <= DECK_RTOL:
+            return k, w
+    return q, math.nan
+
+
 def _log_deck(q: int, s) -> tuple[np.ndarray, int]:
     """log |D_q(s)| over an array s (q >= 2, Re s > 0, |Im s| <= pi), and K, the most deck terms an entry may take.
 
     D_q(s) = sum_k (1 + 2 pi i k / s)^(-q) is the sum over the cusp's deck group: by the Lipschitz formula,
     sum_ell ell^(q-1) e^(-s ell) = Gamma(q) s^(-q) D_q(s).  K is the smallest with (2 + |w|) (A / |w|)^q <= DECK_RTOL,
-    w = A + i (2 pi (K+1) - B), A and B the largest Re s and |Im s| (the bound rises with both); each entry stops at
-    the least K_s <= K with |w_s| >= Re s ((2 + |w|) / DECK_RTOL)^(1/q), w_s its own w at K_s.  That keeps its omitted
-    terms sum_{|k| > K_s} |s + 2 pi i k|^(-q) below DECK_RTOL (Re s)^(-q), its k = 0 term at Im s = 0.  In the bulk
-    K = 0.  Where K would reach q (small q), D_q comes from the closed form x E(x) / (1 - x)^q of `_log_diag`.
+    w = A + i (2 pi (K+1) - B), A and B the largest Re s and |Im s| (the bound rises with both; `_deck_k`); each entry
+    stops at the least K_s <= K with |w_s| >= Re s ((2 + |w|) / DECK_RTOL)^(1/q), w_s its own w at K_s.  That keeps
+    its omitted terms sum_{|k| > K_s} |s + 2 pi i k|^(-q) below DECK_RTOL (Re s)^(-q), its k = 0 term at Im s = 0.  In
+    the bulk K = 0 and log |D_q| = 0, returned with no complex arithmetic; complex temporaries start at K > 0.  Where K
+    would reach q (small q), D_q comes from the closed form x E(x) / (1 - x)^q of `_log_diag`.
     """
     shape, s = np.shape(s), np.ravel(s)  # 1-d, so that a scalar s too takes z[sel] below
-    a, im, k = s.real, abs(s.imag), 0
-    while a.size and k < q:
-        w = math.hypot(a.max(), 2.0 * math.pi * (k + 1) - im.max())
-        if (2.0 + w) * (a.max() / w) ** q <= DECK_RTOL:
-            break
-        k += 1
+    a, im = s.real, abs(s.imag)
+    k, w = _deck_k(q, a.max(), im.max()) if a.size else (0, math.nan)
     if k == q:
         f = sum(np.exp(c - s * ell) for ell, c in enumerate(_log_eulerian(q)))  # E(x), x = e^(-s): no underflow
         return (np.log(np.abs(f * (s / -np.expm1(-s)) ** q)) - a).reshape(shape), k
@@ -239,9 +245,16 @@ def kernel_function(p: int, r):
 
 
 def _log_n2(p: int, a, lr, dd, theta):
-    """log N_p^2 at relative angle theta, from a, lr = log(y y' / a^2) and dd = log D(p, y) D(p, y'); the deck K."""
-    deck, k = _log_deck(p, a - 1j * theta)
-    return p * (lr - np.log1p(np.square(theta / a))) + 2.0 * deck - dd, k
+    """log N_p^2 at relative angle theta, from a, lr = log(y y' / a^2) and dd = log D(p, y) D(p, y'); the deck K.
+
+    K comes from the largest a and |theta| (`_deck_k`) before any complex array exists: at K = 0 (the bulk) the deck
+    sum D(p, a - i theta) is 1 and the whole evaluation is real; only at K > 0 (the cusp) is a - i theta formed and
+    summed by `_log_deck`.
+    """
+    k = _deck_k(p, np.max(a), np.max(np.abs(theta)))[0] if np.size(a) and np.size(theta) else 0
+    deck, k = _log_deck(p, a - 1j * theta) if k else (None, 0)  # before the ratio: its complex temporaries go first
+    log_n2 = p * (lr - np.log1p(np.square(theta / a)))
+    return (log_n2 if deck is None else log_n2 + 2.0 * deck) - dd, k
 
 
 def normalized_kernel(p: int, z, zp):

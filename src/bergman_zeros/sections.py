@@ -95,8 +95,9 @@ MAX_ASPECT = 8.0
 # points, the bipotential's hot windows) holds at most this many entries per
 # temporary: 1 MB of float64, 2 MB of complex128, sized to a 2 MiB L2; the
 # zero finder's are `_work` buffers of this size.  The bipotential takes
-# 8-14 ms at p = 200 and 41-59 ms at p = 1 280 on (0.1, 0.9) from 2^15 to
-# 2^19 entries alike (2 vCPUs, median of 7).
+# 3.6-4.4 ms at p = 200 on (0.35, 0.65) and 19-24 ms at p = 1 280 on
+# (0.1, 0.9) from 2^15 to 2^19 entries, no size best at both (2 vCPUs,
+# median of 7 warm calls in a fresh process).
 BLOCK_ENTRIES = 1 << 17
 # Per-thread work buffers of the zero finder, by name (`_work`).
 _pool = threading.local()

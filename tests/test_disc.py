@@ -195,6 +195,29 @@ class TestDeckSum:
         for got, entry in zip(log_d, s):
             assert abs(math.exp(got) - float(self.mp_deck(50, entry))) * (entry.real / abs(entry)) ** 50 < 1e-14
 
+    @pytest.mark.parametrize(
+        "p, y_lo, y_hi, bulk",
+        [(5, 1e-4, 1.2e-3, True), (40, 0.3, 1.25, True), (200, 0.86, 4.4, True), (50, 1.0, 1.65, False),
+         (50, 1.0, 24.0, False)],
+    )
+    def test_log_n2_is_complex_only_past_the_bulk(self, p, y_lo, y_hi, bulk, monkeypatch):
+        # K = 0 ends at |theta| = pi where y reaches 1.4e-3, 1.30, 4.56 and 1.64 (p = 5, 40, 200 and 50); y = 24 is
+        # the cusp.  In the bulk _log_n2 hands _log_deck nothing and gives the bits of the deck sum's k = 0 term
+        y = np.linspace(y_lo, y_hi, 9)
+        i, j = np.triu_indices(y.size)
+        a, theta = 0.5 * (y[i] + y[j])[:, None], np.linspace(0.0, math.pi, 33)
+        lr = np.log1p(-np.square((y[i] - y[j]) / (y[i] + y[j])))[:, None]
+        diag, _ = disc._log_deck(p, y)
+        dd = (diag[i] + diag[j])[:, None]
+        deck, deck_k = disc._log_deck(p, a - 1j * theta)
+        explicit = p * (lr - np.log1p(np.square(theta / a))) + 2.0 * deck - dd
+        calls, log_deck = [], disc._log_deck
+        monkeypatch.setattr(disc, "_log_deck", lambda q, s: (calls.append(s), log_deck(q, s))[1])
+        got, k = disc._log_n2(p, a, lr, dd, theta)
+        assert k == deck_k and (k == 0) == bulk
+        assert len(calls) == (not bulk) and all(np.iscomplexobj(s) for s in calls)
+        assert got.dtype == np.float64 and np.array_equal(got, explicit)
+
 
 class TestArrayCalls:
     """A scalar call is the 0-d case of the array call."""
