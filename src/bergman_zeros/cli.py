@@ -7,6 +7,7 @@ threshold was violated under --check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -32,21 +33,30 @@ def _run(args: argparse.Namespace) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.threads is not None:
             cfg = dataclasses.replace(cfg, threads=args.threads)
+        out_dir = Path(args.out if args.out is not None else cfg.out)
+        # made before the experiment, so that an unusable --out costs no run; a failed run removes it again
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out if args.out is not None else cfg.out)
     # looked up on the module at call time, so that a wrapper put there is what runs
     driver = getattr(experiments, EXPERIMENTS[cfg.kind].driver)
     threads = {"threads": cfg.threads} if "threads" in inspect.signature(driver).parameters else {}
     try:
         report = driver(**cfg.params, seed=cfg.seed, **threads)
-        out_dir.mkdir(parents=True, exist_ok=True)
     except Exception as exc:  # numerical failures surface as exit 1 with context
         print(f"error: {cfg.kind}: {exc}", file=sys.stderr)
+        for d in made:  # innermost first; one that is no longer empty stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
         return 1
-    report.to_csv(out_dir / "results.csv")
-    report.to_summary_json(out_dir / "summary.json", config_digest(cfg.digest_payload()), _versions())
+    try:
+        report.to_csv(out_dir / "results.csv")
+        report.to_summary_json(out_dir / "summary.json", config_digest(cfg.digest_payload()), _versions())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for row in report.rows:
         print(row.to_csv_line())
     if args.check:

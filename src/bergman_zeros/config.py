@@ -136,19 +136,22 @@ def _key_line(text: str, key: str) -> str:
 
 
 def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
-    where = _key_line(text, name)
+    def error(what: str) -> ConfigError:
+        # the key's line is looked up only for a message
+        return ConfigError(f"key '{name}'{_key_line(text, name)}: {what}")
+
     try:
         if type_name == "int":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"key '{name}'{where}: expected integer, got {value!r}")
+                raise error(f"expected integer, got {value!r}")
             return int(value)
         if type_name == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"key '{name}'{where}: expected number, got {value!r}")
+                raise error(f"expected number, got {value!r}")
             return float(value)
         if type_name == "bool":
             if not isinstance(value, bool):
-                raise ConfigError(f"key '{name}'{where}: expected boolean, got {value!r}")
+                raise error(f"expected boolean, got {value!r}")
             return value
         if type_name == "int_list":
             if isinstance(value, int) and not isinstance(value, bool):
@@ -156,27 +159,27 @@ def _coerce(name: str, type_name: str, value: Any, text: str) -> Any:
             if isinstance(value, list) and value and all(isinstance(v, int) and not isinstance(v, bool) for v in value):
                 # checks that compare neighbouring p, and the per-p results, need distinct ascending p
                 if any(lo >= hi for lo, hi in zip(value, value[1:])):
-                    raise ConfigError(f"key '{name}'{where}: values must be strictly ascending, got {value!r}")
+                    raise error(f"values must be strictly ascending, got {value!r}")
                 return list(value)
-            raise ConfigError(f"key '{name}'{where}: expected integer or list of integers, got {value!r}")
+            raise error(f"expected integer or list of integers, got {value!r}")
         if type_name in ("annulus", "testfunction"):
             if not isinstance(value, dict) or set(value) != {"a", "b"}:
-                raise ConfigError(f"key '{name}'{where}: expected mapping with keys a, b")
+                raise error("expected mapping with keys a, b")
             a, b = (_coerce(name, "float", value[end], text) for end in ("a", "b"))
             return (Annulus if type_name == "annulus" else TestFunction)(a, b)
         if type_name == "curvature":
             if not isinstance(value, list):
-                raise ConfigError(f"key '{name}'{where}: expected list of [i, j, coefficient] triples")
+                raise error("expected list of [i, j, coefficient] triples")
             triples = []
             for item in value:
                 if not isinstance(item, (list, tuple)) or len(item) != 3:
-                    raise ConfigError(f"key '{name}'{where}: each curvature entry must be [i, j, coefficient]")
+                    raise error("each curvature entry must be [i, j, coefficient]")
                 triples.append(tuple(_coerce(name, t, e, text) for t, e in zip(("int", "int", "float"), item)))
             return triples
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key '{name}'{where}: {exc}") from exc
+        raise error(str(exc)) from exc
     raise ConfigError(f"internal: unknown parameter type {type_name}")
 
 

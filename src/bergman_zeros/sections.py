@@ -17,10 +17,7 @@ cell's winding is a quarter of the quarter turns of its four edges,
 read from int8 quadrant codes of the values; only an edge of two
 quadrants takes an angle.  A seed's terms are scaled at its cell's
 inner ring, and Halley's method takes its last, cubically small step
-without a confirming sweep: most seeds converge in three sweeps.  Every
-block-sized array of the grid and of Halley's method is a view of one of
-a few per-thread work buffers (`_work`), reused across blocks and calls,
-so the zero finder faults no fresh pages once its thread is warm.
+without a confirming sweep: most seeds converge in three sweeps.
 `find_zeros` is the oracle of this path and its fallback: it solves every
 row that is not certified; each of its Aberth steps evaluates the terms
 scaled by its point's radius.  Both return one `Zeros` of flat
@@ -42,6 +39,11 @@ bisected for all rows together; a midpoint t is summed from the powers
 of e^{it}, by cumulative product.  A row on which the section vanishes
 on the circle, or whose segments do not settle, fails; every job hands
 it to `find_zeros`.
+
+Every block-sized array of the winding engine, of the seed grid and of
+Halley's method is a view of one of a few per-thread work buffers
+(`_work`), reused across blocks and calls, so neither the counts nor the
+zero finder fault fresh pages once their thread is warm.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, path).  `sample_etas` draws a whole batch of coefficient
@@ -94,12 +96,12 @@ MAX_ASPECT = 8.0
 # Every blocked array pass (winding rows, the seed grid's rings, Halley's
 # points, the bipotential's hot windows) holds at most this many entries per
 # temporary: 1 MB of float64, 2 MB of complex128, sized to a 2 MiB L2; the
-# zero finder's are `_work` buffers of this size.  The bipotential takes
-# 3.6-4.4 ms at p = 200 on (0.35, 0.65) and 19-24 ms at p = 1 280 on
-# (0.1, 0.9) from 2^15 to 2^19 entries, no size best at both (2 vCPUs,
-# median of 7 warm calls in a fresh process).
+# winding engine's and the zero finder's are `_work` buffers of this size.
+# The bipotential takes 3.6-4.4 ms at p = 200 on (0.35, 0.65) and 19-24 ms
+# at p = 1 280 on (0.1, 0.9) from 2^15 to 2^19 entries, no size best at
+# both (2 vCPUs, median of 7 warm calls in a fresh process).
 BLOCK_ENTRIES = 1 << 17
-# Per-thread work buffers of the zero finder, by name (`_work`).
+# Per-thread work buffers of the winding engine and the zero finder, by name (`_work`).
 _pool = threading.local()
 
 
@@ -155,17 +157,20 @@ def _work(name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
     """An uninitialised array of this shape and dtype: a view of this thread's work buffer `name`.
 
     The buffer is flat, complex128, grown to the largest request made of
-    it (at most BLOCK_ENTRIES entries from the zero finder), and lives as
-    long as its thread; a later request of the same name overwrites the
-    earlier one's view.  Arrays of this size, allocated and freed on every
-    block, sit at glibc's mmap and trim thresholds and fault in fresh
-    pages each time: about 4 700 per warm `find_zeros_batch` call at
-    p = 100 with 12 rows in a fresh process, against about one from these
-    buffers.  Freeing the
-    (mmapped) buffer that a grown one replaces also raises glibc's mmap
-    threshold to its size and its trim threshold to twice that, so the
-    blocks' smaller temporaries, such as the int8 quadrant codes, are then
-    reused from the heap rather than trimmed and faulted in again.
+    it (at most BLOCK_ENTRIES entries from the winding engine and the zero
+    finder, which share the names "coeff", "values", "terms" and "rows":
+    `find_zeros_batch` counts before it seeds), and lives as long as its
+    thread; a later request of the same name overwrites the earlier one's
+    view.  Arrays of this size, allocated and freed on every block, sit at
+    glibc's mmap and trim thresholds and fault in fresh pages each time:
+    about 4 700 per warm `find_zeros_batch` call at p = 100 with 12 rows,
+    and 990 per warm `count_zeros_batch` call at p = 200 on (0.2, 0.7)
+    with 200 rows, in a fresh process, against about none from these
+    buffers.  Freeing the (mmapped) buffer that a grown one replaces also
+    raises glibc's mmap threshold to its size and its trim threshold to
+    twice that, so the blocks' smaller temporaries, such as the int8
+    quadrant codes, are then reused from the heap rather than trimmed and
+    faulted in again.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buffers = vars(_pool)
@@ -376,14 +381,17 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
 
     Every term is eta_ell times one scale row (`_scales` at r).  Pass one
     evaluates every row on a shared grid of `_initial_points` angles
-    (`_circle_values` per row block).  The phase increment of a segment is
-    the angle of v1 * conj(v0), already wrapped into (-pi, pi].
+    (`_circle_values` per row block, into a buffer whose last column
+    repeats the first).  The phase increment of a segment is the angle of
+    conj(v0) * v1, already wrapped into (-pi, pi], formed in place.
     Increments below pi/2 in size are final and summed per row at once.
     The others go into one flat queue of segments (owner row, theta0,
     theta1, v0, v1).  Each round evaluates every queued midpoint t from
     the powers of one unit complex e^{it} per segment (`_powers`), in
     blocks of segments, and splits each segment in two; halves that are
-    now small are added to their row, the rest stay queued.
+    now small are added to their row, the rest stay queued.  The blocks
+    of both passes are views of the work buffers "coeff", "values",
+    "terms", "phases" and "rows" (`_work`).
 
     A row fails if the section (nearly) vanishes at an evaluated point,
     if its winding is not an integer, or if segments remain after
@@ -401,24 +409,27 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
     lo_mag = np.empty(m)
     hi_mag = np.empty(m)
     queue: list[tuple[np.ndarray, ...]] = []
-    # a block holds about four (row, angle) temporaries at once, together
-    # within BLOCK_ENTRIES; freed, they stay below glibc's trim threshold and
-    # the next block reuses their pages.  A holes run alone (4000 rows at
-    # p = 4, 6, 8, n = 128) took 17 174 page faults with the whole batch
-    # scaled at once and BLOCK_ENTRIES per temporary, and 1 468 as here.
-    step = max(1, BLOCK_ENTRIES // (4 * n_init))
+    # every block-sized array below is a view of a `_work` buffer, of at most BLOCK_ENTRIES entries
+    step = max(1, BLOCK_ENTRIES // max(4 * n_init, space.L))
     for lo in range(0, m, step):
-        vals = _circle_values(etas[lo : lo + step] * scale, n_init)
-        mags = np.abs(vals)
-        lo_mag[lo : lo + step] = mags.min(axis=1)
-        hi_mag[lo : lo + step] = mags.max(axis=1)
-        inc = np.roll(vals, -1, axis=1)
-        inc *= vals.conj()
-        dphi = np.angle(inc)
-        bad = np.abs(dphi) >= math.pi / 2.0
-        total[lo : lo + step] = np.sum(dphi, axis=1, where=~bad)
+        block = etas[lo : lo + step]
+        mb = block.shape[0]
+        coeff = np.multiply(block, scale, out=_work("coeff", block.shape))
+        ext = _work("values", (mb, n_init + 1))  # the last column repeats the first: arc j ends at ext[:, j + 1]
+        vals = _circle_values(coeff, n_init, out=ext[:, :n_init])
+        ext[:, n_init] = vals[:, 0]
+        inc = np.conjugate(vals, out=_work("terms", vals.shape))
+        inc *= ext[:, 1:]
+        mags = np.abs(vals, out=_work("phases", vals.shape, np.float64))
+        lo_mag[lo : lo + mb] = mags.min(axis=1)
+        hi_mag[lo : lo + mb] = mags.max(axis=1)
+        dphi = np.arctan2(inc.imag, inc.real, out=mags)  # np.angle, over the magnitudes
+        bad = dphi >= math.pi / 2.0  # |dphi| >= pi/2, with no float temporary
+        bad |= dphi <= -math.pi / 2.0
+        dphi[bad] = 0.0
+        total[lo : lo + mb] = dphi.sum(axis=1)
         rows, cols = np.divmod(np.flatnonzero(bad), n_init)
-        queue.append((rows + lo, thetas[cols], ends[cols], vals[rows, cols], vals[rows, (cols + 1) % n_init]))
+        queue.append((rows + lo, thetas[cols], ends[cols], vals[rows, cols], ext[rows, cols + 1]))
     own, t0, t1, v0, v1 = (np.concatenate(parts) for parts in zip(*queue))
 
     step = max(1, BLOCK_ENTRIES // space.L)
@@ -430,9 +441,12 @@ def _winding(space: DiscSpace, etas: np.ndarray, r: float) -> tuple[np.ndarray, 
         tm = 0.5 * (t0 + t1)
         vm = np.empty(own.size, dtype=np.complex128)
         for lo in range(0, own.size, step):
-            terms = _powers(np.exp(1j * tm[lo : lo + step]), space.L)
+            seg = slice(lo, lo + step)
+            shape = (own[seg].size, space.L)
+            terms = _powers(np.exp(1j * tm[seg]), space.L, out=_work("terms", shape))
             terms *= scale
-            vm[lo : lo + step] = np.einsum("ql,ql->q", terms, etas[own[lo : lo + step]])
+            # mode "clip" as in `_newton`
+            vm[seg] = np.einsum("ql,ql->q", terms, np.take(etas, own[seg], 0, _work("rows", shape), "clip"))
         np.minimum.at(lo_mag, own, np.abs(vm))
         np.maximum.at(hi_mag, own, np.abs(vm))
         own, t0, t1 = np.concatenate([own, own]), np.concatenate([t0, tm]), np.concatenate([tm, t1])

@@ -1,5 +1,6 @@
 """CLI contract: config validation, artifacts, exit codes, determinism."""
 
+import functools
 import inspect
 import json
 import subprocess
@@ -342,6 +343,34 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "c.yaml", {"experiment": kind, "seed": 1, "params": params})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_out_at_a_file_exits_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before the experiment, so a file in its place costs no run
+        name = EXPERIMENTS["plateau"].driver
+        driver, calls = getattr(experiments, name), []
+
+        @functools.wraps(driver)  # the signature is the config schema
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+        cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert not calls
+
+    def test_unwritable_results_exit_code(self, tmp_path, capsys):
+        # results.csv taken by a directory: exit 1 naming the path, not a traceback
+        cfg = write_config(tmp_path / "c.yaml", PLATEAU_CFG)
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "results.csv") in err
+        assert "Traceback" not in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", dict(PLATEAU_CFG, params={"p": [20], "oops": 1}))

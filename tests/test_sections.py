@@ -776,8 +776,9 @@ class TestBatchedZeros:
         assert find_zeros_batch(space, etas, region).fallback.sum() == 0
 
     def test_work_buffers_stay_within_a_block(self):
-        # in a fresh thread, which starts with no buffers: every request of the zero finder is at most
-        # BLOCK_ENTRIES entries, also where one ring of every row is more (4 096 angles at p = 300)
+        # in a fresh thread, which starts with no buffers: every request of the zero finder and of the
+        # winding counts is at most BLOCK_ENTRIES entries, also where one ring of every row is more
+        # (4 096 angles at p = 300)
         sizes = {}
 
         def run():
@@ -786,26 +787,36 @@ class TestBatchedZeros:
                 for rows in (12, 64):
                     [(_, space, etas)] = experiments._draw([p], region.b, rows, self.SEED, {})
                     find_zeros_batch(space, etas, region)
+            for p, count_region, rows in ((200, Annulus(0.2, 0.7), 200), (8, Annulus(0.25, 0.45), 4000),
+                                          (300, region, 64)):
+                [(_, space, etas)] = experiments._draw([p], count_region.b, rows, self.SEED, {})
+                count_zeros_batch(space, etas, count_region)
             sizes.update((name, buf.size) for name, buf in vars(sections._pool).items())
 
         thread = threading.Thread(target=run)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert {"coeff", "values", "last ring", "scale", "terms", "rows"} <= sizes.keys()
+        assert {"coeff", "values", "last ring", "scale", "terms", "rows", "phases"} <= sizes.keys()
         assert max(sizes.values()) <= sections.BLOCK_ENTRIES
 
     def test_concurrent_calls_keep_their_buffers(self):
         # four threads on two cores, switching often, each on its own batch: a buffer shared between
-        # threads would mix their blocks, and their zeros would differ from the serial ones
+        # threads would mix their blocks, and their zeros and counts would differ from the serial ones
         region = Annulus(0.35, 0.65)
         batches = [next(experiments._draw([p], region.b, 16, self.SEED + p, {}))[1:] for p in (40, 60, 80, 100)]
         serial = [find_zeros_batch(space, etas, region) for space, etas in batches]
+        count_region = Annulus(0.2, 0.7)
+        count_batches = [next(experiments._draw([p], count_region.b, 200, self.SEED + p, {}))[1:]
+                         for p in (50, 100, 150, 200)]
+        serial_counts = [count_zeros_batch(space, etas, count_region) for space, etas in count_batches]
         results = [None] * len(batches)
+        counts = [None] * len(batches)
 
         def run(i):
             for _ in range(3):
                 results[i] = find_zeros_batch(*batches[i], region)
+                counts[i] = count_zeros_batch(*count_batches[i], count_region)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -820,30 +831,35 @@ class TestBatchedZeros:
         assert not any(thread.is_alive() for thread in threads)
         for got, ref in zip(results, serial):
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        for got, ref in zip(counts, serial_counts):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as glibc's allocator gives them")
     def test_warm_calls_fault_no_pages(self):
         # in a fresh process: block-sized arrays allocated and freed on every call faulted in about 4 700
-        # pages per warm call at p = 100 with 12 rows, and 5 400 at p = 80 with 16 rows
+        # pages per warm find_zeros_batch call at p = 100 with 12 rows, 5 400 at p = 80 with 16 rows, and
+        # 990 per warm count_zeros_batch call at p = 200 on (0.2, 0.7) with 200 rows
         probe = textwrap.dedent("""
             import resource
             from bergman_zeros import experiments, sections
             from bergman_zeros.disc import Annulus
-            region = Annulus(0.35, 0.65)
-            for p, rows in ((100, 12), (80, 16)):
+            cases = [(sections.find_zeros_batch, p, Annulus(0.35, 0.65), rows) for p, rows in ((100, 12), (80, 16))]
+            cases += [(sections.count_zeros_batch, 200, Annulus(0.2, 0.7), 200),
+                      (sections.count_zeros_batch, 8, Annulus(0.25, 0.45), 4000)]
+            for call, p, region, rows in cases:
                 [(_, space, etas)] = experiments._draw([p], region.b, rows, 1, {})
                 for _ in range(2):
-                    sections.find_zeros_batch(space, etas, region)
+                    call(space, etas, region)
                 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 for _ in range(5):
-                    sections.find_zeros_batch(space, etas, region)
+                    call(space, etas, region)
                 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 5)
         """)
         src = str(Path(sections.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
         faults = [float(line) for line in out.split()]
-        assert len(faults) == 2 and max(faults) <= 200, faults
+        assert len(faults) == 4 and max(faults) <= 200, faults
 
     def test_newton_scaled_by_radius(self):
         # at p = 300, c_1 / max c_ell is below the smallest double; the
